@@ -1,11 +1,12 @@
 """Batch-size-one latency comparison between decoding strategies.
 
-By default builds freshly initialised models of matched size and pins the
-output lengths (end marker suppressed for the teacher, unit fertility for
-the parallel decoder), since wall-clock depends on shapes rather than
-weights; pass --teacher/--nat to time trained checkpoints instead.  Writes
-a plot-ready per-sentence TSV and prints mean/median latency, speedups,
-and the latency-versus-length slope of each strategy.
+By default builds freshly initialised models of matched size and pins every
+output length to the source length (end marker suppressed and decodes
+capped at the source length for the teacher, unit fertility for the
+parallel decoder), since wall-clock depends on shapes rather than weights;
+pass --teacher/--nat to time trained checkpoints instead.  Writes a
+plot-ready per-sentence TSV and prints mean/median latency, speedups, and
+the latency-versus-length slope of each strategy.
 """
 
 import argparse
@@ -67,7 +68,8 @@ def main(argv=None):
 
     report = bench_latency(testset, teacher_model=teacher, nat_model=nat,
                            strategies=args.strategies,
-                           repeats=args.repeats, seed=0)
+                           repeats=args.repeats, seed=0,
+                           source_length=not (args.teacher or args.nat))
     base = report.baseline
     for spec in args.strategies:
         line = (f"{spec:>8}: mean {report.mean[spec] * 1e3:8.2f} ms  "

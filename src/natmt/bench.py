@@ -4,7 +4,7 @@ counts, and plot-ready report emitters."""
 from __future__ import annotations
 
 import statistics
-import time
+from time import perf_counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -52,8 +52,10 @@ def parse_strategy(spec: str) -> tuple[str, int | None]:
     return kind, n
 
 
-def _runner(spec: str, teacher_model, nat_model, seed: int) -> Callable:
-    """Returns src_ids -> (output tokens, decoder passes) at batch size one."""
+def _runner(spec: str, teacher_model, nat_model, seed: int,
+            source_length: bool) -> Callable:
+    """Returns src_ids -> (output tokens, decoder passes) at batch size one;
+    ``source_length`` caps teacher decodes at the source length."""
     kind, arg = parse_strategy(spec)
     if kind in ("greedy", "beam") and teacher_model is None:
         raise ValueError(f"strategy {spec!r} needs a teacher model")
@@ -63,14 +65,15 @@ def _runner(spec: str, teacher_model, nat_model, seed: int) -> Callable:
         raise ValueError("npd needs a teacher model for rescoring")
 
     def run(src):
+        max_len = len(src) if source_length else None
         if teacher_model is not None:
             teacher_model.reset_passes()
         if nat_model is not None:
             nat_model.reset_passes()
         if kind == "greedy":
-            out = AR.greedy_decode(src, teacher_model)
+            out = AR.greedy_decode(src, teacher_model, max_len)
         elif kind == "beam":
-            out = AR.beam_decode(src, teacher_model, b=arg)
+            out = AR.beam_decode(src, teacher_model, b=arg, max_len=max_len)
         elif kind == "argmax":
             out = N.decode_argmax(src, nat_model).output
         elif kind == "average":
@@ -91,10 +94,14 @@ def bench_latency(testset: Sequence[Sequence[int]],
                   teacher_model=None, nat_model=None,
                   strategies: Sequence[str] = ("beam:4", "greedy", "argmax"),
                   repeats: int = 3, baseline: str | None = None,
-                  seed: int = 0) -> BenchReport:
+                  seed: int = 0, source_length: bool = False) -> BenchReport:
     """Times each strategy on every sentence alone (no minibatching); the
     first sentence is decoded once untimed to warm caches. Per-sentence
-    wall-clock is the median over ``repeats`` runs on a monotonic clock."""
+    wall-clock is the median over ``repeats`` runs of ``perf_counter``.
+
+    ``source_length`` caps greedy and beam decodes at the source length, so
+    that a teacher whose end marker is suppressed emits exactly as many
+    tokens as a unit-fertility parallel decode."""
     if not testset:
         raise ValueError("empty benchmark set")
     if repeats < 1:
@@ -107,15 +114,15 @@ def bench_latency(testset: Sequence[Sequence[int]],
 
     sentences: dict[str, list[SentenceStat]] = {}
     for spec in strategies:
-        run = _runner(spec, teacher_model, nat_model, seed)
+        run = _runner(spec, teacher_model, nat_model, seed, source_length)
         run(testset[0])  # warm-up, untimed
         stats = []
         for src in testset:
             walls = []
             for _ in range(repeats):
-                t0 = time.monotonic()
+                t0 = perf_counter()
                 out, passes = run(src)
-                walls.append(time.monotonic() - t0)
+                walls.append(perf_counter() - t0)
             stats.append(SentenceStat(len(src), len(out),
                                       statistics.median(walls), passes))
         sentences[spec] = stats

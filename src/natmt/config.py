@@ -69,7 +69,6 @@ class TrainConfig:
     warmup: int = 746
     seed: int = 0
     lam: float = 0.25               # fine-tuning interpolation weight
-    rl_samples: int = 1
     kd_includes_fertility: bool = True
     finetune_terms: tuple[str, ...] = ("rl", "bp", "kd")
     log_path: str | None = None

@@ -33,10 +33,15 @@ class AdamWarmup:
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
 
+    @property
+    def lr(self) -> float:
+        """The rate of the latest step."""
+        return warmup_rate(self.t, self.scale, self.warmup)
+
     def step(self) -> float:
         """Apply one update from accumulated grads; returns the rate used."""
         self.t += 1
-        lr = warmup_rate(self.t, self.scale, self.warmup)
+        lr = self.lr
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t

@@ -2,16 +2,24 @@
 translation+fertility training, encoder seeding from the teacher, and the
 fine-tuning objective.
 
-Sign conventions, fixed here once: ``rkl_value`` is the teacher-weighted
-student expectation to be MAXIMIZED (a one-hot student turns it into the
+Sign conventions, fixed here once: ``rkl_values`` are the teacher-weighted
+student expectations to be MAXIMIZED (a one-hot student turns one into the
 teacher's score of the argmax output). Every reported loss negates such
 values, so all numbers in logs and returned breakdowns decrease as the
 student improves. The fine-tuning total is
 lambda * (L_RL + L_BP) + (1 - lambda) * L_KD.
+
+A fine-tuning step is batched over the whole batch and makes two encoder
+calls: the student is encoded once, with gradients, for all three terms,
+and the teacher once. KD and BP share one decode of the aligner-fertility
+copies, RL's sampled and baseline fertilities share one no-grad decode, and
+one forced teacher decode scores every BP, reward and baseline output.
+``rkl_value`` and ``fertility_log_prob`` are the same code at batch size one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 import warnings
@@ -27,6 +35,7 @@ from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
 from .data import EOS, PAD, Batch, Vocab, make_batches, pad_block
+from .layers import MASK_BIAS
 from .optim import AdamWarmup
 from .tensor import Tensor
 
@@ -105,6 +114,16 @@ class MlStepResult:
 def _nat_losses(batch: Batch, model: NAT.NatModel) -> tuple[Tensor, Tensor]:
     """Mean-per-position translation and fertility cross-entropies for one
     batch carrying aligner fertilities."""
+    trans_loss, fert_loss, _, _ = _nat_forward(
+        batch, model, model.encode(batch.src, batch.src_len))
+    return trans_loss, fert_loss
+
+
+def _nat_forward(batch: Batch, model: NAT.NatModel, memory: Tensor
+                 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """`_nat_losses` from the batch's encoder memory, plus the fertility
+    log-probs and the decoder logits at the aligner's copied inputs that
+    the losses come from."""
     if batch.fertility is None:
         raise ValueError("batch carries no fertility supervision")
     sums = batch.fertility.sum(axis=1)
@@ -113,7 +132,6 @@ def _nat_losses(batch: Batch, model: NAT.NatModel) -> tuple[Tensor, Tensor]:
         raise ValueError(
             f"fertility sum {int(sums[bad])} != target length "
             f"{int(batch.tgt_len[bad])} at batch row {bad}")
-    memory = model.encode(batch.src, batch.src_len)
 
     fert_lp = T.log_softmax(model.fertility_logits(memory), axis=-1)
     src_valid = np.arange(batch.src.shape[1])[None, :] < batch.src_len[:, None]
@@ -132,7 +150,7 @@ def _nat_losses(batch: Batch, model: NAT.NatModel) -> tuple[Tensor, Tensor]:
     tgt_valid = np.arange(tgt.shape[1])[None, :] < batch.tgt_len[:, None]
     trans_loss = T.cross_entropy(T.log_softmax(logits, axis=-1), tgt,
                                  pad_id=PAD, mask=tgt_valid)
-    return trans_loss, fert_loss
+    return trans_loss, fert_loss, fert_lp, logits
 
 
 def nat_ml_step(batch: Batch, model: NAT.NatModel, optim: AdamWarmup) -> MlStepResult:
@@ -176,60 +194,88 @@ def init_encoder_from_teacher(student: NAT.NatModel,
 # fine-tuning terms
 # ---------------------------------------------------------------------------
 
+def rkl_values(src: np.ndarray, src_len: np.ndarray,
+               groups: Sequence[tuple[Tensor, np.ndarray, np.ndarray]],
+               teacher_model: AR.TeacherModel) -> list[Tensor]:
+    """Teacher-weighted student expectations for groups of student decodes
+    of one source batch.
+
+    A group is (student logits [R, t, V], output lengths [R], source row of
+    each of the R rows). Each row's output is the per-position argmax of its
+    student distribution, with the padding id masked out as in every decode
+    path. The frozen teacher is force-decoded on that output, and the value
+    is sum_t sum_y log p_teacher(y | output_<t, x) * p_student(y at t), plus
+    the teacher's end-marker log-prob, so a one-hot student recovers exactly
+    the teacher's score of the output. Padded positions weigh zero. One
+    teacher encode and one forced teacher decode cover every row of every
+    group. Returns one [R] tensor per group, a graph node when its logits
+    are one.
+    """
+    probs, outputs = [], []
+    for logits, out_len, _ in groups:
+        pad_bias = np.zeros(logits.shape[-1], dtype=np.float32)
+        pad_bias[PAD] = MASK_BIAS
+        p = T.softmax(T.add(logits, Tensor(pad_bias)), axis=-1)
+        top = p.data.argmax(axis=-1)
+        outputs += [[AR.BOS] + top[r, :n].tolist() for r, n in enumerate(out_len)]
+        probs.append(p)
+    rows = np.concatenate([src_rows for _, _, src_rows in groups])
+    with T.no_grad():
+        t_memory = teacher_model.encode(src, src_len)
+        t_in, t_len = pad_block(outputs)
+        t_logits = teacher_model.decode_logits(Tensor(t_memory.data[rows]),
+                                               src_len[rows], t_in, t_len)
+        t_logp = T.log_softmax(t_logits, axis=-1).numpy().astype(np.float64)
+
+    values, start = [], 0
+    for p, (_, out_len, _) in zip(probs, groups):
+        n_rows, width = p.shape[:2]
+        lp = t_logp[start : start + n_rows]
+        start += n_rows
+        valid = np.arange(width)[None, :, None] < out_len[:, None, None]
+        weight = np.where(valid, lp[:, :width], 0.0).astype(np.float32)
+        eos = lp[np.arange(n_rows), out_len, EOS].astype(np.float32)
+        values.append(T.add(T.tsum(T.mul(p, Tensor(weight)), axis=(1, 2)),
+                            Tensor(eos)))
+    return values
+
+
 def rkl_value(src_ids: Sequence[int], fertility: Sequence[int],
               student: NAT.NatModel, teacher_model: AR.TeacherModel,
               with_grad: bool = True):
-    """Teacher-weighted student expectation for one fertility sequence.
-
-    The student translates the fertility copies once; the frozen teacher is
-    force-decoded on that output, and the value is
-    sum_t sum_y log p_teacher(y | output_<t, x) * p_student(y at t), plus the
-    teacher's end-marker log-prob, so a one-hot student recovers exactly the
-    teacher's score of the output. The padding id is masked out of the student
-    distribution, as in every decode path. Returned as a graph node unless
-    ``with_grad`` is off.
-    """
-    fert = np.asarray(fertility, dtype=np.int64)
+    """`rkl_values` for one sentence whose student translates the copies of
+    one fertility sequence. Returned as a scalar graph node unless
+    ``with_grad`` is off."""
     src = np.asarray(src_ids, dtype=np.int64)[None, :]
     src_len = np.array([len(src_ids)])
-    dec_ids, dec_len = pad_block([NAT.copy_fertility(list(src_ids), list(fert))])
-
-    def student_logits():
+    dec_ids, dec_len = pad_block([NAT.copy_fertility(list(src_ids), list(fertility))])
+    with contextlib.nullcontext() if with_grad else T.no_grad():
         memory = student.encode(src, src_len)
-        return student.decode_logits(memory, src_len, dec_ids, dec_len)
+        logits = student.decode_logits(memory, src_len, dec_ids, dec_len)
+    [value] = rkl_values(src, src_len, [(logits, dec_len, np.zeros(1, dtype=np.int64))],
+                         teacher_model)
+    return T.tsum(value)
 
-    if with_grad:
-        logits = student_logits()
-    else:
-        with T.no_grad():
-            logits = student_logits()
-    pad_bias = np.zeros(logits.shape[-1], dtype=np.float32)
-    pad_bias[PAD] = -1e9
-    probs = T.softmax(T.add(logits, Tensor(pad_bias)), axis=-1)
-    yhat = [int(t) for t in probs.data[0].argmax(axis=-1)]
 
-    with T.no_grad():
-        t_memory = teacher_model.encode(src, src_len)
-        t_in, t_len = pad_block([[int(AR.BOS)] + yhat])
-        t_logits = teacher_model.decode_logits(t_memory, src_len, t_in, t_len)
-        t_logp = T.log_softmax(t_logits, axis=-1).numpy().astype(np.float64)[0]
-
-    token_part = T.tsum(
-        T.mul(probs, Tensor(t_logp[None, : len(yhat)].astype(np.float32))))
-    eos_part = float(t_logp[len(yhat), EOS])
-    return T.add(token_part, Tensor(np.float32(eos_part)))
+def _weighted_fertility_log_prob(fert_lp: Tensor, fertility: np.ndarray,
+                                 src_len: np.ndarray, weight: np.ndarray) -> Tensor:
+    """sum_i weight[i] * sum_{j < src_len[i]} fert_lp[i, j, fertility[i, j]]."""
+    pick = np.zeros(fert_lp.shape, dtype=np.float32)
+    rows, cols = np.nonzero(np.arange(fert_lp.shape[1])[None, :] < src_len[:, None])
+    pick[rows, cols, fertility[rows, cols]] = weight[rows]
+    return T.tsum(T.mul(fert_lp, Tensor(pick)))
 
 
 def fertility_log_prob(src_ids: Sequence[int], fertility: Sequence[int],
                        model: NAT.NatModel) -> Tensor:
     """Differentiable sum of per-position fertility log-probs."""
-    fert = np.asarray(fertility, dtype=np.int64)
     src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    memory = model.encode(src, np.array([len(src_ids)]))
-    logp = T.log_softmax(model.fertility_logits(memory), axis=-1)
-    pick = np.zeros(logp.shape, dtype=np.float32)
-    pick[0, np.arange(len(fert)), fert] = 1.0
-    return T.tsum(T.mul(logp, Tensor(pick)))
+    src_len = np.array([len(src_ids)])
+    memory = model.encode(src, src_len)
+    fert_lp = T.log_softmax(model.fertility_logits(memory), axis=-1)
+    return _weighted_fertility_log_prob(
+        fert_lp, np.asarray(fertility, dtype=np.int64)[None, :], src_len,
+        np.ones(1, dtype=np.float32))
 
 
 @dataclass
@@ -245,15 +291,23 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
                   optim: AdamWarmup, rng: np.random.Generator,
                   terms: Sequence[str] = ("rl", "bp", "kd"),
                   kd_includes_fertility: bool = True) -> FinetuneResult:
-    """One fine-tuning step.
+    """One fine-tuning step over the whole batch.
 
     kd: the supervised two-term loss on the (distilled) batch targets.
-    bp: negated rkl_value at the aligner fertilities, gradients flowing
+    bp: negated `rkl_values` at the aligner fertilities, gradients flowing
         through the student token distributions.
     rl: single-sample score-function estimate. A fertility sequence is drawn
         per sentence; the advantage against the rounded-average baseline
         multiplies the gradient of its log-probability. Reported value is the
         negated sampled reward.
+
+    The student is encoded once, with gradients, and all three terms share
+    that memory. kd and bp share one decode of the aligner-fertility copies:
+    bp relaxes kd's logits. One no-grad student decode translates rl's 2B
+    rows, the floored samples and then the rounded-average baselines. One
+    teacher encode and one forced teacher decode score every bp, reward and
+    baseline output. A step thus makes two encoder calls, one per model.
+    Fertility samples are drawn sentence by sentence, one draw each.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"interpolation weight {lam} outside [0, 1]")
@@ -265,51 +319,56 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
 
     contributions: list[Tensor] = []
     l_rl = l_bp = l_kd = 0.0
+    b = batch.size
+    scale = Tensor(np.float32(lam / b))
 
     use_rl = "rl" in terms and lam > 0.0
     use_bp = "bp" in terms and lam > 0.0
     use_kd = "kd" in terms and lam < 1.0
 
+    memory = model.encode(batch.src, batch.src_len)
+    trans_loss, fert_loss, fert_lp, logits = _nat_forward(batch, model, memory)
     if use_kd:
-        trans_loss, fert_loss = _nat_losses(batch, model)
         kd = T.add(trans_loss, fert_loss) if kd_includes_fertility else trans_loss
         l_kd = float(kd.item())
         contributions.append(T.mul(kd, Tensor(np.float32(1.0 - lam))))
 
-    if use_rl or use_bp:
-        rl_terms: list[Tensor] = []
-        bp_terms: list[Tensor] = []
-        for i in range(batch.size):
-            src_ids = [int(t) for t in batch.src[i, : batch.src_len[i]]]
-            f_q = batch.fertility[i, : batch.src_len[i]]
-            probs = NAT.predict_fertility(src_ids, model)
-            if use_bp:
-                bp = T.neg(rkl_value(src_ids, f_q, model, teacher_model))
-                l_bp += float(bp.item())
-                bp_terms.append(bp)
-            if use_rl:
-                # score function keeps the raw draw; only the translation
-                # input is floored, so the estimator stays unbiased
-                f_s = NAT.sample_fertilities(probs, 1, rng)[0]
-                f_tr = NAT.floor_fertility(f_s, probs)
-                expected = (probs * np.arange(probs.shape[1])[None, :]).sum(axis=-1)
-                f_bar = NAT.floor_fertility(NAT.round_half_away(expected), probs)
-                with T.no_grad():
-                    reward = float(rkl_value(src_ids, f_tr, model, teacher_model,
-                                             with_grad=False).item())
-                    baseline = float(rkl_value(src_ids, f_bar, model, teacher_model,
-                                               with_grad=False).item())
-                advantage = reward - baseline
-                l_rl += -reward
-                if advantage != 0.0:
-                    surrogate = T.mul(fertility_log_prob(src_ids, f_s, model),
-                                      Tensor(np.float32(-advantage)))
-                    rl_terms.append(surrogate)
-        scale = np.float32(lam / batch.size)
-        for t_ in rl_terms + bp_terms:
-            contributions.append(T.mul(t_, Tensor(scale)))
-        l_rl /= batch.size
-        l_bp /= batch.size
+    groups = []
+    if use_bp:
+        groups.append((logits, batch.tgt_len, np.arange(b)))
+    if use_rl:
+        probs = NAT.fertility_dist_batch(batch.src, batch.src_len, model, memory)
+        sampled = np.zeros(batch.src.shape, dtype=np.int64)
+        floored, averaged = [], []
+        for i, n in enumerate(batch.src_len):
+            p = probs[i, :n]
+            # score function keeps the raw draw; only the translation
+            # input is floored, so the estimator stays unbiased
+            sampled[i, :n] = NAT.sample_fertilities(p, 1, rng)[0]
+            floored.append(NAT.floor_fertility(sampled[i, :n], p))
+            expected = (p * np.arange(p.shape[1])[None, :]).sum(axis=-1)
+            averaged.append(NAT.floor_fertility(NAT.round_half_away(expected), p))
+        rows = np.tile(np.arange(b), 2)
+        dec_ids, dec_len = pad_block(
+            [NAT.copy_fertility(list(batch.src[i, : batch.src_len[i]]), list(f))
+             for i, f in zip(rows, floored + averaged)])
+        with T.no_grad():
+            rl_logits = model.decode_logits(Tensor(memory.data[rows]),
+                                            batch.src_len[rows], dec_ids, dec_len)
+        groups.append((rl_logits, dec_len, rows))
+    values = rkl_values(batch.src, batch.src_len, groups, teacher_model) if groups else []
+
+    if use_bp:
+        l_bp = -float(values[0].data.astype(np.float64).sum()) / b
+        contributions.append(T.mul(T.neg(T.tsum(values[0])), scale))
+    if use_rl:
+        scores = values[-1].data.astype(np.float64)
+        reward, advantage = scores[:b], scores[:b] - scores[b:]
+        l_rl = -float(reward.sum()) / b
+        if advantage.any():
+            surrogate = _weighted_fertility_log_prob(
+                fert_lp, sampled, batch.src_len, (-advantage).astype(np.float32))
+            contributions.append(T.mul(surrogate, scale))
 
     model.zero_grad()
     if contributions:
@@ -345,7 +404,7 @@ def train_teacher(pairs, cfg: ModelConfig, tcfg: TrainConfig,
     for step, batch in enumerate(_batch_stream(pairs, tcfg), start=1):
         loss = AR.ar_train_step(batch, model, opt)
         if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
-            log.record(step=step, phase="teacher", loss=loss,
+            log.record(step=step, phase="teacher", loss=loss, lr=opt.lr,
                        wall=time.monotonic() - start)
         if step >= tcfg.steps:
             break
@@ -383,7 +442,7 @@ def train_nat(pairs, fertilities, cfg: ModelConfig, tcfg: TrainConfig,
     for step, batch in enumerate(stream, start=1):
         res = nat_ml_step(batch, model, opt)
         if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
-            log.record(step=step, phase="nat", loss=res.total,
+            log.record(step=step, phase="nat", loss=res.total, lr=opt.lr,
                        translation_loss=res.translation_loss,
                        fertility_loss=res.fertility_loss,
                        wall=time.monotonic() - start)
@@ -406,7 +465,7 @@ def finetune(model: NAT.NatModel, teacher_model: AR.TeacherModel,
                             terms=tcfg.finetune_terms,
                             kd_includes_fertility=tcfg.kd_includes_fertility)
         if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
-            log.record(step=step, phase="finetune", loss=res.total,
+            log.record(step=step, phase="finetune", loss=res.total, lr=opt.lr,
                        l_rl=res.l_rl, l_bp=res.l_bp, l_kd=res.l_kd,
                        wall=time.monotonic() - start)
         if step >= tcfg.steps:

@@ -1,6 +1,8 @@
 """Benchmark harness: pass-count instrumentation, aggregates, TSV reports."""
 
+import importlib.util
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,24 @@ def test_latency_tsv_round_trip(tmp_path, models):
     first = lines[1].split("\t")
     assert first[0] == "greedy" and int(first[1]) == 2
     float(first[3])  # parses as a number
+
+
+def test_structural_latency_script_matches_output_lengths(tmp_path, capsys):
+    # every strategy emits exactly the source length, so speedups compare
+    # decodes of equal output length
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_latency_bench.py"
+    spec = importlib.util.spec_from_file_location("run_latency_bench", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = tmp_path / "latency.tsv"
+    assert script.main(["--out", str(out), "--lengths", "3", "7",
+                        "--per-length", "1", "--repeats", "1",
+                        "--d-model", "16", "--n-layer", "1"]) == 0
+    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+    assert {r[0] for r in rows} == {"greedy", "beam:4", "argmax", "average",
+                                    "npd:10"}
+    for strategy, src_len, out_len, _, _ in rows:
+        assert out_len == src_len, strategy
 
 
 def test_npd_curve_rows_and_tsv(tmp_path, models):

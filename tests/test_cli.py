@@ -101,6 +101,16 @@ def test_bad_config_key_and_value_exit_2(tmp_path, capsys):
     assert code == 2 and "many" in err
 
 
+def test_removed_rl_samples_key_is_unknown(tmp_path, capsys):
+    # fine-tuning draws one fertility sample per sentence; there is no knob
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    code, _, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                       "--out", str(tmp_path / "t.nat"), "--set", "rl_samples=9")
+    assert code == 2
+    assert "unknown configuration key 'rl_samples'" in err
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Tiny end-to-end run: corpus, teacher, distilled corpus, alignments,

@@ -14,7 +14,8 @@ import natmt.teacher as AR
 import natmt.tensor as T
 from natmt.config import ModelConfig, TrainConfig
 from natmt.data import EOS, Batch, Vocab, make_batches
-from natmt.optim import AdamWarmup
+from natmt.layers import Encoder
+from natmt.optim import AdamWarmup, warmup_rate
 from natmt.tensor import Tensor
 
 
@@ -339,6 +340,98 @@ def test_reinforce_expectation_matches_exact_gradient(teacher):
     assert np.allclose(bias.grad, onehots - 2 * p_row, atol=1e-5)
 
 
+class _GradGrab:
+    """Optimizer stand-in that keeps the gradients of the step and leaves the
+    parameters alone."""
+
+    def __init__(self, model):
+        self.model = model
+        self.grads = None
+
+    def step(self):
+        self.grads = {n: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                      for n, p in self.model.named_parameters()}
+        return 0.0
+
+
+def _per_sentence_finetune(batch, model, teacher, lam, rng, terms):
+    """Reference fine-tuning objective, one sentence at a time from the
+    public single-sentence pieces; returns (l_rl, l_bp, l_kd, grads)."""
+    grads = {n: np.zeros(p.data.shape, dtype=np.float64)
+             for n, p in model.named_parameters()}
+    l_rl = l_bp = l_kd = 0.0
+    if "kd" in terms:
+        grab = _GradGrab(model)
+        l_kd = P.nat_ml_step(batch, model, grab).total
+        for n, g in grab.grads.items():
+            grads[n] += (1.0 - lam) * g
+    scale = Tensor(np.float32(lam / batch.size))
+    model.zero_grad()
+    for i in range(batch.size):
+        src = [int(t) for t in batch.src[i, : batch.src_len[i]]]
+        probs = N.predict_fertility(src, model)
+        if "bp" in terms:
+            value = P.rkl_value(src, batch.fertility[i, : batch.src_len[i]],
+                                model, teacher)
+            l_bp -= value.item()
+            T.backward(T.mul(T.neg(value), scale))
+        if "rl" in terms:
+            f_s = N.sample_fertilities(probs, 1, rng)[0]
+            expected = (probs * np.arange(probs.shape[1])[None, :]).sum(axis=-1)
+            f_bar = N.floor_fertility(N.round_half_away(expected), probs)
+            reward, baseline = (
+                P.rkl_value(src, f, model, teacher, with_grad=False).item()
+                for f in (N.floor_fertility(f_s, probs), f_bar))
+            l_rl -= reward
+            if reward != baseline:
+                T.backward(T.mul(P.fertility_log_prob(src, f_s, model),
+                                 T.mul(Tensor(np.float32(baseline - reward)), scale)))
+    for n, p in model.named_parameters():
+        if p.grad is not None:
+            grads[n] += p.grad
+    return l_rl / batch.size, l_bp / batch.size, l_kd, grads
+
+
+_MIXED_BATCHES = [
+    ([([4, 5], [7, 8, 9]), ([6, 4, 5, 7], [9, 10]), ([5, 6, 8], [8, 9, 10, 11])],
+     [[2, 1], [1, 0, 1, 0], [1, 2, 1]]),
+    ([([4, 5, 6, 7, 8], [7, 8, 9, 10, 11, 4]), ([9], [5]), ([10, 11], [6, 7, 8])],
+     [[1, 1, 1, 1, 2], [1], [0, 3]]),
+]
+
+
+@pytest.mark.parametrize("terms,lam", [(("rl", "bp", "kd"), 0.25),
+                                       (("bp",), 1.0), (("rl",), 1.0)])
+@pytest.mark.parametrize("which", range(len(_MIXED_BATCHES)))
+def test_batched_finetune_matches_per_sentence_reference(teacher, monkeypatch,
+                                                         terms, lam, which):
+    pairs, ferts = _MIXED_BATCHES[which]
+    batch = one_batch(pairs, fertilities=ferts)
+    model = N.NatModel(tiny_cfg(), np.random.default_rng(6))
+    want = _per_sentence_finetune(batch, model, teacher, lam,
+                                  np.random.default_rng(5), terms)
+
+    encoder_calls = []
+    encoder_call = Encoder.__call__
+
+    def counted(self, *args):
+        encoder_calls.append(self)
+        return encoder_call(self, *args)
+
+    monkeypatch.setattr(Encoder, "__call__", counted)
+    grab = _GradGrab(model)
+    res = P.finetune_step(batch, model, teacher, lam, grab,
+                          np.random.default_rng(5), terms=terms)
+    assert len(encoder_calls) == 2   # one student encode, one teacher encode
+
+    got = (res.l_rl, res.l_bp, res.l_kd)
+    assert got == pytest.approx(want[:3], rel=1e-5)
+    assert any(want[:3])
+    for name, g in want[3].items():
+        assert np.allclose(grab.grads[name], g, rtol=1e-3, atol=1e-6), name
+    assert any(np.abs(g).max() > 1e-3 for g in want[3].values())
+
+
 # ---------------------------------------------------------------------------
 # loops, logging, persistence
 # ---------------------------------------------------------------------------
@@ -376,6 +469,21 @@ def test_training_loops_log_jsonl(tmp_path):
         assert math.isfinite(l["loss"])
     assert {"l_rl", "l_bp", "l_kd"} <= set(lines[-1])
     assert {"translation_loss", "fertility_loss"} <= set(lines[4])
+
+
+def test_training_logs_record_learning_rate(tmp_path):
+    cfg = tiny_cfg()
+    tcfg = TrainConfig(steps=3, batch_size=2, warmup=2, seed=0, log_every=1,
+                       lam=0.25, lr_scale=0.05)
+    pairs = [([4, 5], [7, 8]), ([6, 4, 5], [9, 10]), ([5, 6], [8])]
+    ferts = [[1, 1], [1, 1, 0], [1, 0]]
+    log = P.TrainingLog()
+    teacher_model = P.train_teacher(pairs, cfg, tcfg, log)
+    nat_model = P.train_nat(pairs, ferts, cfg, tcfg, log)
+    P.finetune(nat_model, teacher_model, pairs, ferts, tcfg, log)
+    assert len(log.records) == 9
+    for rec in log.records:
+        assert rec["lr"] == warmup_rate(rec["step"], 0.05, 2)
 
 
 def test_model_save_load_round_trip(tmp_path, teacher):
