@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import statistics
 from time import perf_counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 
 @dataclass
@@ -51,14 +51,6 @@ class ModelConfig:
         return cls(**d)
 
 
-# Historical small-model setting reported for the compact dev corpus
-# (d_model=287 is not divisible by n_head=2, so it cannot be instantiated
-# as-is; the desk default above is used instead).
-REFERENCE_SMALL = {
-    "d_model": 287, "d_hidden": 507, "n_layer": 5, "n_head": 2, "warmup": 746,
-}
-
-
 @dataclass
 class TrainConfig:
     """Knobs for a training run; ``lr_scale=None`` means d_model^-0.5."""
@@ -71,7 +63,6 @@ class TrainConfig:
     lam: float = 0.25               # fine-tuning interpolation weight
     kd_includes_fertility: bool = True
     finetune_terms: tuple[str, ...] = ("rl", "bp", "kd")
-    log_path: str | None = None
     log_every: int = 25
 
     def __post_init__(self):

@@ -162,6 +162,31 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     return T.matmul(weights, v), weights
 
 
+class KVCache:
+    """Per-head keys and values [B, H, t, d_head] of one attention, kept
+    between incremental decoding steps (no gradients flow through them).
+
+    A growing cache (self-attention) gains each step's new positions; a fixed
+    one holds keys and values projected once, from the encoder memory.
+    """
+
+    def __init__(self, k: Tensor | None = None, v: Tensor | None = None):
+        self.grow = k is None
+        self.k, self.v = k, v
+
+    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        if self.k is not None:
+            k = Tensor(np.concatenate([self.k.data, k.data], axis=2))
+            v = Tensor(np.concatenate([self.v.data, v.data], axis=2))
+        self.k, self.v = k, v
+        return k, v
+
+    def select(self, rows: np.ndarray) -> None:
+        """Keep the given batch rows, in the given order (repeats allowed)."""
+        if self.k is not None:
+            self.k, self.v = Tensor(self.k.data[rows]), Tensor(self.v.data[rows])
+
+
 class MultiHeadAttention(Module):
     """Multi-head attention with separate query/key/value inputs.
 
@@ -191,11 +216,23 @@ class MultiHeadAttention(Module):
         b, h, t, dh = x.shape
         return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
 
-    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor,
-                 bias: np.ndarray | None) -> Tensor:
-        q = self._split(self.wq(q_in) if self.project_qk else q_in)
+    def project_kv(self, k_in: Tensor, v_in: Tensor) -> tuple[Tensor, Tensor]:
+        """Per-head keys and values [B, H, T, d_head] of the given inputs."""
         k = self._split(self.wk(k_in) if self.project_qk else k_in)
-        v = self._split(self.wv(v_in))
+        return k, self._split(self.wv(v_in))
+
+    def __call__(self, q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
+                 bias: np.ndarray | None, cache: "KVCache | None" = None) -> Tensor:
+        """Attend from `q_in` to `k_in`/`v_in`. A growing `cache` appends the
+        new keys and values to those of earlier steps; a fixed one supplies
+        them instead, and `k_in`/`v_in` are not read."""
+        q = self._split(self.wq(q_in) if self.project_qk else q_in)
+        if cache is not None and not cache.grow:
+            k, v = cache.k, cache.v
+        else:
+            k, v = self.project_kv(k_in, v_in)
+            if cache is not None:
+                k, v = cache.append(k, v)
         ctx, weights = attention_core(q, k, v, bias, self.scale)
         self.last_weights = weights.numpy()
         return self.wo(self._merge(ctx))

@@ -23,7 +23,7 @@ import contextlib
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +34,7 @@ from . import teacher as AR
 from . import tensor as T
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ModelConfig, TrainConfig
-from .data import EOS, PAD, Batch, Vocab, make_batches, pad_block
+from .data import EOS, PAD, Batch, DataError, Vocab, make_batches, pad_block
 from .layers import MASK_BIAS
 from .optim import AdamWarmup
 from .tensor import Tensor
@@ -72,21 +72,44 @@ class DistilledCorpus:
     replaced_empty: int = 0
 
 
+DISTILL_CHUNK = 32   # sources per batched greedy decode
+
+
 def build_distill_corpus(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
                          teacher_model: AR.TeacherModel,
                          mode: str = "greedy", beam_width: int = 4
                          ) -> DistilledCorpus:
-    """Re-target the corpus with the frozen teacher's own decodes."""
+    """Re-target the corpus with the frozen teacher's own decodes.
+
+    Greedy decoding sorts the sources by length and decodes them in chunks
+    of `DISTILL_CHUNK` with `greedy_decode_batch`; beam decoding goes one
+    sentence at a time. Either way each target equals the sentence's own
+    `greedy_decode`/`beam_decode`, and pairs keep the corpus order. Every
+    source is checked before anything is decoded.
+    """
     if mode not in ("greedy", "beam"):
         raise ValueError(f"unknown distillation mode {mode!r}")
+    srcs = [list(src) for src, _ in pairs]
+    limit = teacher_model.cfg.max_len
+    for i, src in enumerate(srcs):
+        if not src:
+            raise DataError(f"empty source sentence at corpus index {i}")
+        if len(src) > limit:
+            raise DataError(f"source sentence of length {len(src)} exceeds "
+                            f"max_len {limit} at corpus index {i}")
+    if mode == "greedy":
+        hyps: list[list[int]] = [[] for _ in srcs]
+        order = sorted(range(len(srcs)), key=lambda i: len(srcs[i]))
+        for start in range(0, len(order), DISTILL_CHUNK):
+            chunk = order[start:start + DISTILL_CHUNK]
+            decoded = AR.greedy_decode_batch([srcs[i] for i in chunk], teacher_model)
+            for i, hyp in zip(chunk, decoded):
+                hyps[i] = hyp
+    else:
+        hyps = [AR.beam_decode(src, teacher_model, b=beam_width) for src in srcs]
     out = []
     empty = 0
-    for src, _ in pairs:
-        src = list(src)
-        if mode == "greedy":
-            hyp = AR.greedy_decode(src, teacher_model)
-        else:
-            hyp = AR.beam_decode(src, teacher_model, b=beam_width)
+    for src, hyp in zip(srcs, hyps):
         if not hyp:
             empty += 1
             hyp = [EOS]  # keep the pair with a minimal length-1 target

@@ -4,6 +4,14 @@ scorer of candidate translations, and the latency baseline.
 The decoder counts one "pass" per sequence per forward call, so a greedy
 decode of T tokens costs T+1 passes (each token plus the end marker) and
 scoring s candidates costs s passes however they are batched.
+
+Training and scoring run the decoder teacher-forced over whole sequences.
+Greedy and beam search decode incrementally (Vaswani et al. 2017): a
+`DecoderCache` keeps every layer's self-attention keys and values, one
+position more per step, and the cross-attention keys and values projected
+from the memory once, so each step decodes only the newest token of every
+row. `greedy_decode_batch` decodes many sources in one such loop, dropping
+rows from the cache as they finish.
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .data import BOS, EOS, PAD, Batch, pad_block
-from .layers import (Embedding, Encoder, FFNBlock, LayerNorm, Linear, Module,
-                     MultiHeadAttention, attention_bias, causal_mask,
+from .layers import (Embedding, Encoder, FFNBlock, KVCache, LayerNorm, Linear,
+                     Module, MultiHeadAttention, attention_bias, causal_mask,
                      positional_table)
-from .tensor import DTYPE, Tensor
+from .tensor import Tensor
 
 
 class DecoderLayer(Module):
@@ -33,11 +41,35 @@ class DecoderLayer(Module):
         self.ffn = FFNBlock(cfg, rng)
         self.norm_ffn = LayerNorm(cfg.d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor,
-                 self_bias: np.ndarray, cross_bias: np.ndarray) -> Tensor:
-        x = self.norm_self(T.add(x, self.self_attn(x, x, x, self_bias)))
-        x = self.norm_cross(T.add(x, self.cross_attn(x, memory, memory, cross_bias)))
+    def __call__(self, x: Tensor, memory: Tensor | None,
+                 self_bias: np.ndarray | None, cross_bias: np.ndarray,
+                 cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
+        self_kv, cross_kv = cache if cache is not None else (None, None)
+        x = self.norm_self(T.add(x, self.self_attn(x, x, x, self_bias, self_kv)))
+        x = self.norm_cross(T.add(
+            x, self.cross_attn(x, memory, memory, cross_bias, cross_kv)))
         return self.norm_ffn(T.add(x, self.ffn(x)))
+
+
+class DecoderCache:
+    """Incremental decoding state of a `TeacherModel` for a batch of rows:
+    per layer a growing self-attention cache and a fixed cross-attention
+    cache projected from `memory` here, plus the cross-attention bias and
+    the number of positions decoded so far."""
+
+    def __init__(self, model: "TeacherModel", memory: Tensor, src_len: np.ndarray):
+        self.length = 0
+        self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
+        self.layers = [(KVCache(), KVCache(*layer.cross_attn.project_kv(memory, memory)))
+                       for layer in model.layers]
+
+    def select(self, rows) -> None:
+        """Keep the given rows, in the given order (beam parents may repeat)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        self.cross_bias = self.cross_bias[rows]
+        for self_kv, cross_kv in self.layers:
+            self_kv.select(rows)
+            cross_kv.select(rows)
 
 
 class TeacherModel(Module):
@@ -60,23 +92,44 @@ class TeacherModel(Module):
     def encode(self, src: np.ndarray, src_len: np.ndarray) -> Tensor:
         return self.encoder(src, src_len)
 
-    def embed_targets(self, ids: np.ndarray) -> Tensor:
+    def embed_targets(self, ids: np.ndarray, start: int = 0) -> Tensor:
+        """Embeddings of target tokens at positions start, start+1, ..."""
         b, t = ids.shape
-        if t > self.cfg.max_len:
-            raise ValueError(f"target length {t} exceeds max_len {self.cfg.max_len}")
+        if start + t > self.cfg.max_len:
+            raise ValueError(
+                f"target length {start + t} exceeds max_len {self.cfg.max_len}")
         emb = T.mul(self.embed(ids), Tensor(np.float32(self.embed_scale)))
-        emb = T.add(emb, Tensor(np.broadcast_to(self.pos[:t], (b, t, emb.shape[-1])).copy()))
+        pos = self.pos[start:start + t]
+        emb = T.add(emb, Tensor(np.broadcast_to(pos, (b, t, emb.shape[-1])).copy()))
         return self.norm_in(emb)
 
-    def decode_logits(self, memory: Tensor, src_len: np.ndarray,
-                      tgt_in: np.ndarray, tgt_in_len: np.ndarray) -> Tensor:
+    def decode_logits(self, memory: Tensor | None, src_len: np.ndarray | None,
+                      tgt_in: np.ndarray, tgt_in_len: np.ndarray | None,
+                      cache: DecoderCache | None = None) -> Tensor:
+        """Output logits [B, T, V]. Without a cache this is the teacher-forced
+        pass over the padded inputs. With one, `tgt_in` is the [B, 1] block of
+        each row's next token, decoded against the cached positions, and
+        `memory`, `src_len` and `tgt_in_len` are not read."""
         b, t = tgt_in.shape
         self.decoder_passes += b
-        self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
-        cross_bias = attention_bias(None, src_len, t, memory.shape[1])
-        x = self.embed_targets(tgt_in)
-        for layer in self.layers:
-            x = layer(x, memory, self_bias, cross_bias)
+        if cache is None:
+            self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
+            cross_bias = attention_bias(None, src_len, t, memory.shape[1])
+            x = self.embed_targets(tgt_in)
+            layer_caches = [None] * len(self.layers)
+        else:
+            if t != 1:
+                raise ValueError(f"cached decoding takes one token per row, got {t}")
+            if T.grad_enabled():
+                raise RuntimeError("cached decoding records no gradients; "
+                                   "run it under no_grad")
+            # every cached key is an earlier position of the same row
+            self_bias, cross_bias = None, cache.cross_bias
+            x = self.embed_targets(tgt_in, cache.length)
+            cache.length += 1
+            layer_caches = cache.layers
+        for layer, layer_cache in zip(self.layers, layer_caches):
+            x = layer(x, memory, self_bias, cross_bias, layer_cache)
         return self.proj(x)
 
 
@@ -129,10 +182,20 @@ def _clamp_max_len(model: TeacherModel, max_len: int) -> int:
     return max(0, min(max_len, model.cfg.max_len - 1))
 
 
+def _log_probs(logits: Tensor) -> np.ndarray:
+    return T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
+
+
 def _step_logprobs(model: TeacherModel, memory: Tensor, src_len: np.ndarray,
-                   prefixes: list[list[int]]) -> np.ndarray:
+                   prefixes: list[list[int]],
+                   cache: DecoderCache | None = None) -> np.ndarray:
     """Next-token log-probs [n, V] for bos-prefixed contexts, one decoder pass
-    counted per prefix."""
+    counted per prefix. Without a cache the whole prefixes are decoded over
+    `memory`; with one, row i of which holds prefix i up to its last token,
+    only the last tokens are decoded."""
+    if cache is not None:
+        last = np.array([[p[-1]] for p in prefixes], dtype=np.int64)
+        return _log_probs(model.decode_logits(None, None, last, None, cache))[:, 0]
     arr, lens = pad_block(prefixes)
     mem = memory
     slen = src_len
@@ -141,8 +204,47 @@ def _step_logprobs(model: TeacherModel, memory: Tensor, src_len: np.ndarray,
         mem = T.Tensor(np.repeat(memory.data, reps, axis=0))
         slen = np.repeat(src_len, reps)
     logits = model.decode_logits(mem, slen, arr, lens)
-    logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
-    return logp[np.arange(len(prefixes)), lens - 1]
+    return _log_probs(logits)[np.arange(len(prefixes)), lens - 1]
+
+
+def greedy_decode_batch(srcs: Sequence[Sequence[int]], model: TeacherModel,
+                        max_lens: Sequence[int] | None = None) -> list[list[int]]:
+    """`greedy_decode` of every source in one batched, cached loop.
+
+    Row i stops at its end marker or after `max_lens[i]` tokens (default
+    `default_max_len` of its source) and then leaves the batch, so each row
+    costs the decoder passes its own `greedy_decode` would: T+1, or T at the
+    cap. Outputs come back in the order of `srcs`.
+    """
+    if max_lens is None:
+        max_lens = [default_max_len(len(s)) for s in srcs]
+    caps = [_clamp_max_len(model, m) for m in max_lens]
+    outs: list[list[int]] = [[] for _ in srcs]
+    active = [i for i, cap in enumerate(caps) if cap > 0]
+    if not active:
+        return outs
+    src, src_len = pad_block(srcs)
+    with T.no_grad():
+        memory = model.encode(src, src_len)
+        cache = DecoderCache(model, memory, src_len)
+        if len(active) < len(srcs):
+            cache.select(active)
+        last = np.full((len(active), 1), BOS, dtype=np.int64)
+        while active:
+            logp = _log_probs(model.decode_logits(None, None, last, None, cache))
+            toks = np.argmax(logp[:, 0], axis=-1)    # ties go to the lowest id
+            keep = []
+            for row, (i, tok) in enumerate(zip(active, toks.tolist())):
+                if tok != EOS:
+                    outs[i].append(tok)
+                    if len(outs[i]) < caps[i]:
+                        keep.append(row)
+            if len(keep) < len(active):
+                active = [active[row] for row in keep]
+                if active:
+                    cache.select(keep)
+            last = toks[keep][:, None]
+    return outs
 
 
 def greedy_decode(src_ids: Sequence[int], model: TeacherModel,
@@ -150,23 +252,7 @@ def greedy_decode(src_ids: Sequence[int], model: TeacherModel,
     """Left-to-right argmax decoding; ties go to the lowest token id."""
     if max_len is None:
         max_len = default_max_len(len(src_ids))
-    max_len = _clamp_max_len(model, max_len)
-    if max_len == 0:
-        return []
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    src_len = np.array([len(src_ids)])
-    out: list[int] = []
-    with T.no_grad():
-        memory = model.encode(src, src_len)
-        for _ in range(max_len + 1):
-            logp = _step_logprobs(model, memory, src_len, [[BOS] + out])[0]
-            tok = int(np.argmax(logp))
-            if tok == EOS:
-                break
-            out.append(tok)
-            if len(out) == max_len:
-                break
-    return out
+    return greedy_decode_batch([src_ids], model, [max_len])[0]
 
 
 def beam_core(step_fn, b: int, max_len: int) -> list[int]:
@@ -220,9 +306,16 @@ def beam_decode(src_ids: Sequence[int], model: TeacherModel, b: int,
     src_len = np.array([len(src_ids)])
     with T.no_grad():
         memory = model.encode(src, src_len)
+        cache = DecoderCache(model, memory, src_len)
+        rows: dict[tuple[int, ...], int] = {}  # last step's prefixes -> cache row
 
         def step(prefixes):
-            return _step_logprobs(model, memory, src_len, prefixes)
+            # each hypothesis extends one of the last step's prefixes by a token
+            if rows:
+                cache.select([rows[tuple(p[:-1])] for p in prefixes])
+            rows.clear()
+            rows.update((tuple(p), i) for i, p in enumerate(prefixes))
+            return _step_logprobs(model, memory, src_len, prefixes, cache)
 
         return beam_core(step, b, max_len)
 
@@ -253,8 +346,7 @@ def score_candidates(src_ids: Sequence[int], candidates: Sequence[Sequence[int]]
     with T.no_grad():
         memory = model.encode(src, src_len)
         mem = T.Tensor(np.repeat(memory.data, n, axis=0)) if n > 1 else memory
-        logits = model.decode_logits(mem, np.repeat(src_len, n), dec_in, lens)
-        logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
+        logp = _log_probs(model.decode_logits(mem, np.repeat(src_len, n), dec_in, lens))
     rows = np.arange(dec_in.shape[1])[None, :]
     gathered = np.take_along_axis(logp, picked[:, :, None], axis=2)[:, :, 0]
     valid = rows < lens[:, None]

@@ -111,6 +111,16 @@ def test_removed_rl_samples_key_is_unknown(tmp_path, capsys):
     assert "unknown configuration key 'rl_samples'" in err
 
 
+def test_removed_log_path_key_is_unknown(tmp_path, capsys):
+    # training logs are written through --log
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    code, _, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                       "--out", str(tmp_path / "t.nat"), "--set", "log_path=x.jsonl")
+    assert code == 2
+    assert "unknown configuration key 'log_path'" in err
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Tiny end-to-end run: corpus, teacher, distilled corpus, alignments,
@@ -164,6 +174,18 @@ def test_fertility_lines_sum_to_target_lengths(workdir):
         fert = [int(x) for x in line.split()]
         assert len(fert) == len(src)
         assert sum(fert) == len(tgt)
+
+
+def test_distill_empty_source_exits_2_with_index(workdir, capsys):
+    pairs = load_corpus(workdir["corpus"])[:2]
+    bad = workdir["dir"] / "holey"
+    (bad.parent / "holey.src").write_text(
+        " ".join(pairs[0][0]) + "\n\n" + " ".join(pairs[1][0]) + "\n")
+    (bad.parent / "holey.tgt").write_text("a\nb\nc\n")
+    code, _, err = run(capsys, "distill", "--teacher", workdir["teacher"],
+                       "--corpus", str(bad), "--out-prefix", str(bad) + ".out")
+    assert code == 2
+    assert "data error: empty source sentence at corpus index 1" in err
 
 
 def test_translate_writes_one_line_per_input(workdir, capsys):

@@ -13,7 +13,7 @@ import natmt.pipeline as P
 import natmt.teacher as AR
 import natmt.tensor as T
 from natmt.config import ModelConfig, TrainConfig
-from natmt.data import EOS, Batch, Vocab, make_batches
+from natmt.data import EOS, Batch, DataError, Vocab, make_batches
 from natmt.layers import Encoder
 from natmt.optim import AdamWarmup, warmup_rate
 from natmt.tensor import Tensor
@@ -82,6 +82,17 @@ def test_distill_empty_decode_becomes_end_marker():
         out = P.build_distill_corpus([([4, 5], [7])], model)
     assert out.pairs == [([4, 5], [EOS])]
     assert out.replaced_empty == 1
+
+
+def test_distill_rejects_bad_sources_before_decoding(teacher):
+    too_long = [4] * (teacher.cfg.max_len + 1)
+    teacher.reset_passes()
+    with pytest.raises(DataError, match="empty source sentence at corpus index 1"):
+        P.build_distill_corpus([([4, 5], [7]), ([], [7])], teacher)
+    with pytest.raises(DataError, match="exceeds max_len 32 at corpus index 2"):
+        P.build_distill_corpus([([4, 5], [7]), ([6], [7]), (too_long, [7])],
+                               teacher, mode="beam")
+    assert teacher.decoder_passes == 0
 
 
 @pytest.fixture(scope="module")

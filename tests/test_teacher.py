@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from natmt import pipeline as P
 from natmt import teacher as AR
 from natmt import tensor as T
 from natmt.config import ModelConfig, TrainConfig
@@ -251,6 +252,135 @@ def test_beam_score_at_least_greedy_when_trained():
     sg = AR.score_parallel([4, 5, 6], g, model)
     sb = AR.score_parallel([4, 5, 6], bm, model)
     assert sb >= sg - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# incremental (cached) decoding
+# ---------------------------------------------------------------------------
+
+def mixed_length_model():
+    # pinned so that some greedy decodes end at the end marker and some at
+    # their length cap
+    model = new_model(seed=1)
+    model.proj.bias.data[EOS] = -0.5
+    return model
+
+
+MIXED_SOURCES = [[4], [5, 6, 7], [8, 9, 10, 11, 4, 5], [6, 7],
+                 [9, 10, 11, 4, 5, 6, 7, 8, 9, 10]]
+
+
+def cached_step_logits(model, memory, src_len, tgt_in, cache=None):
+    if cache is None:
+        cache = AR.DecoderCache(model, memory, src_len)
+    steps = [model.decode_logits(None, None, tgt_in[:, j:j + 1], None, cache).numpy()
+             for j in range(tgt_in.shape[1])]
+    return np.concatenate(steps, axis=1)
+
+
+def test_cached_logits_match_teacher_forced():
+    model = new_model(seed=11, n_layer=3)
+    rng = np.random.default_rng(0)
+    src_len = np.array([3, 7, 1, 5])
+    tgt_len = np.array([6, 2, 4, 1])
+    src = np.full((4, 7), PAD)
+    tgt_in = rng.integers(3, 14, size=(4, 6))
+    tgt_in[:, 0] = BOS
+    for i, n in enumerate(src_len):
+        src[i, :n] = rng.integers(3, 12, size=n)
+    with T.no_grad():
+        memory = model.encode(src, src_len)
+        forced = model.decode_logits(memory, src_len, tgt_in, tgt_len).numpy()
+        cached = cached_step_logits(model, memory, src_len, tgt_in)
+    for i, n in enumerate(tgt_len):
+        np.testing.assert_allclose(cached[i, :n], forced[i, :n], rtol=0, atol=1e-5)
+
+
+def test_cache_select_reorders_and_repeats_rows():
+    model = new_model(seed=12)
+    src = np.array([[4, 5, 6], [7, 8, PAD]])
+    src_len = np.array([3, 2])
+    tgt_in = np.array([[BOS, 9, 10, 11], [BOS, 12, 13, 4]])
+    rows = [1, 0, 1]
+    with T.no_grad():
+        memory = model.encode(src, src_len)
+        cache = AR.DecoderCache(model, memory, src_len)
+        head = cached_step_logits(model, memory, src_len, tgt_in[:, :2], cache)
+        cache.select(rows)
+        tail = cached_step_logits(model, None, None, tgt_in[rows, 2:], cache)
+        forced = model.decode_logits(memory, src_len, tgt_in, np.array([4, 4])).numpy()
+    np.testing.assert_allclose(head, forced[:, :2], rtol=0, atol=1e-5)
+    np.testing.assert_allclose(tail, forced[rows, 2:], rtol=0, atol=1e-5)
+
+
+def test_cached_beam_matches_uncached_search():
+    # the uncached step function decodes every prefix whole: the reference
+    # for the cache rows beam_decode reorders by parent hypothesis
+    for seed in (1, 2):
+        model = new_model(seed=seed)
+        model.proj.bias.data[EOS] = -0.5
+        for src in MIXED_SOURCES:
+            with T.no_grad():
+                slen = np.array([len(src)])
+                memory = model.encode(np.array([src]), slen)
+                for b in (2, 4):
+                    want = AR.beam_core(
+                        lambda p: AR._step_logprobs(model, memory, slen, p), b, 8)
+                    assert AR.beam_decode(src, model, b, 8) == want
+
+
+def test_cached_decoding_needs_no_grad():
+    model = new_model()
+    with T.no_grad():
+        cache = AR.DecoderCache(model, model.encode(np.array([[4, 5]]), np.array([2])),
+                                np.array([2]))
+    with pytest.raises(RuntimeError, match="no_grad"):
+        model.decode_logits(None, None, np.array([[BOS]]), None, cache)
+
+
+def test_batched_greedy_equals_per_sentence_greedy():
+    model = mixed_length_model()
+    alone = [AR.greedy_decode(s, model) for s in MIXED_SOURCES]
+    caps = [AR._clamp_max_len(model, AR.default_max_len(len(s))) for s in MIXED_SOURCES]
+    ended = [len(h) < cap for h, cap in zip(alone, caps)]
+    assert any(ended) and not all(ended)
+    out = P.build_distill_corpus([(s, [4]) for s in MIXED_SOURCES], model)
+    assert out.pairs == list(zip(MIXED_SOURCES, alone))
+    assert AR.greedy_decode_batch(MIXED_SOURCES, model, [3, 0, 5, 1, 2]) == \
+        [AR.greedy_decode(s, model, m) for s, m in zip(MIXED_SOURCES, [3, 0, 5, 1, 2])]
+
+
+def test_batched_distill_counts_per_sentence_passes():
+    model = mixed_length_model()
+    want = 0
+    for s in MIXED_SOURCES:
+        cap = AR._clamp_max_len(model, AR.default_max_len(len(s)))
+        model.reset_passes()
+        hyp = AR.greedy_decode(s, model)
+        assert model.decoder_passes == (len(hyp) + 1 if len(hyp) < cap else cap)
+        want += model.decoder_passes
+    model.reset_passes()
+    P.build_distill_corpus([(s, [4]) for s in MIXED_SOURCES], model)
+    assert model.decoder_passes == want
+
+
+def test_distill_keeps_corpus_order_across_chunks(monkeypatch):
+    model = mixed_length_model()
+    rng = np.random.default_rng(3)
+    srcs = [rng.integers(4, 12, size=int(rng.integers(1, 9))).tolist()
+            for _ in range(P.DISTILL_CHUNK + 5)]
+    encodes = []
+    real_encode = AR.TeacherModel.encode
+
+    def counted_encode(self, src, src_len):
+        encodes.append(len(src_len))
+        return real_encode(self, src, src_len)
+
+    monkeypatch.setattr(AR.TeacherModel, "encode", counted_encode)
+    out = P.build_distill_corpus([(s, [4]) for s in srcs], model)
+    assert encodes == [P.DISTILL_CHUNK, 5]   # one encode per chunk
+    monkeypatch.undo()
+    assert out.pairs == [(s, AR.greedy_decode(s, model) or [EOS]) for s in srcs]
 
 
 # ---------------------------------------------------------------------------
