@@ -256,6 +256,17 @@ def cmd_finetune(args) -> None:
           f"loss {last:.4f}, saved to {args.out}")
 
 
+def _check_input_lines(path, sents, max_len: int) -> None:
+    """Reject an empty or over-long input line, naming FILE:LINE, before
+    anything is decoded."""
+    for ln, sent in enumerate(sents, 1):
+        if not sent:
+            raise DataError(f"{path}:{ln}: empty input line")
+        if len(sent) > max_len:
+            raise DataError(f"{path}:{ln}: line of {len(sent)} tokens "
+                            f"exceeds max_len {max_len}")
+
+
 def cmd_translate(args) -> None:
     model, sv, tv, _ = P.load_model(args.model)
     sents = read_sentences(args.input)
@@ -264,6 +275,7 @@ def cmd_translate(args) -> None:
         if args.strategy not in ("greedy", "beam"):
             raise DataError(f"strategy {args.strategy!r} needs a parallel "
                             "model checkpoint")
+        _check_input_lines(args.input, sents, model.cfg.max_len)
         for sent in sents:
             src = sv.encode(sent)
             hyp = (AR.greedy_decode(src, model) if args.strategy == "greedy"
@@ -274,10 +286,13 @@ def cmd_translate(args) -> None:
             raise DataError(f"strategy {args.strategy!r} needs a teacher "
                             "model checkpoint")
         teacher_model = None
+        max_len = model.cfg.max_len
         if args.strategy == "npd":
             if not args.teacher:
                 raise UsageError("npd strategy requires --teacher")
             teacher_model, *_ = _load_kind(args.teacher, "teacher")
+            max_len = min(max_len, teacher_model.cfg.max_len)
+        _check_input_lines(args.input, sents, max_len)
         for sent in sents:
             src = sv.encode(sent)
             if args.strategy == "argmax":

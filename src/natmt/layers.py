@@ -125,7 +125,7 @@ class Linear(Module):
         if x.ndim == 2:
             return T.add(T.matmul(x, self.weight), self.bias)
         lead = x.shape[:-1]
-        flat = T.reshape(x, (int(np.prod(lead)), x.shape[-1]))
+        flat = T.reshape(x, (-1, x.shape[-1]))
         out = T.add(T.matmul(flat, self.weight), self.bias)
         return T.reshape(out, (*lead, self.weight.shape[1]))
 

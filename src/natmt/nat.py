@@ -301,14 +301,23 @@ def npd_over_candidates(src_ids: Sequence[int], fert_list: Sequence[Sequence[int
 
 def sample_fertilities(probs: np.ndarray, n: int,
                        rng: np.random.Generator) -> list[np.ndarray]:
-    """n independent per-position draws from the fertility distribution."""
-    classes = probs.shape[1]
-    out = []
-    for _ in range(n):
-        draw = [int(rng.choice(classes, p=row / row.sum()))
-                for row in probs.astype(np.float64)]
-        out.append(np.array(draw, dtype=np.int64))
-    return out
+    """n independent per-position draws from the fertility distribution.
+
+    Draws equal one `rng.choice(classes, p=row / row.sum())` per position,
+    sample by sample, and leave `rng` in the same state: the uniforms come in
+    the same order and are inverted through the same normalised CDF with
+    `searchsorted(side="right")`, spelled as a count.
+    """
+    p = probs.astype(np.float64)
+    p = p / p.sum(axis=1, keepdims=True)
+    if np.isnan(p).any():
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random((n, p.shape[0]))
+    return list((cdf <= u[..., None]).sum(axis=-1, dtype=np.int64))
 
 
 def decode_npd(src_ids: Sequence[int], model: NatModel,

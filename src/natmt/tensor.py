@@ -10,7 +10,7 @@ in reverse topological order.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data if data.dtype == DTYPE else data.astype(DTYPE)
     out.grad = None
-    track = grad_enabled() and any(p.requires_grad for p in parents)
+    track = _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
     out.requires_grad = track
     out._parents = parents if track else ()
     out._vjp = vjp if track else None
@@ -225,11 +225,10 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
     out = a.data.transpose(axes)
 
     def vjp(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(out, (a,), vjp)
 
@@ -312,20 +311,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    # np.mean/np.var spelled as the ufunc calls they make, in the same order,
+    # without their per-call argument handling.
+    d = x.shape[-1]
     x64 = x.data.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
+    centred = x64 - np.add.reduce(x64, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x64 - mu) * inv
+    xhat = centred * inv
     out = (xhat * gain.data + bias.data).astype(DTYPE)
 
     def vjp(g):
         g64 = g.astype(np.float64)
-        d = x.shape[-1]
         gxhat = g64 * gain.data
         dx = inv * (gxhat
-                    - gxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+                    - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+                    - xhat * (np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d))
         lead = tuple(range(x.ndim - 1))
         dgain = (g64 * xhat).sum(axis=lead) if gain.requires_grad else None
         dbias = g64.sum(axis=lead) if bias.requires_grad else None
@@ -445,7 +446,3 @@ def backward(loss: Tensor) -> None:
                 flowing[key] = flowing[key] + pg
             else:
                 flowing[key] = pg
-
-
-def parameters_finite(params: Iterable[Tensor]) -> bool:
-    return all(np.isfinite(p.data).all() for p in params)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import natmt.pipeline as P
+from natmt import nat as N
+from natmt import teacher as AR
 from natmt.cli import main
 from natmt.data import load_corpus
 
@@ -239,6 +241,50 @@ def test_translate_teacher_greedy_and_beam(workdir, capsys):
     assert run(capsys, "translate", "--model", workdir["teacher"], "--input",
                workdir["corpus"] + ".src", "--strategy", "beam",
                "--beam", "2")[0] == 0
+
+
+TRANSLATE_CASES = [("teacher", "greedy"), ("teacher", "beam"), ("nat", "argmax")]
+
+
+def _translate_bad_line(workdir, capsys, monkeypatch, kind, strategy, bad):
+    """Translate [good, good, bad, good] with every decoder patched to fail,
+    so a run that decodes before checking the whole file cannot pass."""
+    def never(*args, **kwargs):
+        raise AssertionError("decoded before every line was checked")
+
+    for mod, name in ((AR, "greedy_decode"), (AR, "beam_decode"),
+                      (N, "decode_argmax")):
+        monkeypatch.setattr(mod, name, never)
+    good = " ".join(load_corpus(workdir["corpus"])[0][0])
+    path = workdir["dir"] / f"bad_{kind}_{strategy}.src"
+    path.write_text("\n".join([good, good, bad, good]) + "\n")
+    out = workdir["dir"] / f"bad_{kind}_{strategy}.hyp"
+    code, _, err = run(capsys, "translate", "--model", workdir[kind],
+                       "--input", str(path), "--output", str(out),
+                       "--strategy", strategy, "--beam", "2")
+    assert code == 2
+    assert not out.exists()
+    return str(path), err
+
+
+@pytest.mark.parametrize("kind,strategy", TRANSLATE_CASES)
+def test_translate_empty_line_exits_2_naming_file_line(workdir, capsys,
+                                                       monkeypatch, kind,
+                                                       strategy):
+    path, err = _translate_bad_line(workdir, capsys, monkeypatch, kind,
+                                    strategy, "")
+    assert f"data error: {path}:3: empty input line" in err
+
+
+@pytest.mark.parametrize("kind,strategy", TRANSLATE_CASES)
+def test_translate_over_long_line_exits_2_naming_file_line(workdir, capsys,
+                                                           monkeypatch, kind,
+                                                           strategy):
+    token = load_corpus(workdir["corpus"])[0][0][0]
+    path, err = _translate_bad_line(workdir, capsys, monkeypatch, kind,
+                                    strategy, " ".join([token] * 65))
+    assert (f"data error: {path}:3: line of 65 tokens exceeds max_len 64"
+            in err)
 
 
 def test_score_prints_one_number_per_line(workdir, capsys):

@@ -248,6 +248,36 @@ def test_literal_model_dim_scaling_flag():
 
 
 # ---------------------------------------------------------------------------
+# linear layer
+# ---------------------------------------------------------------------------
+
+def test_linear_3d_bitwise_equals_explicit_composition():
+    """A 3-D input goes through reshape, 2-D matmul, 2-D bias add, reshape:
+    the output and all three gradients equal that composition bit for bit.
+    The output is transposed downstream, as the attention heads' are, so its
+    gradient arrives non-contiguous; a 3-D bias add would then sum the bias
+    gradient in another order."""
+    rng = np.random.default_rng(4)
+    lin = L.Linear(6, 5, rng)
+    x_np = rng.normal(0, 1, (3, 4, 6)).astype(np.float32)
+    w_out = Tensor(rng.normal(0, 1, (4, 3, 5)).astype(np.float32))
+
+    def grads(forward):
+        lin.zero_grad()
+        x = Tensor(x_np, requires_grad=True)
+        out = forward(x)
+        T.backward(T.tsum(T.mul(T.transpose(out, (1, 0, 2)), w_out)))
+        return out.numpy(), x.grad, lin.weight.grad, lin.bias.grad
+
+    got = grads(lin)
+    want = grads(lambda x: T.reshape(
+        T.add(T.matmul(T.reshape(x, (12, 6)), lin.weight), lin.bias), (3, 4, 5)))
+    assert got[0].shape == (3, 4, 5)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
 # feed-forward block
 # ---------------------------------------------------------------------------
 

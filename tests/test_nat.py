@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from natmt import nat as N
 from natmt import teacher as AR
@@ -271,6 +273,51 @@ def test_npd_sampling_deterministic_under_seed():
     a = N.decode_npd([4, 5, 6], model, tch, samples=6, seed=42)
     b = N.decode_npd([4, 5, 6], model, tch, samples=6, seed=42)
     assert a.output == b.output and a.teacher_score == b.teacher_score
+
+
+def per_choice_sample(probs, n, rng):
+    """One `rng.choice` per position per sample, sample by sample."""
+    return [np.array([rng.choice(probs.shape[1], p=row / row.sum())
+                      for row in probs.astype(np.float64)], dtype=np.int64)
+            for _ in range(n)]
+
+
+@st.composite
+def fertility_rows(draw):
+    """[T', classes] float32 weights, some classes with zero mass."""
+    t = draw(st.integers(1, 6))
+    classes = draw(st.integers(2, 6))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+    row = st.lists(weight, min_size=classes, max_size=classes).filter(any)
+    return np.asarray(draw(st.lists(row, min_size=t, max_size=t)),
+                      dtype=np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fertility_rows(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(np.array([[0.0, 1.0, 0.0]], dtype=np.float32), 1, 0)
+@example(np.array([[0.5, 0.0, 0.5], [0.0, 0.0, 1.0]], dtype=np.float32), 1, 7)
+def test_sample_fertilities_matches_per_choice_draws(probs, n, seed):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = N.sample_fertilities(probs, n, got_rng)
+    want = per_choice_sample(probs, n, want_rng)
+    assert len(got) == n
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w)
+        assert (probs[np.arange(len(g)), g] > 0).all()  # zero mass never drawn
+    # callers draw sentence after sentence from one generator
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [[[0.5, -0.1, 0.6]], [[0.5, np.nan, 0.5]],
+                                 [[0.0, 0.0, 0.0]]])
+def test_sample_fertilities_rejects_what_choice_rejects(bad):
+    probs = np.asarray(bad, dtype=np.float32)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        per_choice_sample(probs, 1, np.random.default_rng(0))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        N.sample_fertilities(probs, 1, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,47 @@ def test_layer_norm_reference_values():
     np.testing.assert_allclose(out, [-1.44948515, 1.0, 3.44948515], atol=1e-5)
 
 
+@pytest.mark.parametrize("shape", [(5,), (3, 1), (2, 3, 1), (4, 7), (2, 3, 16),
+                                   (1, 64)])
+def test_layer_norm_bitwise_matches_mean_var_formula(shape):
+    """Forward and backward equal the np.mean/np.var spelling bit for bit."""
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    x = (rng.normal(0, 0.05, shape) + 300).astype(np.float32)  # cancellation-prone
+    gain = rng.normal(1, 0.5, shape[-1]).astype(np.float32)
+    bias = rng.normal(0, 0.5, shape[-1]).astype(np.float32)
+    g = rng.normal(0, 1, shape)
+    eps = 1e-5
+    x64 = x.astype(np.float64)
+    inv = 1.0 / np.sqrt(x64.var(axis=-1, keepdims=True) + eps)
+    xhat = (x64 - x64.mean(axis=-1, keepdims=True)) * inv
+    want = (xhat * gain + bias).astype(np.float32)
+    gxhat = g.astype(np.float32).astype(np.float64) * gain
+    want_dx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                     - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+
+    tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+    out = T.layer_norm(tx, tg, tb, eps)
+    assert np.array_equal(out.numpy(), want)
+    T.backward(T.tsum(T.mul(out, Tensor(g.astype(np.float32)))))
+    assert np.array_equal(tx.grad, want_dx.astype(np.float32))
+
+
+@pytest.mark.parametrize("axes", [(1, 2, 0), (2, 0, 1)])
+def test_transpose_backward_inverts_non_involutive_permutation(axes):
+    x = Tensor(np.zeros((2, 3, 4), dtype=np.float32), requires_grad=True)
+    y = T.transpose(x, axes)
+    w = np.random.default_rng(9).normal(0, 1, y.shape).astype(np.float32)
+    T.backward(T.tsum(T.mul(y, Tensor(w))))
+    # out[i, j, k] = x[idx] with idx[axes[m]] = (i, j, k)[m]
+    want = np.empty_like(x.data)
+    for out_idx in np.ndindex(y.shape):
+        idx = [0, 0, 0]
+        for m, ax in enumerate(axes):
+            idx[ax] = out_idx[m]
+        want[tuple(idx)] = w[out_idx]
+    assert np.array_equal(x.grad, want)
+
+
 @settings(max_examples=40)
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=8))
 def test_layer_norm_stats(xs):
