@@ -3,13 +3,15 @@
 Layout: magic bytes b"NATF", little-endian u32 format version, u32 manifest
 byte length, UTF-8 JSON manifest, then raw row-major little-endian float32
 blobs in manifest order. The manifest carries the model config, both
-vocabularies, and the name/shape of every parameter and optimizer slot, so a
-checkpoint is self-contained.
+vocabularies, and the name/shape of every parameter, so a checkpoint is
+self-contained. A save writes a temporary file next to the target and renames
+it into place, so an interrupted save leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 from .data import DataError, Vocab
 
 MAGIC = b"NATF"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -30,12 +32,7 @@ class CheckpointData:
     params: dict[str, np.ndarray]   # name -> float32 array, manifest order preserved
     src_vocab: Vocab
     tgt_vocab: Vocab
-    opt_state: dict[str, np.ndarray] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
-
-
-def _entries(named: Sequence[tuple[str, np.ndarray]]) -> list[dict]:
-    return [{"name": n, "shape": list(a.shape)} for n, a in named]
 
 
 def save_checkpoint(path: str | Path,
@@ -44,24 +41,29 @@ def save_checkpoint(path: str | Path,
                     params: Sequence[tuple[str, np.ndarray]],
                     src_vocab: Vocab,
                     tgt_vocab: Vocab,
-                    opt_state: Sequence[tuple[str, np.ndarray]] = (),
                     extra: dict | None = None) -> None:
     manifest = {
         "kind": kind,
         "config": config,
         "src_vocab": src_vocab.tokens,
         "tgt_vocab": tgt_vocab.tokens,
-        "params": _entries(params),
-        "opt_state": _entries(opt_state),
+        "params": [{"name": n, "shape": list(a.shape)} for n, a in params],
         "extra": extra or {},
     }
     blob = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(blob)))
-        fh.write(blob)
-        for _, arr in list(params) + list(opt_state):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(blob)))
+            fh.write(blob)
+            for _, arr in params:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> CheckpointData:
@@ -78,25 +80,18 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
     manifest = json.loads(raw[12 : 12 + mlen].decode("utf-8"))
     offset = 12 + mlen
 
-    def take(entries):
-        nonlocal offset
-        out = {}
-        for e in entries:
-            shape = tuple(e["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            if offset + 4 * n > len(raw):
-                raise DataError(f"checkpoint truncated in blob {e['name']}: {p}")
-            arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-            out[e["name"]] = arr.reshape(shape).astype(np.float32)
-            offset += 4 * n
-        return out
-
-    params = take(manifest["params"])
-    opt_state = take(manifest.get("opt_state", []))
+    params = {}
+    for e in manifest["params"]:
+        shape = tuple(e["shape"])
+        n = int(np.prod(shape)) if shape else 1
+        if offset + 4 * n > len(raw):
+            raise DataError(f"checkpoint truncated in blob {e['name']}: {p}")
+        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
+        params[e["name"]] = arr.reshape(shape).astype(np.float32)
+        offset += 4 * n
     if offset != len(raw):
         raise DataError(f"checkpoint has {len(raw) - offset} trailing bytes: {p}")
     src_vocab = Vocab(manifest["src_vocab"][4:])
     tgt_vocab = Vocab(manifest["tgt_vocab"][4:])
     return CheckpointData(manifest["kind"], manifest["config"], params,
-                          src_vocab, tgt_vocab, opt_state,
-                          manifest.get("extra", {}))
+                          src_vocab, tgt_vocab, manifest.get("extra", {}))

@@ -1,6 +1,10 @@
 """Shared transformer pieces: positional encodings, attention masks, multi-head
 attention, feed-forward blocks, and the encoder stack used unchanged by both the
 autoregressive teacher and the parallel decoder.
+
+Every model input, source or target, goes through `embed_positions` (scaled
+token embeddings plus positional encodings), and every attention bias, with
+padding, causal or self-exclusion masking, comes from `attention_bias`.
 """
 
 from __future__ import annotations
@@ -47,25 +51,12 @@ def causal_mask(t: int) -> np.ndarray:
     return np.tril(np.ones((t, t), dtype=bool))
 
 
-def self_exclusion_mask(t: int) -> np.ndarray:
-    """Boolean [t, t]: every key permitted except the query's own position.
-
-    A length-1 sequence would otherwise have zero permitted keys, so it keeps
-    self-attention.
-    """
-    if t == 1:
-        return np.ones((1, 1), dtype=bool)
-    return ~np.eye(t, dtype=bool)
-
-
-def full_mask(tq: int, tk: int) -> np.ndarray:
-    return np.ones((tq, tk), dtype=bool)
-
-
 def attention_bias(structural: np.ndarray | None, key_lengths: np.ndarray,
-                   tq: int, tk: int) -> np.ndarray:
+                   tq: int, tk: int, exclude_self: bool = False) -> np.ndarray:
     """Additive attention bias [B, 1, tq, tk] combining a structural mask with
-    per-sentence key padding. Raises if any query row ends up with no
+    per-sentence key padding. With `exclude_self`, no query attends to the
+    key at its own position, except in a length-1 row, which would otherwise
+    have no permitted key at all. Raises if any query row ends up with no
     permitted key.
     """
     key_lengths = np.asarray(key_lengths)
@@ -77,6 +68,9 @@ def attention_bias(structural: np.ndarray | None, key_lengths: np.ndarray,
         if structural.shape != (tq, tk):
             raise ValueError(f"structural mask {structural.shape} != ({tq}, {tk})")
         permitted = permitted & structural[None, :, :]
+    if exclude_self:
+        permitted = permitted & ~np.eye(tq, tk, dtype=bool)[None]
+        permitted[key_lengths == 1, 0, 0] = True
     if not permitted.any(axis=-1).all():
         raise ValueError("attention row with zero permitted keys")
     bias = np.where(permitted, np.float32(0.0), MASK_BIAS)
@@ -136,6 +130,19 @@ class Embedding(Module):
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         return T.embedding(self.weight, ids)
+
+
+def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
+                    scale: float, start: int = 0) -> Tensor:
+    """Token embeddings times `scale` plus the positional encodings `pos` of
+    positions start, start+1, ...; the one embedding path of every encoder
+    and decoder input. `pos` has one row per position up to max_len."""
+    b, t = ids.shape
+    if start + t > len(pos):
+        raise ValueError(f"length {start + t} exceeds max_len {len(pos)}")
+    emb = T.mul(embed(ids), Tensor(np.float32(scale)))
+    return T.add(emb, Tensor(np.broadcast_to(pos[start:start + t],
+                                             (b, t, emb.shape[-1])).copy()))
 
 
 class LayerNorm(Module):
@@ -270,20 +277,12 @@ class Encoder(Module):
         self.embed = Embedding(cfg.src_vocab, cfg.d_model, rng)
         self.norm_in = LayerNorm(cfg.d_model)
         self.layers = [EncoderLayer(cfg, rng) for _ in range(cfg.n_layer)]
-        self.cfg_max_len = cfg.max_len
         self.embed_scale = math.sqrt(cfg.d_model) if cfg.scale_embeddings else 1.0
         self.pos = positional_table(cfg.max_len, cfg.d_model)
 
-    def embed_positions(self, ids: np.ndarray) -> Tensor:
-        b, t = ids.shape
-        if t > self.cfg_max_len:
-            raise ValueError(f"sequence length {t} exceeds max_len {self.cfg_max_len}")
-        emb = T.mul(self.embed(ids), Tensor(np.float32(self.embed_scale)))
-        return T.add(emb, Tensor(np.broadcast_to(self.pos[:t], (b, t, emb.shape[-1])).copy()))
-
     def __call__(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-        b, t = ids.shape
-        x = self.norm_in(self.embed_positions(ids))
+        t = ids.shape[1]
+        x = self.norm_in(embed_positions(self.embed, ids, self.pos, self.embed_scale))
         bias = attention_bias(None, lengths, t, t)
         for layer in self.layers:
             x = layer(x, bias)

@@ -8,17 +8,20 @@ decoder states as value), encoder-decoder attention, and an FFN. A one-layer
 softmax head over the last encoder layer predicts per-source-token fertility
 classes 0..L-1.
 
-Decoding strategies: per-position fertility argmax, rounded expected
-fertility, and noisy parallel decoding, which samples fertility sequences,
-translates each independently, and keeps the candidate the autoregressive
-scorer likes best. The argmax sequence is always candidate 0 and the average
-sequence candidate 1, so the winning teacher score can only improve with more
-samples under a fixed seed.
+Decoding has one core. A strategy proposes fertility sequences from the
+distribution of a source encoded once; the core fits each (an all-zero one
+emits one token, and totals over max_len are cut from the last source
+position backwards), translates all of them in one padded decoder pass and,
+given an autoregressive teacher, keeps the first candidate it scores best.
+The proposers are per-position argmax, rounded expected fertility, and noisy
+parallel decoding (npd): the argmax sequence as candidate 0, the average as
+candidate 1, then independent draws, so the winning teacher score can only
+improve with more samples under a fixed seed. The uniform-copy fallback and
+`translate_given_fertility` share the core's translate step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,9 +31,9 @@ from . import tensor as T
 from . import teacher as AR
 from .config import ModelConfig
 from .data import PAD, pad_block
-from .layers import (MASK_BIAS, Encoder, FFNBlock, LayerNorm, Linear, Module,
-                     MultiHeadAttention, attention_bias, positional_table)
-from .tensor import DTYPE, Tensor
+from .layers import (Encoder, FFNBlock, LayerNorm, Linear, Module,
+                     MultiHeadAttention, attention_bias, embed_positions)
+from .tensor import Tensor
 
 
 def round_half_away(x) -> np.ndarray:
@@ -73,20 +76,6 @@ def copy_fertility(source: Sequence, fertility: Sequence[int]) -> list:
 # model
 # ---------------------------------------------------------------------------
 
-def _self_exclusion_bias(dec_len: np.ndarray, t: int) -> np.ndarray:
-    """[B, 1, t, t] bias permitting every non-pad key except the query's own
-    position. Length-1 rows keep their self key, as a batch can mix lengths
-    and that row would otherwise have no permitted key at all."""
-    b = dec_len.shape[0]
-    key = np.arange(t)
-    permitted = np.broadcast_to(key[None, None, :] < dec_len[:, None, None],
-                                (b, t, t)).copy()
-    permitted &= ~np.eye(t, dtype=bool)[None]
-    permitted[dec_len == 1, 0, 0] = True
-    bias = np.where(permitted, np.float32(0.0), MASK_BIAS)
-    return bias[:, None, :, :].astype(DTYPE)
-
-
 class NatDecoderLayer(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.self_attn = MultiHeadAttention(cfg, rng)
@@ -123,8 +112,6 @@ class NatModel(Module):
         self.layers = [NatDecoderLayer(cfg, rng) for _ in range(cfg.n_layer)]
         self.norm_in = LayerNorm(cfg.d_model)
         self.proj = Linear(cfg.d_model, cfg.tgt_vocab, rng)
-        self.embed_scale = math.sqrt(cfg.d_model) if cfg.scale_embeddings else 1.0
-        self.pos = positional_table(cfg.max_len, cfg.d_model)
         self.decoder_passes = 0
 
     def reset_passes(self) -> None:
@@ -137,27 +124,19 @@ class NatModel(Module):
         """[B, T', L] logits from the last encoder layer only."""
         return self.fert_head(memory)
 
-    def embed_copies(self, ids: np.ndarray) -> Tensor:
-        """Copied source tokens looked up in the source embedding, with fresh
-        output-side positional encodings."""
-        b, t = ids.shape
-        if t > self.cfg.max_len:
-            raise ValueError(f"decoder length {t} exceeds max_len {self.cfg.max_len}")
-        emb = T.mul(self.encoder.embed(ids), Tensor(np.float32(self.embed_scale)))
-        emb = T.add(emb, Tensor(np.broadcast_to(self.pos[:t], (b, t, emb.shape[-1])).copy()))
-        return self.norm_in(emb)
-
     def decode_logits(self, memory: Tensor, src_len: np.ndarray,
                       dec_ids: np.ndarray, dec_len: np.ndarray) -> Tensor:
         """One parallel pass over all output slots; counts one decoder pass
         per sequence in the batch."""
         b, t = dec_ids.shape
         self.decoder_passes += b
-        self_bias = _self_exclusion_bias(dec_len, t)
+        self_bias = attention_bias(None, dec_len, t, t, exclude_self=True)
         pad_bias = attention_bias(None, dec_len, t, t)
         cross_bias = attention_bias(None, src_len, t, memory.shape[1])
-        x = self.embed_copies(dec_ids)
-        pos_q = Tensor(np.broadcast_to(self.pos[:t], (b, t, self.cfg.d_model)).copy())
+        enc = self.encoder
+        # copied source tokens in the source embedding, fresh output positions
+        x = self.norm_in(embed_positions(enc.embed, dec_ids, enc.pos, enc.embed_scale))
+        pos_q = Tensor(np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model)).copy())
         for layer in self.layers:
             x = layer(x, memory, pos_q, self_bias, pad_bias, cross_bias)
         return self.proj(x)
@@ -183,8 +162,12 @@ def fertility_dist_batch(src: np.ndarray, src_len: np.ndarray, model: NatModel,
 
 def predict_fertility(src_ids: Sequence[int], model: NatModel) -> np.ndarray:
     """[T', L] fertility distribution for one sentence."""
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    return fertility_dist_batch(src, np.array([len(src_ids)]), model)[0]
+    return _encode_source(src_ids, model)[1]
+
+
+def average_fertility(probs: np.ndarray) -> np.ndarray:
+    """Rounded expected fertility per position of a [T', L] distribution."""
+    return round_half_away((probs * np.arange(probs.shape[1])[None, :]).sum(axis=-1))
 
 
 def floor_fertility(fert: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -194,6 +177,24 @@ def floor_fertility(fert: np.ndarray, probs: np.ndarray) -> np.ndarray:
     if fert.sum() == 0:
         fert[int(np.argmax(probs[:, 1]))] = 1
     return fert
+
+
+def fit_fertility(fert: np.ndarray, probs: np.ndarray, max_len: int) -> np.ndarray:
+    """The fertility sequence a decode translates: `floor_fertility`, then
+    cut from the last source position backwards until the total fits
+    `max_len` output slots."""
+    fert = floor_fertility(fert, probs)
+    room = max_len - (np.cumsum(fert) - fert)   # slots left for each position
+    return np.minimum(fert, np.maximum(room, 0))
+
+
+def max_output_len(model: NatModel,
+                   teacher_model: AR.TeacherModel | None = None) -> int:
+    """Output slots a decode may fill: the student's max_len, and one fewer
+    than the teacher's when a teacher scores bos + output."""
+    if teacher_model is None:
+        return model.cfg.max_len
+    return min(model.cfg.max_len, teacher_model.cfg.max_len - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,39 +211,35 @@ class DecodeResult:
     teacher_score: float | None = None
 
 
-def _translate_batch(src_ids: Sequence[int], fert_list: Sequence[np.ndarray],
-                     model: NatModel, memory: Tensor
-                     ) -> list[tuple[list[int], float]]:
-    """Translate several fertility candidates for one source in one padded
-    decoder call; returns (tokens, summed token log-prob) per candidate."""
-    inputs = [copy_fertility(list(src_ids), list(f)) for f in fert_list]
+def _encode_source(src_ids: Sequence[int], model: NatModel,
+                   memory: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
+    """Encoder memory of one source, encoded here unless given, and its
+    [T', L] fertility distribution."""
+    src = np.asarray(src_ids, dtype=np.int64)[None, :]
+    src_len = np.array([len(src_ids)])
+    if memory is None:
+        with T.no_grad():
+            memory = model.encode(src, src_len)
+    return memory, fertility_dist_batch(src, src_len, model, memory)[0]
+
+
+def _translate(src_ids: Sequence[int], inputs: Sequence[list], model: NatModel,
+               memory: Tensor) -> list[tuple[list[int], float]]:
+    """Translate several decoder inputs of one source in one padded pass;
+    returns (per-position argmax tokens, their summed log-prob) per input."""
     dec_ids, dec_len = pad_block(inputs)
     n = len(inputs)
-    src_len = np.repeat(np.array([len(src_ids)]), n)
     with T.no_grad():
         mem = Tensor(np.repeat(memory.data, n, axis=0)) if n > 1 else memory
-        logits = model.decode_logits(mem, src_len, dec_ids, dec_len)
+        logits = model.decode_logits(mem, np.full(n, len(src_ids)), dec_ids, dec_len)
         logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
     logp[:, :, PAD] = -np.inf  # padding is not an emittable token
     out = []
-    for i in range(n):
-        rows = logp[i, : dec_len[i]]
+    for rows in (logp[i, :m] for i, m in enumerate(dec_len)):
         toks = rows.argmax(axis=-1)
         out.append(([int(t) for t in toks],
                     float(rows[np.arange(len(toks)), toks].sum())))
     return out
-
-
-def translate_given_fertility(src_ids: Sequence[int], fertility: Sequence[int],
-                              model: NatModel, memory: Tensor | None = None
-                              ) -> list[int]:
-    """Per-position argmax output for one fertility sequence; length is
-    exactly the fertility total."""
-    if memory is None:
-        src = np.asarray(src_ids, dtype=np.int64)[None, :]
-        memory = model.encode(src, np.array([len(src_ids)]))
-    [(toks, _)] = _translate_batch(src_ids, [np.asarray(fertility)], model, memory)
-    return toks
 
 
 def _fert_logprob(probs: np.ndarray, fert: np.ndarray) -> float:
@@ -250,53 +247,60 @@ def _fert_logprob(probs: np.ndarray, fert: np.ndarray) -> float:
     return float(np.log(rows).sum())
 
 
-def _encode_one(src_ids: Sequence[int], model: NatModel):
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    with T.no_grad():
-        memory = model.encode(src, np.array([len(src_ids)]))
-    return memory
+def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
+            model: NatModel, memory: Tensor, probs: np.ndarray, strategy: str,
+            teacher_model: AR.TeacherModel | None = None
+            ) -> tuple[DecodeResult, list[float]]:
+    """The decode core: fit every fertility candidate, translate them all in
+    one padded pass and, with a teacher, keep the first highest-scoring one
+    (without one there is a single candidate). Returns the result and the
+    teacher scores of all candidates."""
+    max_len = max_output_len(model, teacher_model)
+    ferts = [fit_fertility(f, probs, max_len) for f in fert_list]
+    translated = _translate(src_ids, [copy_fertility(list(src_ids), list(f))
+                                      for f in ferts], model, memory)
+    scores, win = [], 0
+    if teacher_model is not None:
+        scores = AR.score_candidates(src_ids, [t for t, _ in translated], teacher_model)
+        win = int(np.argmax(scores))  # ties keep the lowest candidate index
+    toks, lp = translated[win]
+    result = DecodeResult(toks, [int(f) for f in ferts[win]], strategy, lp,
+                          _fert_logprob(probs, ferts[win]),
+                          scores[win] if scores else None)
+    return result, scores
+
+
+def translate_given_fertility(src_ids: Sequence[int], fertility: Sequence[int],
+                              model: NatModel, memory: Tensor | None = None
+                              ) -> list[int]:
+    """Per-position argmax output for one fertility sequence; length is
+    exactly the fertility total."""
+    inputs = [copy_fertility(list(src_ids), list(fertility))]
+    memory, _ = _encode_source(src_ids, model, memory)
+    [(toks, _)] = _translate(src_ids, inputs, model, memory)
+    return toks
 
 
 def decode_argmax(src_ids: Sequence[int], model: NatModel) -> DecodeResult:
-    memory = _encode_one(src_ids, model)
-    probs = fertility_dist_batch(np.asarray(src_ids)[None, :],
-                                 np.array([len(src_ids)]), model, memory)[0]
-    fert = floor_fertility(probs.argmax(axis=-1), probs)
-    [(toks, lp)] = _translate_batch(src_ids, [fert], model, memory)
-    return DecodeResult(toks, [int(f) for f in fert], "argmax", lp,
-                        _fert_logprob(probs, fert))
+    memory, probs = _encode_source(src_ids, model)
+    return _decode(src_ids, [probs.argmax(axis=-1)], model, memory, probs, "argmax")[0]
 
 
 def decode_average(src_ids: Sequence[int], model: NatModel) -> DecodeResult:
-    memory = _encode_one(src_ids, model)
-    probs = fertility_dist_batch(np.asarray(src_ids)[None, :],
-                                 np.array([len(src_ids)]), model, memory)[0]
-    expected = (probs * np.arange(probs.shape[1])[None, :]).sum(axis=-1)
-    fert = floor_fertility(round_half_away(expected), probs)
-    [(toks, lp)] = _translate_batch(src_ids, [fert], model, memory)
-    return DecodeResult(toks, [int(f) for f in fert], "average", lp,
-                        _fert_logprob(probs, fert))
+    memory, probs = _encode_source(src_ids, model)
+    return _decode(src_ids, [average_fertility(probs)], model, memory, probs,
+                   "average")[0]
 
 
 def npd_over_candidates(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
                         model: NatModel, teacher_model: AR.TeacherModel,
-                        strategy: str = "npd"
+                        strategy: str = "npd", memory: Tensor | None = None
                         ) -> tuple[DecodeResult, list[float]]:
     """Translate and teacher-score every fertility candidate; the first
-    highest-scoring candidate wins. Degenerate all-zero candidates are floored
-    like any other decode."""
-    memory = _encode_one(src_ids, model)
-    probs = fertility_dist_batch(np.asarray(src_ids)[None, :],
-                                 np.array([len(src_ids)]), model, memory)[0]
-    floored = [floor_fertility(np.asarray(f, dtype=np.int64), probs)
-               for f in fert_list]
-    translated = _translate_batch(src_ids, floored, model, memory)
-    scores = AR.score_candidates(src_ids, [t for t, _ in translated], teacher_model)
-    win = int(np.argmax(scores))  # ties keep the lowest candidate index
-    toks, lp = translated[win]
-    result = DecodeResult(toks, [int(f) for f in floored[win]], strategy, lp,
-                          _fert_logprob(probs, floored[win]), scores[win])
-    return result, [float(s) for s in scores]
+    highest-scoring candidate wins. `memory` is the source's encoder memory
+    if the caller has it already."""
+    memory, probs = _encode_source(src_ids, model, memory)
+    return _decode(src_ids, fert_list, model, memory, probs, strategy, teacher_model)
 
 
 def sample_fertilities(probs: np.ndarray, n: int,
@@ -328,16 +332,11 @@ def decode_npd(src_ids: Sequence[int], model: NatModel,
     teacher picks the winner. One sample reduces to the argmax decode."""
     if samples < 1:
         raise ValueError("need at least one fertility sample")
-    probs = predict_fertility(src_ids, model)
-    cands: list[np.ndarray] = [probs.argmax(axis=-1)]
-    if samples >= 2:
-        expected = (probs * np.arange(probs.shape[1])[None, :]).sum(axis=-1)
-        cands.append(round_half_away(expected))
+    memory, probs = _encode_source(src_ids, model)
+    cands = [probs.argmax(axis=-1), average_fertility(probs)][:samples]
     if samples > 2:
-        rng = np.random.default_rng(seed)
-        cands.extend(sample_fertilities(probs, samples - 2, rng))
-    result, _ = npd_over_candidates(src_ids, cands, model, teacher_model)
-    return result
+        cands += sample_fertilities(probs, samples - 2, np.random.default_rng(seed))
+    return npd_over_candidates(src_ids, cands, model, teacher_model, memory=memory)[0]
 
 
 def decode_uniform(src_ids: Sequence[int], model: NatModel,
@@ -349,14 +348,7 @@ def decode_uniform(src_ids: Sequence[int], model: NatModel,
         if ratio is None:
             raise ValueError("need target_len or ratio")
         target_len = max(1, int(round_half_away(len(src_ids) * ratio)))
-    ids = copy_uniform(list(src_ids), target_len)
-    memory = _encode_one(src_ids, model)
-    dec_ids, dec_len = pad_block([ids])
-    with T.no_grad():
-        logits = model.decode_logits(memory, np.array([len(src_ids)]),
-                                     dec_ids, dec_len)
-        logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)[0]
-    logp[:, PAD] = -np.inf  # padding is not an emittable token
-    toks = logp.argmax(axis=-1)
-    lp = float(logp[np.arange(len(toks)), toks].sum())
-    return DecodeResult([int(t) for t in toks], None, "uniform", lp)
+    inputs = [copy_uniform(list(src_ids), target_len)]
+    memory, _ = _encode_source(src_ids, model)
+    [(toks, lp)] = _translate(src_ids, inputs, model, memory)
+    return DecodeResult(toks, None, "uniform", lp)

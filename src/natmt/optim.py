@@ -66,11 +66,3 @@ class AdamWarmup:
     def zero_grad(self) -> None:
         for _, p in self.params:
             p.grad = None
-
-    def state_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Moment arrays in deterministic order, for checkpointing."""
-        out = []
-        for name, _ in self.params:
-            out.append((f"adam.m.{name}", self.m[name]))
-            out.append((f"adam.v.{name}", self.v[name]))
-        return out

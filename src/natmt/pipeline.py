@@ -327,7 +327,8 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
     The student is encoded once, with gradients, and all three terms share
     that memory. kd and bp share one decode of the aligner-fertility copies:
     bp relaxes kd's logits. One no-grad student decode translates rl's 2B
-    rows, the floored samples and then the rounded-average baselines. One
+    rows, the samples and then the rounded-average baselines, each fitted
+    like a decode's candidates (`nat.fit_fertility`). One
     teacher encode and one forced teacher decode score every bp, reward and
     baseline output. A step thus makes two encoder calls, one per model.
     Fertility samples are drawn sentence by sentence, one draw each.
@@ -363,14 +364,14 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
         probs = NAT.fertility_dist_batch(batch.src, batch.src_len, model, memory)
         sampled = np.zeros(batch.src.shape, dtype=np.int64)
         floored, averaged = [], []
+        max_len = NAT.max_output_len(model, teacher_model)
         for i, n in enumerate(batch.src_len):
             p = probs[i, :n]
             # score function keeps the raw draw; only the translation
-            # input is floored, so the estimator stays unbiased
+            # input is fitted, so the estimator stays unbiased
             sampled[i, :n] = NAT.sample_fertilities(p, 1, rng)[0]
-            floored.append(NAT.floor_fertility(sampled[i, :n], p))
-            expected = (p * np.arange(p.shape[1])[None, :]).sum(axis=-1)
-            averaged.append(NAT.floor_fertility(NAT.round_half_away(expected), p))
+            floored.append(NAT.fit_fertility(sampled[i, :n], p, max_len))
+            averaged.append(NAT.fit_fertility(NAT.average_fertility(p), p, max_len))
         rows = np.tile(np.arange(b), 2)
         dec_ids, dec_len = pad_block(
             [NAT.copy_fertility(list(batch.src[i, : batch.src_len[i]]), list(f))
@@ -501,11 +502,10 @@ def finetune(model: NAT.NatModel, teacher_model: AR.TeacherModel,
 # ---------------------------------------------------------------------------
 
 def save_model(path, model, src_vocab: Vocab, tgt_vocab: Vocab,
-               optim: AdamWarmup | None = None, extra: dict | None = None) -> None:
+               extra: dict | None = None) -> None:
     params = [(n, p.data) for n, p in model.named_parameters()]
-    opt_state = optim.state_arrays() if optim else ()
     save_checkpoint(path, model.kind, model.cfg.to_dict(), params,
-                    src_vocab, tgt_vocab, opt_state, extra)
+                    src_vocab, tgt_vocab, extra)
 
 
 def load_model(path):

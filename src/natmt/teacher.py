@@ -16,7 +16,6 @@ rows from the cache as they finish.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +25,7 @@ from .config import ModelConfig
 from .data import BOS, EOS, PAD, Batch, pad_block
 from .layers import (Embedding, Encoder, FFNBlock, KVCache, LayerNorm, Linear,
                      Module, MultiHeadAttention, attention_bias, causal_mask,
-                     positional_table)
+                     embed_positions)
 from .tensor import Tensor
 
 
@@ -82,8 +81,6 @@ class TeacherModel(Module):
         self.norm_in = LayerNorm(cfg.d_model)
         self.layers = [DecoderLayer(cfg, rng) for _ in range(cfg.n_layer)]
         self.proj = Linear(cfg.d_model, cfg.tgt_vocab, rng)
-        self.embed_scale = math.sqrt(cfg.d_model) if cfg.scale_embeddings else 1.0
-        self.pos = positional_table(cfg.max_len, cfg.d_model)
         self.decoder_passes = 0
 
     def reset_passes(self) -> None:
@@ -91,17 +88,6 @@ class TeacherModel(Module):
 
     def encode(self, src: np.ndarray, src_len: np.ndarray) -> Tensor:
         return self.encoder(src, src_len)
-
-    def embed_targets(self, ids: np.ndarray, start: int = 0) -> Tensor:
-        """Embeddings of target tokens at positions start, start+1, ..."""
-        b, t = ids.shape
-        if start + t > self.cfg.max_len:
-            raise ValueError(
-                f"target length {start + t} exceeds max_len {self.cfg.max_len}")
-        emb = T.mul(self.embed(ids), Tensor(np.float32(self.embed_scale)))
-        pos = self.pos[start:start + t]
-        emb = T.add(emb, Tensor(np.broadcast_to(pos, (b, t, emb.shape[-1])).copy()))
-        return self.norm_in(emb)
 
     def decode_logits(self, memory: Tensor | None, src_len: np.ndarray | None,
                       tgt_in: np.ndarray, tgt_in_len: np.ndarray | None,
@@ -115,7 +101,7 @@ class TeacherModel(Module):
         if cache is None:
             self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
             cross_bias = attention_bias(None, src_len, t, memory.shape[1])
-            x = self.embed_targets(tgt_in)
+            start = 0
             layer_caches = [None] * len(self.layers)
         else:
             if t != 1:
@@ -125,9 +111,11 @@ class TeacherModel(Module):
                                    "run it under no_grad")
             # every cached key is an earlier position of the same row
             self_bias, cross_bias = None, cache.cross_bias
-            x = self.embed_targets(tgt_in, cache.length)
+            start = cache.length
             cache.length += 1
             layer_caches = cache.layers
+        x = self.norm_in(embed_positions(self.embed, tgt_in, self.encoder.pos,
+                                         self.encoder.embed_scale, start))
         for layer, layer_cache in zip(self.layers, layer_caches):
             x = layer(x, memory, self_bias, cross_bias, layer_cache)
         return self.proj(x)

@@ -25,7 +25,7 @@ def sample_state(seed=0):
 def test_roundtrip_bit_exact(tmp_path):
     params, opt, sv, tv, cfg = sample_state()
     path = tmp_path / "m.ckpt"
-    C.save_checkpoint(path, "teacher", cfg, params, sv, tv, opt, extra={"step": 5})
+    C.save_checkpoint(path, "teacher", cfg, params, sv, tv, extra={"step": 5})
     got = C.load_checkpoint(path)
     assert got.kind == "teacher"
     assert got.config == cfg
@@ -37,7 +37,6 @@ def test_roundtrip_bit_exact(tmp_path):
         assert loaded.shape == arr.shape
         assert np.array_equal(
             loaded.view(np.uint32), arr.view(np.uint32))  # bit-exact
-    np.testing.assert_array_equal(got.opt_state["adam.m.enc.bias"], opt[0][1])
     assert got.src_vocab.tokens == sv.tokens
     assert got.tgt_vocab.tokens == tv.tokens
 
@@ -78,3 +77,27 @@ def test_truncated_and_padded_files_rejected(tmp_path):
     path.write_bytes(raw[:-3])
     with pytest.raises(DataError):
         C.load_checkpoint(path)
+
+
+class _FailingBlob:
+    """A parameter whose blob cannot be produced, as when a disk fills up
+    between two blob writes."""
+    shape = (4,)
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_failed_overwrite_keeps_previous_checkpoint(tmp_path):
+    params, _, sv, tv, cfg = sample_state()
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(path, "nat", cfg, params, sv, tv)
+    before = path.read_bytes()
+    broken = params[:1] + [("late", _FailingBlob())] + params[1:]
+    with pytest.raises(OSError, match="no space"):
+        C.save_checkpoint(path, "nat", cfg, broken, sv, tv)
+    assert path.read_bytes() == before
+    got = C.load_checkpoint(path)
+    for name, arr in params:
+        assert np.array_equal(got.params[name].view(np.uint32), arr.view(np.uint32))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]  # no temp file left

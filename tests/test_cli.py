@@ -7,7 +7,8 @@ import natmt.pipeline as P
 from natmt import nat as N
 from natmt import teacher as AR
 from natmt.cli import main
-from natmt.data import load_corpus
+from natmt.config import ModelConfig
+from natmt.data import Vocab, load_corpus
 
 
 def run(capsys, *argv):
@@ -337,3 +338,25 @@ def test_numeric_failure_exits_3(workdir, tmp_path, capsys):
                        "--candidates", workdir["corpus"] + ".tgt")
     assert code == 3
     assert "numeric" in err
+
+
+@pytest.mark.parametrize("strategy", ["argmax", "average"])
+def test_translate_caps_fertility_total_at_max_len(tmp_path, capsys, strategy):
+    # a 40-token line fits max_len 64, but fertility 2 per token asks for 80
+    words = [f"w{i}" for i in range(12)]
+    vocab = Vocab(words)
+    cfg = ModelConfig(d_model=16, d_hidden=32, n_layer=1, n_head=2,
+                      src_vocab=len(vocab), tgt_vocab=len(vocab), max_len=64,
+                      max_fertility=4)
+    model = N.NatModel(cfg, np.random.default_rng(0))
+    model.fert_head.weight.data[...] = 0.0
+    model.fert_head.bias.data[...] = np.log([0.05, 0.05, 0.85, 0.05])
+    model.proj.bias.data[:4] = -30.0   # reserved ids would not be printed
+    path = tmp_path / "nat.nat"
+    P.save_model(path, model, vocab, vocab)
+    line = tmp_path / "in.src"
+    line.write_text(" ".join(words[i % 12] for i in range(40)) + "\n")
+    code, out, _ = run(capsys, "translate", "--model", str(path),
+                       "--input", str(line), "--strategy", strategy)
+    assert code == 0
+    assert len(out.split()) == 64

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natmt import layers as L
@@ -70,7 +70,7 @@ def test_causal_mask_definition(t):
 
 @given(st.integers(1, 12))
 def test_self_exclusion_mask_definition(t):
-    m = L.self_exclusion_mask(t)
+    m = L.attention_bias(None, np.array([t]), t, t, exclude_self=True)[0, 0] == 0
     if t == 1:
         assert m[0, 0]  # length-1 fallback keeps self-attention
     else:
@@ -155,7 +155,7 @@ def test_self_mask_blocks_own_key_value_path():
     rng = np.random.default_rng(3)
     mha = L.MultiHeadAttention(cfg, rng)
     x = rng.normal(0, 1, (1, 4, cfg.d_model)).astype(np.float32)
-    bias = L.attention_bias(L.self_exclusion_mask(4), np.array([4]), 4, 4)
+    bias = L.attention_bias(None, np.array([4]), 4, 4, exclude_self=True)
     base = mha(Tensor(x), Tensor(x), Tensor(x), bias).numpy()
     x_pert = x.copy()
     x_pert[0, 2] += 5.0
@@ -341,7 +341,7 @@ def test_encoder_zero_layers_is_normalized_embedding():
     enc = L.Encoder(cfg, np.random.default_rng(0))
     ids = np.array([[4, 5, 6]])
     out = enc(ids, np.array([3]))
-    want = enc.norm_in(enc.embed_positions(ids))
+    want = enc.norm_in(L.embed_positions(enc.embed, ids, enc.pos, enc.embed_scale))
     np.testing.assert_array_equal(out.numpy(), want.numpy())
 
 
@@ -355,3 +355,29 @@ def test_encoder_rejects_over_length():
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ValueError):
         ModelConfig(d_model=7, n_head=2, src_vocab=4, tgt_vocab=4)
+
+
+def _reference_self_exclusion_bias(dec_len, t):
+    """The parallel decoder's former self-exclusion bias builder, verbatim."""
+    b = dec_len.shape[0]
+    key = np.arange(t)
+    permitted = np.broadcast_to(key[None, None, :] < dec_len[:, None, None],
+                                (b, t, t)).copy()
+    permitted &= ~np.eye(t, dtype=bool)[None]
+    permitted[dec_len == 1, 0, 0] = True
+    bias = np.where(permitted, np.float32(0.0), L.MASK_BIAS)
+    return bias[:, None, :, :].astype(np.float32)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(1, 7), min_size=1, max_size=5), st.integers(0, 2))
+@example([1, 4], 0)       # a length-1 row in a wider batch
+@example([1], 0)
+@example([1, 1, 3], 2)
+def test_exclude_self_bias_matches_reference(lengths, extra_width):
+    dec_len = np.array(lengths)
+    t = max(lengths) + extra_width
+    got = L.attention_bias(None, dec_len, t, t, exclude_self=True)
+    want = _reference_self_exclusion_bias(dec_len, t)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

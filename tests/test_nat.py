@@ -14,6 +14,7 @@ from natmt import teacher as AR
 from natmt import tensor as T
 from natmt.config import ModelConfig
 from natmt.data import PAD
+from natmt.layers import Encoder
 
 
 def cfg(**kw):
@@ -335,3 +336,97 @@ def test_decode_uniform_modes():
     assert len(res.output) == 1  # floored at one slot
     with pytest.raises(ValueError):
         N.decode_uniform([4, 5], model)
+
+
+# ---------------------------------------------------------------------------
+# one decode core
+# ---------------------------------------------------------------------------
+
+def test_fit_fertility_cuts_from_the_end():
+    probs = np.full((3, 4), 0.25)
+    np.testing.assert_array_equal(N.fit_fertility([2, 2, 2], probs, 5), [2, 2, 1])
+    np.testing.assert_array_equal(N.fit_fertility([3, 3, 1], probs, 2), [2, 0, 0])
+    np.testing.assert_array_equal(N.fit_fertility([1, 2, 1], probs, 4), [1, 2, 1])
+    np.testing.assert_array_equal(N.fit_fertility([0, 0, 0], probs, 1), [1, 0, 0])
+
+
+def _is_cut_from_end(fert, raw, limit):
+    """`fert` is `raw` cut from the last position backwards to fit `limit`."""
+    fert, raw = np.asarray(fert), np.asarray(raw)
+    if raw.sum() <= limit:
+        return np.array_equal(fert, raw)
+    kept = int(np.flatnonzero(np.cumsum(raw) > limit)[0])
+    return (fert.sum() == limit and np.array_equal(fert[:kept], raw[:kept])
+            and (fert[kept + 1:] == 0).all())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+       st.floats(0.0, 3.0), st.integers(0, 2**31 - 1))
+@example(12, [0.01, 0.01, 1.0, 0.01], 0.0, 0)   # fertility 2 everywhere
+def test_parallel_decodes_fit_max_len(n, weights, spread, seed):
+    rng = np.random.default_rng(seed)
+    model = new_model(seed=seed % 7, max_len=12)
+    model.fert_head.weight.data[...] = rng.normal(
+        0, spread, model.fert_head.weight.shape).astype(np.float32)
+    model.fert_head.bias.data[...] = np.log(np.asarray(weights) / sum(weights))
+    tch = teacher_for(model.cfg)
+    src = rng.integers(4, model.cfg.src_vocab, size=n).tolist()
+    probs = N.predict_fertility(src, model)
+    for res, raw, limit in (
+            (N.decode_argmax(src, model), probs.argmax(axis=-1), 12),
+            (N.decode_average(src, model), N.average_fertility(probs), 12),
+            (N.decode_npd(src, model, tch, samples=4, seed=seed), None, 11)):
+        assert len(res.output) == sum(res.fertility) <= limit
+        if raw is not None:
+            assert _is_cut_from_end(res.fertility, N.floor_fertility(raw, probs),
+                                    limit)
+
+
+def test_decode_npd_encodes_the_source_once(monkeypatch):
+    model = new_model(seed=13)
+    tch = teacher_for(model.cfg)
+    calls = []
+    encoder_call = Encoder.__call__
+
+    def counted(self, *args):
+        calls.append(self)
+        return encoder_call(self, *args)
+
+    monkeypatch.setattr(Encoder, "__call__", counted)
+    N.decode_npd([4, 5, 6], model, tch, samples=4, seed=1)
+    assert [c is model.encoder for c in calls].count(True) == 1
+    assert [c is tch.encoder for c in calls].count(True) == 1   # scoring
+
+
+def _reference_translate(src, inputs, model):
+    """One explicit parallel pass over one decoder input: per-position argmax
+    with padding excluded, and the summed log-prob of the picked tokens."""
+    src_len = np.array([len(src)])
+    with T.no_grad():
+        memory = model.encode(np.array([src]), src_len)
+        logits = model.decode_logits(memory, src_len, np.array([inputs]),
+                                     np.array([len(inputs)]))
+    logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)[0]
+    logp[:, PAD] = -np.inf
+    toks = logp.argmax(axis=-1)
+    return [int(t) for t in toks], float(logp[np.arange(len(toks)), toks].sum())
+
+
+def test_decode_average_and_uniform_match_explicit_reference():
+    model = new_model(seed=16)
+    model.proj.bias.data[PAD] = 10.0   # padding would win every slot unmasked
+    for src in ([4], [5, 6, 7], [8, 9, 10, 11, 4]):
+        probs = N.predict_fertility(src, model)
+        expected = (probs * np.arange(probs.shape[1])[None, :]).sum(axis=-1)
+        fert = N.floor_fertility(N.round_half_away(expected), probs)
+        toks, lp = _reference_translate(src, N.copy_fertility(src, fert), model)
+        fert_lp = float(np.log(np.clip(probs[np.arange(len(src)), fert],
+                                       1e-30, None)).sum())
+        assert N.decode_average(src, model) == N.DecodeResult(
+            toks, [int(f) for f in fert], "average", lp, fert_lp)
+        for target_len in (1, 4, 2 * len(src) + 1):
+            toks, lp = _reference_translate(src, N.copy_uniform(src, target_len),
+                                            model)
+            assert N.decode_uniform(src, model, target_len=target_len) == \
+                N.DecodeResult(toks, None, "uniform", lp)

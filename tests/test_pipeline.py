@@ -514,3 +514,19 @@ def test_model_save_load_round_trip(tmp_path, teacher):
     P.save_model(tmp_path / "n.nat", nat_model, sv, tv)
     loaded2, *_ = P.load_model(tmp_path / "n.nat")
     assert isinstance(loaded2, N.NatModel)
+
+
+def test_finetune_rl_rows_fit_max_len():
+    # the aligner fertilities fit max_len 8, but a head peaked on fertility 3
+    # proposes 15 output slots for the 5-token source
+    cfg = tiny_cfg(max_len=8)
+    teacher = AR.TeacherModel(cfg, np.random.default_rng(3))
+    teacher.proj.bias.data[EOS] = -30.0
+    model = N.NatModel(cfg, np.random.default_rng(4))
+    model.fert_head.weight.data[...] = 0.0
+    model.fert_head.bias.data[...] = np.log([0.01, 0.01, 0.01, 0.97])
+    batch = one_batch([([4, 5, 6, 7, 8], [7, 8, 9, 10, 11]), ([4, 5, 6], [7, 8, 9])],
+                      fertilities=[[1, 1, 1, 1, 1], [1, 1, 1]])
+    res = P.finetune_step(batch, model, teacher, 1.0, _GradGrab(model),
+                          np.random.default_rng(0), terms=("rl",))
+    assert math.isfinite(res.l_rl)
