@@ -22,7 +22,7 @@ import numpy as np
 from .data import DataError, Vocab
 
 MAGIC = b"NATF"
-VERSION = 2
+VERSION = 3
 
 
 @dataclass

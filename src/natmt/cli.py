@@ -217,12 +217,11 @@ def cmd_train_nat(args) -> None:
     if args.init_encoder:
         teacher_model, sv, tv, _ = _load_kind(args.init_encoder, "teacher")
         exported = AR.export_encoder(teacher_model)
-        # shared-trunk shape must match the teacher; decoder knobs stay free
+        # shared-trunk shape must match the teacher; max_fertility stays free
         tc = teacher_model.cfg
         forced = {k: getattr(tc, k) for k in
                   ("d_model", "d_hidden", "n_layer", "n_head", "src_vocab",
-                   "tgt_vocab", "max_len", "scale_per_head",
-                   "scale_embeddings")}
+                   "tgt_vocab", "max_len")}
     else:
         sv = Vocab.build((s for s, _ in pairs_tok), args.min_freq)
         tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)

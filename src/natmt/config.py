@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -11,7 +11,9 @@ class ModelConfig:
     """Architecture hyperparameters shared by the teacher and the parallel decoder.
 
     ``max_fertility`` is the number of fertility classes; class c encodes the
-    integer fertility c, so values range over 0 .. max_fertility-1.
+    integer fertility c, so values range over 0 .. max_fertility-1. Attention
+    logits are scaled by 1/sqrt(d_head) per head and token embeddings by
+    sqrt(d_model).
     """
 
     d_model: int = 64
@@ -22,10 +24,6 @@ class ModelConfig:
     tgt_vocab: int = 0
     max_len: int = 64
     max_fertility: int = 50
-    scale_per_head: bool = True     # False reproduces sqrt(d_model) attention scaling
-    pos_attn_projections: bool = True
-    use_pos_attn: bool = True
-    scale_embeddings: bool = True   # multiply embeddings by sqrt(d_model)
 
     def __post_init__(self):
         if self.d_model % self.n_head != 0:
@@ -40,14 +38,18 @@ class ModelConfig:
 
     @property
     def attn_scale(self) -> float:
-        d = self.d_head if self.scale_per_head else self.d_model
-        return 1.0 / math.sqrt(d)
+        return 1.0 / math.sqrt(self.d_head)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Raises ValueError unless `d` holds exactly the config's keys."""
+        names = {f.name for f in fields(cls)}
+        unknown, missing = sorted(set(d) - names), sorted(names - set(d))
+        if unknown or missing:
+            raise ValueError(f"config keys unknown {unknown}, missing {missing}")
         return cls(**d)
 
 
@@ -61,7 +63,6 @@ class TrainConfig:
     warmup: int = 746
     seed: int = 0
     lam: float = 0.25               # fine-tuning interpolation weight
-    kd_includes_fertility: bool = True
     finetune_terms: tuple[str, ...] = ("rl", "bp", "kd")
     log_every: int = 25
 

@@ -195,19 +195,13 @@ class KVCache:
 
 
 class MultiHeadAttention(Module):
-    """Multi-head attention with separate query/key/value inputs.
+    """Multi-head attention with separate query/key/value inputs, each
+    projected, and logits scaled by 1/sqrt(d_head) per head."""
 
-    Per-head scaling (1/sqrt(d_head)) by default; ``scale_per_head=False`` in the
-    config switches to 1/sqrt(d_model).
-    """
-
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator,
-                 project_qk: bool = True):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.d_model
-        self.project_qk = project_qk
-        if project_qk:
-            self.wq = Linear(d, d, rng)
-            self.wk = Linear(d, d, rng)
+        self.wq = Linear(d, d, rng)
+        self.wk = Linear(d, d, rng)
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
         self.n_head = cfg.n_head
@@ -225,15 +219,14 @@ class MultiHeadAttention(Module):
 
     def project_kv(self, k_in: Tensor, v_in: Tensor) -> tuple[Tensor, Tensor]:
         """Per-head keys and values [B, H, T, d_head] of the given inputs."""
-        k = self._split(self.wk(k_in) if self.project_qk else k_in)
-        return k, self._split(self.wv(v_in))
+        return self._split(self.wk(k_in)), self._split(self.wv(v_in))
 
     def __call__(self, q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
                  bias: np.ndarray | None, cache: "KVCache | None" = None) -> Tensor:
         """Attend from `q_in` to `k_in`/`v_in`. A growing `cache` appends the
         new keys and values to those of earlier steps; a fixed one supplies
         them instead, and `k_in`/`v_in` are not read."""
-        q = self._split(self.wq(q_in) if self.project_qk else q_in)
+        q = self._split(self.wq(q_in))
         if cache is not None and not cache.grow:
             k, v = cache.k, cache.v
         else:
@@ -277,7 +270,7 @@ class Encoder(Module):
         self.embed = Embedding(cfg.src_vocab, cfg.d_model, rng)
         self.norm_in = LayerNorm(cfg.d_model)
         self.layers = [EncoderLayer(cfg, rng) for _ in range(cfg.n_layer)]
-        self.embed_scale = math.sqrt(cfg.d_model) if cfg.scale_embeddings else 1.0
+        self.embed_scale = math.sqrt(cfg.d_model)
         self.pos = positional_table(cfg.max_len, cfg.d_model)
 
     def __call__(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:

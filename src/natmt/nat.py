@@ -80,11 +80,8 @@ class NatDecoderLayer(Module):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.self_attn = MultiHeadAttention(cfg, rng)
         self.norm_self = LayerNorm(cfg.d_model)
-        self.use_pos_attn = cfg.use_pos_attn
-        if cfg.use_pos_attn:
-            self.pos_attn = MultiHeadAttention(cfg, rng,
-                                               project_qk=cfg.pos_attn_projections)
-            self.norm_pos = LayerNorm(cfg.d_model)
+        self.pos_attn = MultiHeadAttention(cfg, rng)
+        self.norm_pos = LayerNorm(cfg.d_model)
         self.cross_attn = MultiHeadAttention(cfg, rng)
         self.norm_cross = LayerNorm(cfg.d_model)
         self.ffn = FFNBlock(cfg, rng)
@@ -94,8 +91,7 @@ class NatDecoderLayer(Module):
                  self_bias: np.ndarray, pad_bias: np.ndarray,
                  cross_bias: np.ndarray) -> Tensor:
         x = self.norm_self(T.add(x, self.self_attn(x, x, x, self_bias)))
-        if self.use_pos_attn:
-            x = self.norm_pos(T.add(x, self.pos_attn(pos_q, pos_q, x, pad_bias)))
+        x = self.norm_pos(T.add(x, self.pos_attn(pos_q, pos_q, x, pad_bias)))
         x = self.norm_cross(T.add(x, self.cross_attn(x, memory, memory, cross_bias)))
         return self.norm_ffn(T.add(x, self.ffn(x)))
 
@@ -211,16 +207,20 @@ class DecodeResult:
     teacher_score: float | None = None
 
 
-def _encode_source(src_ids: Sequence[int], model: NatModel,
-                   memory: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
-    """Encoder memory of one source, encoded here unless given, and its
-    [T', L] fertility distribution."""
+def _encode_memory(src_ids: Sequence[int], model: NatModel) -> Tensor:
+    """Encoder memory of one source."""
+    with T.no_grad():
+        return model.encode(np.asarray(src_ids, dtype=np.int64)[None, :],
+                            np.array([len(src_ids)]))
+
+
+def _encode_source(src_ids: Sequence[int], model: NatModel
+                   ) -> tuple[Tensor, np.ndarray]:
+    """Encoder memory of one source and its [T', L] fertility distribution."""
+    memory = _encode_memory(src_ids, model)
     src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    src_len = np.array([len(src_ids)])
-    if memory is None:
-        with T.no_grad():
-            memory = model.encode(src, src_len)
-    return memory, fertility_dist_batch(src, src_len, model, memory)[0]
+    return memory, fertility_dist_batch(src, np.array([len(src_ids)]), model,
+                                        memory)[0]
 
 
 def _translate(src_ids: Sequence[int], inputs: Sequence[list], model: NatModel,
@@ -271,13 +271,11 @@ def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
 
 
 def translate_given_fertility(src_ids: Sequence[int], fertility: Sequence[int],
-                              model: NatModel, memory: Tensor | None = None
-                              ) -> list[int]:
+                              model: NatModel) -> list[int]:
     """Per-position argmax output for one fertility sequence; length is
     exactly the fertility total."""
     inputs = [copy_fertility(list(src_ids), list(fertility))]
-    memory, _ = _encode_source(src_ids, model, memory)
-    [(toks, _)] = _translate(src_ids, inputs, model, memory)
+    [(toks, _)] = _translate(src_ids, inputs, model, _encode_memory(src_ids, model))
     return toks
 
 
@@ -294,13 +292,13 @@ def decode_average(src_ids: Sequence[int], model: NatModel) -> DecodeResult:
 
 def npd_over_candidates(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
                         model: NatModel, teacher_model: AR.TeacherModel,
-                        strategy: str = "npd", memory: Tensor | None = None
+                        encoded: tuple[Tensor, np.ndarray] | None = None
                         ) -> tuple[DecodeResult, list[float]]:
     """Translate and teacher-score every fertility candidate; the first
-    highest-scoring candidate wins. `memory` is the source's encoder memory
-    if the caller has it already."""
-    memory, probs = _encode_source(src_ids, model, memory)
-    return _decode(src_ids, fert_list, model, memory, probs, strategy, teacher_model)
+    highest-scoring candidate wins. `encoded` is the source's encoder memory
+    and fertility distribution if the caller has them already."""
+    memory, probs = _encode_source(src_ids, model) if encoded is None else encoded
+    return _decode(src_ids, fert_list, model, memory, probs, "npd", teacher_model)
 
 
 def sample_fertilities(probs: np.ndarray, n: int,
@@ -336,7 +334,8 @@ def decode_npd(src_ids: Sequence[int], model: NatModel,
     cands = [probs.argmax(axis=-1), average_fertility(probs)][:samples]
     if samples > 2:
         cands += sample_fertilities(probs, samples - 2, np.random.default_rng(seed))
-    return npd_over_candidates(src_ids, cands, model, teacher_model, memory=memory)[0]
+    return npd_over_candidates(src_ids, cands, model, teacher_model,
+                               (memory, probs))[0]
 
 
 def decode_uniform(src_ids: Sequence[int], model: NatModel,
@@ -349,6 +348,5 @@ def decode_uniform(src_ids: Sequence[int], model: NatModel,
             raise ValueError("need target_len or ratio")
         target_len = max(1, int(round_half_away(len(src_ids) * ratio)))
     inputs = [copy_uniform(list(src_ids), target_len)]
-    memory, _ = _encode_source(src_ids, model)
-    [(toks, lp)] = _translate(src_ids, inputs, model, memory)
+    [(toks, lp)] = _translate(src_ids, inputs, model, _encode_memory(src_ids, model))
     return DecodeResult(toks, None, "uniform", lp)

@@ -312,8 +312,7 @@ class FinetuneResult:
 def finetune_step(batch: Batch, model: NAT.NatModel,
                   teacher_model: AR.TeacherModel, lam: float,
                   optim: AdamWarmup, rng: np.random.Generator,
-                  terms: Sequence[str] = ("rl", "bp", "kd"),
-                  kd_includes_fertility: bool = True) -> FinetuneResult:
+                  terms: Sequence[str] = ("rl", "bp", "kd")) -> FinetuneResult:
     """One fine-tuning step over the whole batch.
 
     kd: the supervised two-term loss on the (distilled) batch targets.
@@ -353,7 +352,7 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
     memory = model.encode(batch.src, batch.src_len)
     trans_loss, fert_loss, fert_lp, logits = _nat_forward(batch, model, memory)
     if use_kd:
-        kd = T.add(trans_loss, fert_loss) if kd_includes_fertility else trans_loss
+        kd = T.add(trans_loss, fert_loss)
         l_kd = float(kd.item())
         contributions.append(T.mul(kd, Tensor(np.float32(1.0 - lam))))
 
@@ -486,8 +485,7 @@ def finetune(model: NAT.NatModel, teacher_model: AR.TeacherModel,
     stream = _batch_stream(pairs, tcfg, fertilities=fertilities)
     for step, batch in enumerate(stream, start=1):
         res = finetune_step(batch, model, teacher_model, tcfg.lam, opt, rng,
-                            terms=tcfg.finetune_terms,
-                            kd_includes_fertility=tcfg.kd_includes_fertility)
+                            terms=tcfg.finetune_terms)
         if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
             log.record(step=step, phase="finetune", loss=res.total, lr=opt.lr,
                        l_rl=res.l_rl, l_bp=res.l_bp, l_kd=res.l_kd,
@@ -509,25 +507,30 @@ def save_model(path, model, src_vocab: Vocab, tgt_vocab: Vocab,
 
 
 def load_model(path):
-    """Returns (model, src_vocab, tgt_vocab, checkpoint)."""
+    """Returns (model, src_vocab, tgt_vocab, checkpoint); a checkpoint whose
+    config, kind or parameters do not fit a model raises a `DataError`
+    naming the file."""
     ckpt = load_checkpoint(path)
-    cfg = ModelConfig.from_dict(ckpt.config)
+    try:
+        cfg = ModelConfig.from_dict(ckpt.config)
+    except ValueError as e:
+        raise DataError(f"{e}: {path}") from None
     rng = np.random.default_rng(0)
     if ckpt.kind == "teacher":
         model = AR.TeacherModel(cfg, rng)
     elif ckpt.kind == "nat":
         model = NAT.NatModel(cfg, rng)
     else:
-        raise ValueError(f"unknown checkpoint kind {ckpt.kind!r}")
+        raise DataError(f"unknown checkpoint kind {ckpt.kind!r}: {path}")
     table = dict(model.named_parameters())
     if set(table) != set(ckpt.params):
         missing = sorted(set(table) - set(ckpt.params))
         extra_names = sorted(set(ckpt.params) - set(table))
-        raise ValueError(
+        raise DataError(
             f"checkpoint parameter set mismatch: missing {missing}, "
-            f"unexpected {extra_names}")
+            f"unexpected {extra_names}: {path}")
     for name, arr in ckpt.params.items():
         if table[name].data.shape != arr.shape:
-            raise ValueError(f"shape mismatch for {name}")
+            raise DataError(f"shape mismatch for {name}: {path}")
         table[name].data[...] = arr
     return model, ckpt.src_vocab, ckpt.tgt_vocab, ckpt

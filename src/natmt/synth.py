@@ -80,9 +80,6 @@ class MultimodalOracle:
         self._inventory = [
             {tok for mode in phrase for tok in mode} for phrase in self.modes]
 
-    def phrase_of(self, src_token: str) -> int:
-        return self._phrase_of_src[src_token]
-
     def is_contaminated(self, src_tokens: Sequence[str],
                         output_tokens: Sequence[str]) -> bool:
         """True if, for some source phrase, the output's tokens from that

@@ -75,36 +75,9 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def backward(self) -> None:
         backward(self)

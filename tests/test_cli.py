@@ -6,6 +6,7 @@ import pytest
 import natmt.pipeline as P
 from natmt import nat as N
 from natmt import teacher as AR
+from natmt.checkpoint import load_checkpoint, save_checkpoint
 from natmt.cli import main
 from natmt.config import ModelConfig
 from natmt.data import Vocab, load_corpus
@@ -122,6 +123,49 @@ def test_removed_log_path_key_is_unknown(tmp_path, capsys):
                        "--out", str(tmp_path / "t.nat"), "--set", "log_path=x.jsonl")
     assert code == 2
     assert "unknown configuration key 'log_path'" in err
+
+
+@pytest.mark.parametrize("key", ["use_pos_attn", "pos_attn_projections",
+                                 "scale_embeddings", "scale_per_head",
+                                 "kd_includes_fertility"])
+def test_removed_architecture_and_loss_keys_are_unknown(tmp_path, capsys, key):
+    # one parallel-decoder architecture and one supervised loss, no switches
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    code, _, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                       "--out", str(tmp_path / "t.nat"), "--set", f"{key}=1")
+    assert code == 2
+    assert f"unknown configuration key '{key}'" in err
+
+
+@pytest.mark.parametrize("field, change, named", [
+    ("config", lambda c: dict(c, use_pos_attn=True), "use_pos_attn"),
+    ("config", lambda c: {k: v for k, v in c.items() if k != "max_fertility"},
+     "max_fertility"),
+    ("kind", lambda k: "autoregressive", "autoregressive"),
+    ("params", lambda p: {k: v for k, v in p.items() if k != "proj.bias"},
+     "proj.bias"),
+    ("params", lambda p: dict(p, **{"proj.bias": p["proj.bias"][:-1]}),
+     "proj.bias"),
+], ids=["unknown_key", "missing_key", "unknown_kind", "missing_param",
+        "shape_mismatch"])
+def test_translate_with_unfit_checkpoint_exits_2_naming_file(tmp_path, capsys,
+                                                             field, change, named):
+    cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
+                      tgt_vocab=6, max_len=16, max_fertility=4)
+    path = tmp_path / "m.nat"
+    P.save_model(path, N.NatModel(cfg, np.random.default_rng(0)),
+                 Vocab(["a", "b"]), Vocab(["x", "y"]))
+    ckpt = load_checkpoint(path)
+    setattr(ckpt, field, change(getattr(ckpt, field)))
+    save_checkpoint(path, ckpt.kind, ckpt.config, list(ckpt.params.items()),
+                    ckpt.src_vocab, ckpt.tgt_vocab)
+    (tmp_path / "in.txt").write_text("a b\n")
+    code, _, err = run(capsys, "translate", "--model", str(path),
+                       "--input", str(tmp_path / "in.txt"))
+    assert code == 2
+    assert str(path) in err and named in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -244,7 +244,6 @@ def test_mha_gradients_match_float64_reference():
 
 def test_literal_model_dim_scaling_flag():
     assert small_cfg().attn_scale == pytest.approx(1 / math.sqrt(4))
-    assert small_cfg(scale_per_head=False).attn_scale == pytest.approx(1 / math.sqrt(8))
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,28 @@ def test_decode_npd_encodes_the_source_once(monkeypatch):
     assert [c is tch.encoder for c in calls].count(True) == 1   # scoring
 
 
+@pytest.mark.parametrize("decode, expected", [
+    (lambda m, t: N.decode_argmax([4, 5, 6], m), 1),
+    (lambda m, t: N.decode_average([4, 5, 6], m), 1),
+    (lambda m, t: N.decode_npd([4, 5, 6], m, t, samples=4, seed=1), 1),
+    (lambda m, t: N.translate_given_fertility([4, 5, 6], [1, 2, 1], m), 0),
+    (lambda m, t: N.decode_uniform([4, 5, 6], m, target_len=4), 0),
+], ids=["argmax", "average", "npd", "given_fertility", "uniform"])
+def test_fertility_head_calls_per_decode(monkeypatch, decode, expected):
+    model = new_model(seed=13)
+    tch = teacher_for(model.cfg)
+    calls = []
+    dist = N.fertility_dist_batch
+
+    def counted(*args):
+        calls.append(args)
+        return dist(*args)
+
+    monkeypatch.setattr(N, "fertility_dist_batch", counted)
+    decode(model, tch)
+    assert len(calls) == expected
+
+
 def _reference_translate(src, inputs, model):
     """One explicit parallel pass over one decoder input: per-position argmax
     with padding excluded, and the summed log-prob of the picked tokens."""
