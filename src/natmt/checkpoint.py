@@ -5,7 +5,9 @@ byte length, UTF-8 JSON manifest, then raw row-major little-endian float32
 blobs in manifest order. The manifest carries the model config, both
 vocabularies, and the name/shape of every parameter, so a checkpoint is
 self-contained. A save writes a temporary file next to the target and renames
-it into place, so an interrupted save leaves the previous file intact.
+it into place, so an interrupted save leaves the previous file intact. A save
+refuses non-finite weights, and a load rejects any file that does not parse,
+naming the file either way.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .data import DataError, Vocab
+from .tensor import NumericError
 
 MAGIC = b"NATF"
 VERSION = 3
+_MANIFEST_KEYS = {"kind", "config", "src_vocab", "tgt_vocab", "params"}
 
 
 @dataclass
@@ -42,6 +46,13 @@ def save_checkpoint(path: str | Path,
                     src_vocab: Vocab,
                     tgt_vocab: Vocab,
                     extra: dict | None = None) -> None:
+    """Raises NumericError, before any file is touched, if a parameter holds
+    a NaN or an infinity."""
+    path = Path(path)
+    for name, arr in params:
+        if not np.isfinite(arr).all():
+            raise NumericError(f"parameter {name} holds non-finite values; "
+                               f"not saving {path}")
     manifest = {
         "kind": kind,
         "config": config,
@@ -51,7 +62,6 @@ def save_checkpoint(path: str | Path,
         "extra": extra or {},
     }
     blob = json.dumps(manifest).encode("utf-8")
-    path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -73,12 +83,22 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
     raw = p.read_bytes()
     if raw[:4] != MAGIC:
         raise DataError(f"not a checkpoint file (bad magic): {p}")
+    if len(raw) < 12:
+        raise DataError(f"checkpoint truncated in header: {p}")
     version, mlen = struct.unpack_from("<II", raw, 4)
     if version != VERSION:
         raise DataError(
             f"checkpoint version {version} unsupported (expected {VERSION}): {p}")
-    manifest = json.loads(raw[12 : 12 + mlen].decode("utf-8"))
     offset = 12 + mlen
+    if offset > len(raw):
+        raise DataError(f"checkpoint truncated in manifest: {p}")
+    try:
+        manifest = json.loads(raw[12:offset].decode("utf-8"))
+    except ValueError as e:   # bad UTF-8 or bad JSON
+        raise DataError(f"checkpoint manifest is malformed ({e}): {p}") from None
+    if not isinstance(manifest, dict) or not _MANIFEST_KEYS <= manifest.keys():
+        raise DataError(f"checkpoint manifest lacks one of "
+                        f"{sorted(_MANIFEST_KEYS)}: {p}")
 
     params = {}
     for e in manifest["params"]:

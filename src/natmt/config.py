@@ -45,11 +45,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Raises ValueError unless `d` holds exactly the config's keys."""
+        """Raises ValueError unless `d` holds exactly the config's keys, each
+        with an integer value (every field is an int; a bool is not one)."""
         names = {f.name for f in fields(cls)}
         unknown, missing = sorted(set(d) - names), sorted(names - set(d))
         if unknown or missing:
             raise ValueError(f"config keys unknown {unknown}, missing {missing}")
+        for key, value in d.items():
+            if type(value) is not int:
+                raise ValueError(f"config key {key} must be an integer, got {value!r}")
         return cls(**d)
 
 

@@ -116,12 +116,7 @@ class Linear(Module):
         self.bias = Tensor(_uniform_init(rng, (d_out,), d_in), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim == 2:
-            return T.add(T.matmul(x, self.weight), self.bias)
-        lead = x.shape[:-1]
-        flat = T.reshape(x, (-1, x.shape[-1]))
-        out = T.add(T.matmul(flat, self.weight), self.bias)
-        return T.reshape(out, (*lead, self.weight.shape[1]))
+        return T.linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -137,12 +132,11 @@ def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
     """Token embeddings times `scale` plus the positional encodings `pos` of
     positions start, start+1, ...; the one embedding path of every encoder
     and decoder input. `pos` has one row per position up to max_len."""
-    b, t = ids.shape
+    _, t = ids.shape
     if start + t > len(pos):
         raise ValueError(f"length {start + t} exceeds max_len {len(pos)}")
     emb = T.mul(embed(ids), Tensor(np.float32(scale)))
-    return T.add(emb, Tensor(np.broadcast_to(pos[start:start + t],
-                                             (b, t, emb.shape[-1])).copy()))
+    return T.add(emb, Tensor(pos[start:start + t]))
 
 
 class LayerNorm(Module):

@@ -100,8 +100,6 @@ class NatModel(Module):
     kind = "nat"
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        if cfg.max_fertility < 2:
-            raise ValueError("need at least fertility classes 0 and 1")
         self.cfg = cfg
         self.encoder = Encoder(cfg, rng)
         self.fert_head = Linear(cfg.d_model, cfg.max_fertility, rng)

@@ -164,6 +164,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of ``x``, for any rank: one 2-D matmul on
+    the rows of ``x`` and one 2-D bias add. Keeping the add 2-D makes the
+    bias gradient a sum over contiguous rows, whatever the layout of the
+    upstream gradient."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    flat = x.data.reshape(-1, x.shape[-1])
+    out = np.matmul(flat, w.data)
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, out.shape[1])
+        gx = np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = np.matmul(flat.T, g2) if w.requires_grad else None
+        gb = _unbroadcast(g2, b.shape) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _make(out.reshape(*x.shape[:-1], out.shape[1]), (x, w, b), vjp)
+
+
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.maximum(a.data, 0.0)
@@ -248,16 +270,17 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     logits = _as_tensor(logits)
     if not np.isfinite(logits.data).all():
         raise NumericError("softmax received non-finite logits")
-    x = logits.data.astype(np.float64)
-    x = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(x)
-    y64 = e / e.sum(axis=axis, keepdims=True)
+    y64 = logits.data.astype(np.float64)
+    y64 -= np.maximum.reduce(y64, axis=axis, keepdims=True)
+    np.exp(y64, out=y64)
+    y64 /= np.add.reduce(y64, axis=axis, keepdims=True)
     out = y64.astype(DTYPE)
 
     def vjp(g):
         g64 = g.astype(np.float64)
-        dot = (g64 * y64).sum(axis=axis, keepdims=True)
-        return ((y64 * (g64 - dot)).astype(DTYPE),)
+        g64 -= np.add.reduce(g64 * y64, axis=axis, keepdims=True)
+        g64 *= y64
+        return (g64.astype(DTYPE),)
 
     return _make(out, (logits,), vjp)
 
@@ -266,15 +289,18 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     logits = _as_tensor(logits)
     if not np.isfinite(logits.data).all():
         raise NumericError("log_softmax received non-finite logits")
-    x = logits.data.astype(np.float64)
-    x = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(x).sum(axis=axis, keepdims=True))
-    y64 = x - lse
+    y64 = logits.data.astype(np.float64)
+    y64 -= np.maximum.reduce(y64, axis=axis, keepdims=True)
+    lse = np.add.reduce(np.exp(y64), axis=axis, keepdims=True)
+    y64 -= np.log(lse, out=lse)
     out = y64.astype(DTYPE)
 
     def vjp(g):
         g64 = g.astype(np.float64)
-        return ((g64 - np.exp(y64) * g64.sum(axis=axis, keepdims=True)).astype(DTYPE),)
+        p = np.exp(y64)
+        p *= np.add.reduce(g64, axis=axis, keepdims=True)
+        g64 -= p
+        return (g64.astype(DTYPE),)
 
     return _make(out, (logits,), vjp)
 
@@ -285,24 +311,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError("layer_norm eps must be positive")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     # np.mean/np.var spelled as the ufunc calls they make, in the same order,
-    # without their per-call argument handling.
+    # without their per-call argument handling; full-size float64 temporaries
+    # are updated in place once their old values are no longer read.
     d = x.shape[-1]
-    x64 = x.data.astype(np.float64)
-    centred = x64 - np.add.reduce(x64, axis=-1, keepdims=True) / d
-    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / d
+    xhat = x.data.astype(np.float64)
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    out = (xhat * gain.data + bias.data).astype(DTYPE)
+    xhat *= inv
+    y64 = xhat * gain.data
+    y64 += bias.data
+    out = y64.astype(DTYPE)
 
     def vjp(g):
         g64 = g.astype(np.float64)
-        gxhat = g64 * gain.data
-        dx = inv * (gxhat
-                    - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
-                    - xhat * (np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d))
+        dx = g64 * gain.data
+        m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(dx * xhat, axis=-1, keepdims=True) / d
+        dx -= m1
+        dx -= xhat * m2
+        dx *= inv
         lead = tuple(range(x.ndim - 1))
-        dgain = (g64 * xhat).sum(axis=lead) if gain.requires_grad else None
-        dbias = g64.sum(axis=lead) if bias.requires_grad else None
+        dgain = np.add.reduce(g64 * xhat, axis=lead) if gain.requires_grad else None
+        dbias = np.add.reduce(g64, axis=lead) if bias.requires_grad else None
         return (dx.astype(DTYPE) if x.requires_grad else None,
                 None if dgain is None else dgain.astype(DTYPE),
                 None if dbias is None else dbias.astype(DTYPE))

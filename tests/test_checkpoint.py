@@ -7,6 +7,7 @@ import pytest
 
 from natmt import checkpoint as C
 from natmt.data import DataError, Vocab
+from natmt.tensor import NumericError
 
 
 def sample_state(seed=0):
@@ -100,4 +101,37 @@ def test_failed_overwrite_keeps_previous_checkpoint(tmp_path):
     got = C.load_checkpoint(path)
     for name, arr in params:
         assert np.array_equal(got.params[name].view(np.uint32), arr.view(np.uint32))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]  # no temp file left
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_refused_before_writing(tmp_path, bad):
+    params, _, sv, tv, cfg = sample_state()
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(path, "nat", cfg, params, sv, tv)
+    before = path.read_bytes()
+    poisoned = [(n, a.copy()) for n, a in params]
+    poisoned[1][1][2] = bad
+    with pytest.raises(NumericError, match="enc.bias"):
+        C.save_checkpoint(path, "nat", cfg, poisoned, sv, tv)
+    assert path.read_bytes() == before
+    got = C.load_checkpoint(path)
+    for name, arr in params:
+        assert np.array_equal(got.params[name].view(np.uint32), arr.view(np.uint32))
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]  # no temp file left
+
+
+def test_failed_rename_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    params, _, sv, tv, cfg = sample_state()
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(path, "nat", cfg, params, sv, tv)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(C.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        C.save_checkpoint(path, "nat", cfg, sample_state(1)[0], sv, tv)
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]  # no temp file left

@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, file plumbing, reproducibility."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,10 @@ def test_removed_architecture_and_loss_keys_are_unknown(tmp_path, capsys, key):
      "proj.bias"),
     ("params", lambda p: dict(p, **{"proj.bias": p["proj.bias"][:-1]}),
      "proj.bias"),
+    ("config", lambda c: dict(c, n_layer="1"), "n_layer"),
+    ("config", lambda c: dict(c, n_head=True), "n_head"),
 ], ids=["unknown_key", "missing_key", "unknown_kind", "missing_param",
-        "shape_mismatch"])
+        "shape_mismatch", "str_value", "bool_value"])
 def test_translate_with_unfit_checkpoint_exits_2_naming_file(tmp_path, capsys,
                                                              field, change, named):
     cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
@@ -165,6 +169,23 @@ def test_translate_with_unfit_checkpoint_exits_2_naming_file(tmp_path, capsys,
                        "--input", str(tmp_path / "in.txt"))
     assert code == 2
     assert str(path) in err and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [
+    b"NATF\x03\x00",                                    # cut inside the header
+    b"NATF" + struct.pack("<II", 3, 5) + b"{kind",        # manifest not JSON
+    b"NATF" + struct.pack("<II", 3, 2) + b"[]",           # manifest not an object
+    b"NATF" + struct.pack("<II", 3, 50) + b"{}",          # cut inside the manifest
+], ids=["header", "json", "not_object", "manifest"])
+def test_translate_with_broken_checkpoint_exits_2_naming_file(tmp_path, capsys, raw):
+    path = tmp_path / "m.nat"
+    path.write_bytes(raw)
+    (tmp_path / "in.txt").write_text("a b\n")
+    code, _, err = run(capsys, "translate", "--model", str(path),
+                       "--input", str(tmp_path / "in.txt"))
+    assert code == 2
+    assert str(path) in err
     assert "Traceback" not in err
 
 
@@ -373,10 +394,14 @@ def test_flag_overrides_config_file(tmp_path, capsys):
 
 
 def test_numeric_failure_exits_3(workdir, tmp_path, capsys):
+    # saving refuses NaN weights, so the NaN is written into the file's blob
     model, sv, tv, _ = P.load_model(workdir["teacher"])
-    model.proj.weight.data[0, 0] = np.nan
     broken = tmp_path / "broken.nat"
     P.save_model(broken, model, sv, tv)
+    raw = bytearray(broken.read_bytes())
+    at = raw.index(model.proj.weight.data.tobytes())
+    raw[at:at + 4] = struct.pack("<f", np.nan)
+    broken.write_bytes(bytes(raw))
     code, _, err = run(capsys, "score", "--teacher", str(broken),
                        "--source", workdir["corpus"] + ".src",
                        "--candidates", workdir["corpus"] + ".tgt")

@@ -185,6 +185,22 @@ def test_grad_layer_norm(seed):
 
 
 @pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_grad_linear(seed):
+    # 2-, 3- and 4-D inputs; the output is transposed before the loss, so the
+    # upstream gradient reaching linear is not contiguous
+    rng = np.random.default_rng(seed + 9500)
+    for x_shape, perm in [((5, 4), (1, 0)), ((2, 3, 4), (1, 0, 2)),
+                          ((2, 3, 2, 4), (2, 0, 3, 1))]:
+        out_shape = (*x_shape[:-1], 3)
+        w = rng.normal(0, 1, tuple(out_shape[i] for i in perm))
+        check_grad(
+            lambda x, wt, b: T.tsum(T.mul(T.transpose(T.linear(x, wt, b), perm),
+                                          Tensor(w.astype(np.float32)))),
+            lambda x, wt, b: ((x @ wt + b).transpose(perm) * w).sum(),
+            [x_shape, (x_shape[-1], 3), (3,)], seed)
+
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
 def test_grad_mean(seed):
     check_grad(
         lambda a: T.tmean(a),
@@ -294,6 +310,38 @@ def test_layer_norm_bitwise_matches_mean_var_formula(shape):
     out = T.layer_norm(tx, tg, tb, eps)
     assert np.array_equal(out.numpy(), want)
     T.backward(T.tsum(T.mul(out, Tensor(g.astype(np.float32)))))
+    assert np.array_equal(tx.grad, want_dx.astype(np.float32))
+
+
+def _softmax_out_of_place(x64, g64, axis):
+    x = x64 - x64.max(axis=axis, keepdims=True)
+    e = np.exp(x)
+    y = e / e.sum(axis=axis, keepdims=True)
+    return y, y * (g64 - (g64 * y).sum(axis=axis, keepdims=True))
+
+
+def _log_softmax_out_of_place(x64, g64, axis):
+    x = x64 - x64.max(axis=axis, keepdims=True)
+    y = x - np.log(np.exp(x).sum(axis=axis, keepdims=True))
+    return y, g64 - np.exp(y) * g64.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("op, formula", [(T.softmax, _softmax_out_of_place),
+                                         (T.log_softmax, _log_softmax_out_of_place)],
+                         ids=["softmax", "log_softmax"])
+@pytest.mark.parametrize("shape", [(5,), (3, 7), (2, 3, 16), (2, 2, 4, 9)])
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_softmax_kernels_bitwise_match_out_of_place_formulas(op, formula, shape, axis):
+    """Forward and input gradient equal the out-of-place float64 formulas
+    bit for bit."""
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    x = rng.normal(0, 3, shape).astype(np.float32)
+    g = rng.normal(0, 1, shape).astype(np.float32)
+    want, want_dx = formula(x.astype(np.float64), g.astype(np.float64), axis)
+    tx = Tensor(x, requires_grad=True)
+    out = op(tx, axis=axis)
+    assert np.array_equal(out.numpy(), want.astype(np.float32))
+    T.backward(T.tsum(T.mul(out, Tensor(g))))
     assert np.array_equal(tx.grad, want_dx.astype(np.float32))
 
 
