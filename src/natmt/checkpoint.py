@@ -13,6 +13,7 @@ naming the file either way.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DataError, Vocab
+from .data import RESERVED, DataError, Vocab
 from .tensor import NumericError
 
 MAGIC = b"NATF"
@@ -100,18 +101,39 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
         raise DataError(f"checkpoint manifest lacks one of "
                         f"{sorted(_MANIFEST_KEYS)}: {p}")
 
+    entries = manifest["params"]
+    if not isinstance(entries, list):
+        raise DataError(f"checkpoint manifest params is not a list: {p}")
     params = {}
-    for e in manifest["params"]:
-        shape = tuple(e["shape"])
-        n = int(np.prod(shape)) if shape else 1
+    for e in entries:
+        name = e.get("name") if isinstance(e, dict) else None
+        if not isinstance(name, str) or name in params:
+            raise DataError(f"checkpoint manifest has a parameter entry without "
+                            f"a unique string name ({e!r}): {p}")
+        shape = e.get("shape")
+        if not isinstance(shape, list) or not all(
+                type(d) is int and d >= 0 for d in shape):
+            raise DataError(f"checkpoint shape of {name} is not a list of "
+                            f"non-negative ints ({shape!r}): {p}")
+        shape = tuple(shape)
+        n = math.prod(shape)
         if offset + 4 * n > len(raw):
-            raise DataError(f"checkpoint truncated in blob {e['name']}: {p}")
+            raise DataError(f"checkpoint truncated in blob {name}: {p}")
         arr = np.frombuffer(raw, dtype="<f4", count=n, offset=offset)
-        params[e["name"]] = arr.reshape(shape).astype(np.float32)
+        params[name] = arr.reshape(shape).astype(np.float32)
         offset += 4 * n
     if offset != len(raw):
         raise DataError(f"checkpoint has {len(raw) - offset} trailing bytes: {p}")
-    src_vocab = Vocab(manifest["src_vocab"][4:])
-    tgt_vocab = Vocab(manifest["tgt_vocab"][4:])
+    vocabs = []
+    for key in ("src_vocab", "tgt_vocab"):
+        tokens = manifest[key]
+        if (not isinstance(tokens, list) or tuple(tokens[:4]) != RESERVED
+                or not all(isinstance(t, str) for t in tokens)):
+            raise DataError(f"checkpoint {key} is not a list of tokens starting "
+                            f"with the reserved {list(RESERVED)}: {p}")
+        try:
+            vocabs.append(Vocab(tokens[4:]))
+        except DataError as e:
+            raise DataError(f"checkpoint {key}: {e}: {p}") from None
     return CheckpointData(manifest["kind"], manifest["config"], params,
-                          src_vocab, tgt_vocab, manifest.get("extra", {}))
+                          *vocabs, manifest.get("extra", {}))

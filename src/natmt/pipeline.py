@@ -416,21 +416,39 @@ def _batch_stream(pairs, tcfg: TrainConfig, fertilities=None):
             yield b
 
 
+def _train_loop(phase: str, model, step_fn, pairs, tcfg: TrainConfig,
+                log: TrainingLog | None, fertilities=None) -> None:
+    """Run ``tcfg.steps`` steps of ``step_fn(batch, optim)`` over shuffled
+    batches with one `AdamWarmup` over the model's parameters. ``step_fn``
+    returns the step's loss fields, ``loss`` first. Every ``log_every``
+    steps, and at the last, the fields are recorded with the rate, the
+    optimizer's gradient norm and the target tokens per second since the
+    previous record."""
+    opt = AdamWarmup(list(model.named_parameters()),
+                     scale=tcfg.scale_for(model.cfg), warmup=tcfg.warmup)
+    start = last = time.perf_counter()
+    tokens = 0
+    for step, batch in enumerate(_batch_stream(pairs, tcfg, fertilities), start=1):
+        fields = step_fn(batch, opt)
+        tokens += int(batch.tgt_len.sum())
+        if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
+            now = time.perf_counter()
+            log.record(step=step, phase=phase, **fields, lr=opt.lr,
+                       grad_norm=opt.grad_norm,
+                       tokens_per_s=tokens / (now - last), wall=now - start)
+            tokens, last = 0, now
+        if step >= tcfg.steps:
+            break
+
+
 def train_teacher(pairs, cfg: ModelConfig, tcfg: TrainConfig,
                   log: TrainingLog | None = None,
                   model: AR.TeacherModel | None = None) -> AR.TeacherModel:
     if model is None:
         model = AR.TeacherModel(cfg, np.random.default_rng(tcfg.seed))
-    opt = AdamWarmup(list(model.named_parameters()),
-                     scale=tcfg.scale_for(cfg), warmup=tcfg.warmup)
-    start = time.monotonic()
-    for step, batch in enumerate(_batch_stream(pairs, tcfg), start=1):
-        loss = AR.ar_train_step(batch, model, opt)
-        if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
-            log.record(step=step, phase="teacher", loss=loss, lr=opt.lr,
-                       wall=time.monotonic() - start)
-        if step >= tcfg.steps:
-            break
+    _train_loop("teacher", model,
+                lambda batch, opt: {"loss": AR.ar_train_step(batch, model, opt)},
+                pairs, tcfg, log)
     return model
 
 
@@ -458,19 +476,13 @@ def train_nat(pairs, fertilities, cfg: ModelConfig, tcfg: TrainConfig,
         model = NAT.NatModel(cfg, np.random.default_rng(tcfg.seed))
     if init_from is not None:
         init_encoder_from_teacher(model, init_from)
-    opt = AdamWarmup(list(model.named_parameters()),
-                     scale=tcfg.scale_for(cfg), warmup=tcfg.warmup)
-    start = time.monotonic()
-    stream = _batch_stream(pairs, tcfg, fertilities=fertilities)
-    for step, batch in enumerate(stream, start=1):
+
+    def step(batch, opt):
         res = nat_ml_step(batch, model, opt)
-        if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
-            log.record(step=step, phase="nat", loss=res.total, lr=opt.lr,
-                       translation_loss=res.translation_loss,
-                       fertility_loss=res.fertility_loss,
-                       wall=time.monotonic() - start)
-        if step >= tcfg.steps:
-            break
+        return {"loss": res.total, "translation_loss": res.translation_loss,
+                "fertility_loss": res.fertility_loss}
+
+    _train_loop("nat", model, step, pairs, tcfg, log, fertilities)
     return model
 
 
@@ -478,20 +490,15 @@ def finetune(model: NAT.NatModel, teacher_model: AR.TeacherModel,
              pairs, fertilities, tcfg: TrainConfig,
              log: TrainingLog | None = None) -> NAT.NatModel:
     pairs, fertilities, _ = attach_fertilities(pairs, fertilities)
-    opt = AdamWarmup(list(model.named_parameters()),
-                     scale=tcfg.scale_for(model.cfg), warmup=tcfg.warmup)
     rng = np.random.default_rng(tcfg.seed + 1)
-    start = time.monotonic()
-    stream = _batch_stream(pairs, tcfg, fertilities=fertilities)
-    for step, batch in enumerate(stream, start=1):
+
+    def step(batch, opt):
         res = finetune_step(batch, model, teacher_model, tcfg.lam, opt, rng,
                             terms=tcfg.finetune_terms)
-        if log and (step % tcfg.log_every == 0 or step == tcfg.steps):
-            log.record(step=step, phase="finetune", loss=res.total, lr=opt.lr,
-                       l_rl=res.l_rl, l_bp=res.l_bp, l_kd=res.l_kd,
-                       wall=time.monotonic() - start)
-        if step >= tcfg.steps:
-            break
+        return {"loss": res.total, "l_rl": res.l_rl, "l_bp": res.l_bp,
+                "l_kd": res.l_kd}
+
+    _train_loop("finetune", model, step, pairs, tcfg, log, fertilities)
     return model
 
 

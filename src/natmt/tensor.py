@@ -4,7 +4,9 @@ Values are stored in float32; reductions (softmax, layer norm, losses) accumulat
 in float64 before casting back, which keeps the numerical invariants tight without
 inflating checkpoint size. The computation graph is dynamic: every operation
 records its parents and a vector-Jacobian closure, and ``backward`` replays them
-in reverse topological order.
+in reverse topological order. Only leaves (parameters and inputs, which record
+no op) receive ``.grad``; gradients of intermediate nodes flow through the
+pass and are dropped with it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class Tensor:
 
     Invariants: ``data`` is float32 and row-major; ``grad``, when present, has
     the same shape as ``data``. Gradients accumulate additively across backward
-    calls until ``zero_grad`` / ``grad = None``.
+    calls until ``grad`` is set back to None (``Module.zero_grad`` does this
+    for every parameter).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
@@ -81,9 +84,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
 
 def _as_tensor(x) -> Tensor:
@@ -423,10 +423,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every reachable tensor with requires_grad set.
+    """Populate ``grad`` on every reachable leaf with requires_grad set.
 
-    Accumulation is additive: running backward twice on the same graph without
-    zeroing doubles the stored gradients.
+    A leaf is a tensor with no recorded op. Intermediate nodes keep
+    ``grad is None``. Accumulation is additive: running backward twice on the
+    same graph without zeroing doubles the stored gradients.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -438,9 +439,9 @@ def backward(loss: Tensor) -> None:
         g = flowing.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._vjp is None:
+            # only requires_grad nodes ever enter ``flowing``
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

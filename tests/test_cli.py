@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, file plumbing, reproducibility."""
 
+import json
 import struct
 
 import numpy as np
@@ -181,6 +182,44 @@ def test_translate_with_unfit_checkpoint_exits_2_naming_file(tmp_path, capsys,
 def test_translate_with_broken_checkpoint_exits_2_naming_file(tmp_path, capsys, raw):
     path = tmp_path / "m.nat"
     path.write_bytes(raw)
+    (tmp_path / "in.txt").write_text("a b\n")
+    code, _, err = run(capsys, "translate", "--model", str(path),
+                       "--input", str(tmp_path / "in.txt"))
+    assert code == 2
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def _entries(edit):
+    return lambda m: dict(m, params=edit(m["params"]))
+
+
+@pytest.mark.parametrize("change", [
+    _entries(lambda ps: [dict(ps[0], shape="x")] + ps[1:]),
+    _entries(lambda ps: [dict(ps[0], shape=[-1, 2])] + ps[1:]),
+    _entries(lambda ps: [dict(ps[0], shape=[2.0, 8])] + ps[1:]),
+    _entries(lambda ps: [{"shape": ps[0]["shape"]}] + ps[1:]),
+    _entries(lambda ps: [ps[1]] + ps[1:]),
+    _entries(lambda ps: ["a"] + ps[1:]),
+    _entries(lambda ps: {p["name"]: p["shape"] for p in ps}),
+    lambda m: dict(m, src_vocab=m["src_vocab"][4:]),
+    lambda m: dict(m, tgt_vocab=["<pad>", "<bos>", "<unk>", "<eos>"] + m["tgt_vocab"][4:]),
+    lambda m: dict(m, tgt_vocab=m["tgt_vocab"] + ["x"]),
+], ids=["shape_str", "shape_negative", "shape_float", "no_name", "duplicate_name",
+        "entry_not_object", "params_object", "src_vocab_no_reserved",
+        "tgt_vocab_reordered", "tgt_vocab_duplicate"])
+def test_translate_with_malformed_manifest_exits_2_naming_file(tmp_path, capsys,
+                                                               change):
+    cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
+                      tgt_vocab=6, max_len=16, max_fertility=4)
+    path = tmp_path / "m.nat"
+    P.save_model(path, N.NatModel(cfg, np.random.default_rng(0)),
+                 Vocab(["a", "b"]), Vocab(["x", "y"]))
+    raw = path.read_bytes()
+    _, mlen = struct.unpack_from("<II", raw, 4)
+    manifest = json.dumps(change(json.loads(raw[12:12 + mlen]))).encode()
+    path.write_bytes(raw[:4] + struct.pack("<II", 3, len(manifest)) + manifest
+                     + raw[12 + mlen:])
     (tmp_path / "in.txt").write_text("a b\n")
     code, _, err = run(capsys, "translate", "--model", str(path),
                        "--input", str(tmp_path / "in.txt"))

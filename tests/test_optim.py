@@ -68,3 +68,61 @@ def test_adam_shape_mismatch_errors():
     opt = AdamWarmup([("p", p)], scale=1.0)
     with pytest.raises(ValueError):
         opt.step()
+
+
+def reference_step(params, m, v, t, scale, warmup, b1=0.9, b2=0.98, eps=1e-9):
+    """The per-parameter update loop the flat optimizer replaced."""
+    lr = warmup_rate(t, scale, warmup)
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for name, p in params:
+        if p.grad is None:
+            continue
+        g = p.grad
+        m[name] *= b1
+        m[name] += (1 - b1) * g
+        v[name] *= b2
+        v[name] += (1 - b2) * g * g
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        p.data -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(np.float32)
+
+
+def test_flat_adam_matches_per_parameter_loop_bitwise():
+    shapes = [(3, 4), (5,), (), (2, 3, 2), (1, 7), (6,)]
+    rng = np.random.default_rng(5)
+    init = [rng.normal(0, 1, s).astype(np.float32) for s in shapes]
+    flat = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(init)]
+    ref = [(f"p{i}", Tensor(a.copy(), requires_grad=True)) for i, a in enumerate(init)]
+    m = {n: np.zeros_like(p.data) for n, p in ref}
+    v = {n: np.zeros_like(p.data) for n, p in ref}
+    opt = AdamWarmup(flat, scale=0.7, warmup=3)
+    # step 3 leaves a middle parameter without a gradient, which splits the
+    # runs; step 4 has no gradient at all
+    absent = {3: {2}, 4: set(range(len(shapes)))}
+    for t in range(1, 6):
+        for i, ((_, p), (_, q)) in enumerate(zip(flat, ref)):
+            g = None if i in absent.get(t, ()) else rng.normal(
+                0, 1, shapes[i]).astype(np.float32)
+            p.grad = q.grad = g
+        opt.step()
+        reference_step(ref, m, v, t, 0.7, 3)
+        grads = [q.grad for _, q in ref if q.grad is not None]
+        want = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads))
+        assert opt.grad_norm == pytest.approx(want, rel=1e-5, abs=0.0)
+        for (n, p), (_, q) in zip(flat, ref):
+            assert np.array_equal(p.data, q.data), (t, n)
+            assert np.array_equal(opt.m[n], m[n]) and np.array_equal(opt.v[n], v[n])
+    assert opt.t == 5
+
+
+def test_adam_shape_mismatch_names_parameter_and_changes_nothing():
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    a.grad = np.ones(2, dtype=np.float32)
+    b.grad = np.ones(4, dtype=np.float32)
+    opt = AdamWarmup([("a", a), ("b", b)], scale=1.0)
+    with pytest.raises(ValueError, match="for b"):
+        opt.step()
+    assert opt.t == 0 and np.array_equal(a.data, np.ones(2))
+    assert not opt.m["a"].any()

@@ -482,6 +482,65 @@ def test_training_loops_log_jsonl(tmp_path):
     assert {"translation_loss", "fertility_loss"} <= set(lines[4])
 
 
+def test_training_logs_record_grad_norm_and_tokens_per_s():
+    cfg = tiny_cfg()
+    tcfg = TrainConfig(steps=2, batch_size=2, warmup=2, seed=0, log_every=2,
+                       lam=0.25, lr_scale=0.05)
+    pairs = [([4, 5], [7, 8]), ([6, 4, 5], [9, 10]), ([5, 6], [8])]
+    ferts = [[1, 1], [1, 1, 0], [1, 0]]
+
+    def norm(model):
+        # the gradients of the last step stay on the parameters
+        return math.sqrt(sum(np.sum(p.grad.astype(np.float64) ** 2)
+                             for _, p in model.named_parameters()
+                             if p.grad is not None))
+
+    log = P.TrainingLog()
+    teacher_model = P.train_teacher(pairs, cfg, tcfg, log)
+    norms = [norm(teacher_model)]
+    nat_model = P.train_nat(pairs, ferts, cfg, tcfg, log)
+    norms.append(norm(nat_model))
+    P.finetune(nat_model, teacher_model, pairs, ferts, tcfg, log)
+    norms.append(norm(nat_model))
+    assert [r["phase"] for r in log.records] == ["teacher", "nat", "finetune"]
+    for rec, want in zip(log.records, norms):
+        assert want > 0
+        assert rec["grad_norm"] == pytest.approx(want, rel=1e-4)
+        assert rec["tokens_per_s"] > 0
+
+
+def _train_step(kind, model, teacher, opt):
+    pairs = [([4, 5], [7, 8]), ([6, 4, 5], [9, 10]), ([5, 6, 7], [8])]
+    if kind == "teacher":
+        return AR.ar_train_step(one_batch(pairs), model, opt)
+    batch = one_batch(pairs, fertilities=[[1, 1], [1, 1, 0], [1, 0, 0]])
+    if kind == "nat":
+        return P.nat_ml_step(batch, model, opt)
+    terms = ("rl",) if kind == "finetune_rl" else ("rl", "bp", "kd")
+    return P.finetune_step(batch, model, teacher, 0.5, opt,
+                           np.random.default_rng(1), terms=terms)
+
+
+@pytest.mark.parametrize("kind", ["teacher", "nat", "finetune", "finetune_rl"])
+def test_step_does_not_depend_on_optimizer_parameter_order(teacher, kind):
+    # finetune_rl leaves the decoder without gradients, so the optimizer
+    # updates several runs of parameters whose offsets differ per order
+    make = AR.TeacherModel if kind == "teacher" else N.NatModel
+    a = make(tiny_cfg(), np.random.default_rng(8))
+    b = make(tiny_cfg(), np.random.default_rng(8))
+    before = params_hash(a)
+    opt_a = AdamWarmup(list(a.named_parameters()), scale=0.1)
+    opt_b = AdamWarmup(list(b.named_parameters())[::-1], scale=0.1)
+    for _ in range(2):
+        _train_step(kind, a, teacher, opt_a)
+        _train_step(kind, b, teacher, opt_b)
+    assert params_hash(a) != before
+    if kind == "finetune_rl":
+        assert any(p.grad is None for _, p in a.named_parameters())
+    for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
+        assert np.array_equal(pa.data, pb.data), na
+
+
 def test_training_logs_record_learning_rate(tmp_path):
     cfg = tiny_cfg()
     tcfg = TrainConfig(steps=3, batch_size=2, warmup=2, seed=0, log_every=1,

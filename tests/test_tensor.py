@@ -451,6 +451,31 @@ def test_shared_tensor_grad_accumulates():
     np.testing.assert_allclose(x.grad, [7.0])
 
 
+def test_backward_stores_grad_only_on_leaves():
+    # x -> linear -> relu -> linear -> log_softmax -> cross-entropy
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(0, 1, s).astype(np.float32)
+              for s in [(3, 4), (4, 5), (5,), (5, 6), (6,)]]
+    arrays[0][np.abs(arrays[0]) < 0.05] = 0.2
+    targets = np.array([1, 0, 5])
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    x, w1, b1, w2, b2 = tensors
+    h = T.relu(T.linear(x, w1, b1))
+    loss = T.cross_entropy(T.log_softmax(T.linear(h, w2, b2)), targets, pad_id=-1)
+    T.backward(loss)
+    order = T._topo_order(loss)
+    inner = [n for n in order if n._vjp is not None]
+    assert len(inner) == 5 and loss in inner
+    assert all(n.grad is None for n in inner)
+
+    def ref(x, w1, b1, w2, b2):
+        z = np.maximum(x @ w1 + b1, 0) @ w2 + b2
+        return -ref_log_softmax(z)[np.arange(3), targets].mean()
+
+    for i, t in enumerate(tensors):
+        assert rel_err(t.grad, fd_grad(ref, arrays, i)) < 1e-4, i
+
+
 def test_no_grad_blocks_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     with T.no_grad():
