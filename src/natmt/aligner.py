@@ -91,15 +91,16 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
     pos = {(t, tp): np.full((t, tp + 1), 1.0 / (tp + 1)) for t, tp in buckets}
     model = AlignmentModel(src_index, tgt_index, lex, pos)
 
-    def sweep(use_pos: bool, update_pos: bool) -> float:
+    def sweep(model2: bool) -> float:
+        """One EM iteration; Model 2 also uses and re-estimates positions."""
         nonlocal lex
         ll = 0.0
         lex_counts = np.zeros_like(lex)
-        pos_counts = {k: np.zeros_like(v) for k, v in pos.items()} if update_pos else None
+        pos_counts = {k: np.zeros_like(v) for k, v in pos.items()} if model2 else None
         for xs, ys in enc:
             t, tp = len(ys), len(xs) - 1
             sub = lex[np.ix_(xs, ys)]            # [T'+1, T]
-            if use_pos:
+            if model2:
                 scores = pos[(t, tp)].T * sub    # a(i|j) broadcast over i rows
             else:
                 scores = sub / (tp + 1)
@@ -107,20 +108,20 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
             ll += float(np.log(totals).sum())
             gamma = scores / totals              # posterior over i, [T'+1, T]
             np.add.at(lex_counts, (xs[:, None], ys[None, :]), gamma)
-            if update_pos:
+            if model2:
                 pos_counts[(t, tp)] += gamma.T
         lex = lex_counts / lex_counts.sum(axis=1, keepdims=True)
         model.lex = lex
-        if update_pos:
+        if model2:
             for k, c in pos_counts.items():
                 pos[k] = c / c.sum(axis=1, keepdims=True)
             model.pos = pos
         return ll
 
     for _ in range(iters_m1):
-        model.ll_history["m1"].append(sweep(use_pos=False, update_pos=False))
+        model.ll_history["m1"].append(sweep(model2=False))
     for _ in range(iters_m2):
-        model.ll_history["m2"].append(sweep(use_pos=True, update_pos=True))
+        model.ll_history["m2"].append(sweep(model2=True))
     return model
 
 

@@ -93,11 +93,12 @@ def _runner(spec: str, teacher_model, nat_model, seed: int,
 def bench_latency(testset: Sequence[Sequence[int]],
                   teacher_model=None, nat_model=None,
                   strategies: Sequence[str] = ("beam:4", "greedy", "argmax"),
-                  repeats: int = 3, baseline: str | None = None,
-                  seed: int = 0, source_length: bool = False) -> BenchReport:
+                  repeats: int = 3, seed: int = 0,
+                  source_length: bool = False) -> BenchReport:
     """Times each strategy on every sentence alone (no minibatching); the
     first sentence is decoded once untimed to warm caches. Per-sentence
     wall-clock is the median over ``repeats`` runs of ``perf_counter``.
+    Speedups are relative to the first strategy.
 
     ``source_length`` caps greedy and beam decodes at the source length, so
     that a teacher whose end marker is suppressed emits exactly as many
@@ -107,10 +108,6 @@ def bench_latency(testset: Sequence[Sequence[int]],
     if repeats < 1:
         raise ValueError("need at least one timed repeat")
     strategies = list(strategies)
-    if baseline is None:
-        baseline = strategies[0]
-    if baseline not in strategies:
-        raise ValueError(f"baseline {baseline!r} not among strategies")
 
     sentences: dict[str, list[SentenceStat]] = {}
     for spec in strategies:
@@ -130,7 +127,7 @@ def bench_latency(testset: Sequence[Sequence[int]],
             for s, recs in sentences.items()}
     med = {s: statistics.median(r.wall for r in recs)
            for s, recs in sentences.items()}
-    return BenchReport(sentences, mean, med, baseline)
+    return BenchReport(sentences, mean, med, strategies[0])
 
 
 def latency_slope(stats: Sequence[SentenceStat], x: str = "src_len") -> float:

@@ -1,11 +1,9 @@
 """Corpus-level BLEU over whitespace tokens.
 
-Modified (clipped) n-gram precision for n=1..max_n, geometric mean, brevity
-penalty. No smoothing at corpus level: any zero precision gives score 0.
-Orders for which no hypothesis n-gram exists at all (every hypothesis shorter
-than n) are dropped from the mean, so identical corpora always score 100. A
-sentence-level add-one-smoothed variant exists for learning curves only and
-is never used for reported scores.
+Modified (clipped) n-gram precision for n=1..MAX_N, geometric mean, brevity
+penalty. No smoothing: any zero precision gives score 0. Orders for which no
+hypothesis n-gram exists at all (every hypothesis shorter than n) are dropped
+from the mean, so identical corpora always score 100.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ from collections import Counter
 from typing import Sequence
 
 TokenSeq = Sequence[str]
+MAX_N = 4   # highest n-gram order
 
 
 def _ngrams(tokens: TokenSeq, n: int) -> Counter:
@@ -22,23 +21,23 @@ def _ngrams(tokens: TokenSeq, n: int) -> Counter:
 
 
 def precision_counts(hypotheses: Sequence[TokenSeq],
-                     references: Sequence[TokenSeq],
-                     max_n: int = 4) -> tuple[list[int], list[int], int, int]:
+                     references: Sequence[TokenSeq]
+                     ) -> tuple[list[int], list[int], int, int]:
     """Corpus-aggregated (clipped matches, totals) per order, plus c and r."""
     if len(hypotheses) != len(references):
         raise ValueError(
             f"hypothesis/reference counts differ: {len(hypotheses)} vs {len(references)}")
     if not references:
         raise ValueError("empty reference list")
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * MAX_N
+    totals = [0] * MAX_N
     hyp_len = ref_len = 0
     for hyp, ref in zip(hypotheses, references):
         if len(ref) == 0:
             raise ValueError("empty reference sentence")
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, MAX_N + 1):
             hyp_grams = _ngrams(hyp, n)
             if not hyp_grams:
                 continue
@@ -56,30 +55,12 @@ def brevity_penalty(hyp_len: int, ref_len: int) -> float:
     return math.exp(1.0 - ref_len / hyp_len)
 
 
-def bleu(hypotheses: Sequence[TokenSeq],
-         references: Sequence[TokenSeq],
-         max_n: int = 4) -> float:
+def bleu(hypotheses: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> float:
     """Corpus BLEU in [0, 100]."""
-    matches, totals, hyp_len, ref_len = precision_counts(hypotheses, references, max_n)
+    matches, totals, hyp_len, ref_len = precision_counts(hypotheses, references)
     used = [(m, t) for m, t in zip(matches, totals) if t > 0]
     if not used or any(m == 0 for m, _ in used):
         return 0.0
     log_prec = sum(math.log(m / t) for m, t in used) / len(used)
     return 100.0 * brevity_penalty(hyp_len, ref_len) * math.exp(log_prec)
 
-
-def sentence_bleu_smoothed(hypothesis: TokenSeq,
-                           reference: TokenSeq,
-                           max_n: int = 4) -> float:
-    """Add-one smoothed sentence score for curve plotting, not reporting."""
-    matches, totals, hyp_len, ref_len = precision_counts(
-        [hypothesis], [reference], max_n)
-    log_prec = 0.0
-    for n, (m, t) in enumerate(zip(matches, totals), start=1):
-        if n == 1:
-            if m == 0:
-                return 0.0
-            log_prec += math.log(m / t)
-        else:
-            log_prec += math.log((m + 1) / (t + 1))
-    return 100.0 * brevity_penalty(hyp_len, ref_len) * math.exp(log_prec / max_n)

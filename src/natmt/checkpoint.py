@@ -16,7 +16,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +37,6 @@ class CheckpointData:
     params: dict[str, np.ndarray]   # name -> float32 array, manifest order preserved
     src_vocab: Vocab
     tgt_vocab: Vocab
-    extra: dict = field(default_factory=dict)
 
 
 def save_checkpoint(path: str | Path,
@@ -45,8 +44,7 @@ def save_checkpoint(path: str | Path,
                     config: dict,
                     params: Sequence[tuple[str, np.ndarray]],
                     src_vocab: Vocab,
-                    tgt_vocab: Vocab,
-                    extra: dict | None = None) -> None:
+                    tgt_vocab: Vocab) -> None:
     """Raises NumericError, before any file is touched, if a parameter holds
     a NaN or an infinity."""
     path = Path(path)
@@ -60,7 +58,6 @@ def save_checkpoint(path: str | Path,
         "src_vocab": src_vocab.tokens,
         "tgt_vocab": tgt_vocab.tokens,
         "params": [{"name": n, "shape": list(a.shape)} for n, a in params],
-        "extra": extra or {},
     }
     blob = json.dumps(manifest).encode("utf-8")
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -135,5 +132,4 @@ def load_checkpoint(path: str | Path) -> CheckpointData:
             vocabs.append(Vocab(tokens[4:]))
         except DataError as e:
             raise DataError(f"checkpoint {key}: {e}: {p}") from None
-    return CheckpointData(manifest["kind"], manifest["config"], params,
-                          *vocabs, manifest.get("extra", {}))
+    return CheckpointData(manifest["kind"], manifest["config"], params, *vocabs)

@@ -10,8 +10,6 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import aligner as AL
 from . import bench as B
 from . import nat as N
@@ -20,7 +18,7 @@ from . import synth as SY
 from . import teacher as AR
 from .bleu import bleu
 from .config import ModelConfig, TrainConfig
-from .data import (DataError, Vocab, encode_corpus, load_corpus,
+from .data import (PAD, DataError, Vocab, encode_corpus, load_corpus,
                    read_sentences, save_corpus)
 from .tensor import NumericError
 
@@ -48,19 +46,11 @@ def _coerce(key: str, value: str):
         raise DataError(f"unknown configuration key {key!r}")
     text = str(typ)
     try:
-        if "bool" in text:
-            if value.lower() in ("1", "true", "yes"):
-                return True
-            if value.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(value)
         if "tuple" in text:
             return tuple(v for v in value.split(",") if v)
         if "float" in text:
             return None if value.lower() == "none" else float(value)
-        if "int" in text:
-            return int(value)
-        return value
+        return int(value)   # every other field is an int
     except ValueError:
         raise DataError(f"bad value {value!r} for configuration key {key!r}") from None
 
@@ -125,6 +115,14 @@ def _add_config_flags(sp):
     sp.add_argument("--log", help="JSONL training log path")
 
 
+def _load_training_corpus(prefix):
+    """`load_corpus`, refusing a corpus without one pair of non-empty sides."""
+    pairs = load_corpus(prefix)
+    if not any(s and t for s, t in pairs):
+        raise DataError(f"corpus {prefix} has no non-empty sentence pairs")
+    return pairs
+
+
 def _check_lengths(pairs, cfg: ModelConfig) -> None:
     longest = max(max(len(s), len(t) + 1) for s, t in pairs)
     if longest > cfg.max_len:
@@ -167,7 +165,7 @@ def _paired_fertilities(pairs, fert_path):
 # ---------------------------------------------------------------------------
 
 def cmd_train_teacher(args) -> None:
-    pairs_tok = load_corpus(args.corpus)
+    pairs_tok = _load_training_corpus(args.corpus)
     sv = Vocab.build((s for s, _ in pairs_tok), args.min_freq)
     tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)
     mcfg, tcfg = split_config(gather_config(args),
@@ -196,7 +194,7 @@ def cmd_distill(args) -> None:
 
 
 def cmd_align(args) -> None:
-    pairs_tok = load_corpus(args.corpus)
+    pairs_tok = _load_training_corpus(args.corpus)
     model = AL.em_train(pairs_tok, args.iters_m1, args.iters_m2)
     if args.alignments_out:
         lines = AL.dump_alignments(pairs_tok, model)
@@ -211,7 +209,7 @@ def cmd_align(args) -> None:
 
 
 def cmd_train_nat(args) -> None:
-    pairs_tok = load_corpus(args.corpus)
+    pairs_tok = _load_training_corpus(args.corpus)
     ferts = _paired_fertilities(pairs_tok, args.fertilities)
     exported = None
     if args.init_encoder:
@@ -240,7 +238,7 @@ def cmd_train_nat(args) -> None:
 def cmd_finetune(args) -> None:
     model, sv, tv, _ = _load_kind(args.nat, "nat")
     teacher_model, *_ = _load_kind(args.teacher, "teacher")
-    pairs_tok = load_corpus(args.corpus)
+    pairs_tok = _load_training_corpus(args.corpus)
     ferts = _paired_fertilities(pairs_tok, args.fertilities)
     _, tcfg = split_config(gather_config(args),
                            src_vocab=model.cfg.src_vocab,
@@ -317,6 +315,16 @@ def cmd_score(args) -> None:
     if len(srcs) != len(cands):
         raise DataError(f"line counts differ: {len(srcs)} sources vs "
                         f"{len(cands)} candidates")
+    _check_input_lines(args.source, srcs, model.cfg.max_len)
+    limit = model.cfg.max_len - 1   # the teacher reads bos + candidate
+    for ln, cand in enumerate(cands, 1):
+        if len(cand) > limit:
+            raise DataError(f"{args.candidates}:{ln}: candidate of {len(cand)} "
+                            f"tokens exceeds max_len {model.cfg.max_len} less "
+                            "the start marker")
+        if PAD in tv.encode(cand):
+            raise DataError(f"{args.candidates}:{ln}: candidate holds the "
+                            "padding token")
     for src, cand in zip(srcs, cands):
         score = AR.score_parallel(sv.encode(src), tv.encode(cand), model)
         print(f"{score:.4f}")
@@ -338,7 +346,11 @@ def cmd_bench(args) -> None:
     if teacher_model is None and nat_model is None:
         raise UsageError("bench needs --teacher and/or --nat")
     sents = read_sentences(args.testset)
-    testset = [sv.encode(s) for s in sents if s]
+    if not sents:
+        raise DataError(f"{args.testset}: empty testset")
+    max_len = min(m.cfg.max_len for m in (teacher_model, nat_model) if m is not None)
+    _check_input_lines(args.testset, sents, max_len)
+    testset = [sv.encode(s) for s in sents]
     strategies = [s for s in args.strategies.split(",") if s]
     report = B.bench_latency(testset, teacher_model, nat_model, strategies,
                              repeats=args.repeats, seed=args.seed or 0)

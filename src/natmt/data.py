@@ -59,28 +59,13 @@ class Vocab:
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self._ids.get(t, UNK) for t in tokens]
 
-    def decode(self, ids: Sequence[int], keep_reserved: bool = False) -> list[str]:
+    def decode(self, ids: Sequence[int]) -> list[str]:
         toks = [self._tokens[i] for i in ids]
-        if keep_reserved:
-            return toks
         return [t for t in toks if t not in RESERVED]
 
     @property
     def tokens(self) -> list[str]:
         return list(self._tokens)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text("\n".join(self._tokens) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocab":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"vocab file not found: {p}")
-        lines = p.read_text(encoding="utf-8").splitlines()
-        if tuple(lines[:4]) != RESERVED:
-            raise DataError(f"vocab file {p} does not start with reserved tokens")
-        return cls(lines[4:])
 
 
 # ---------------------------------------------------------------------------

@@ -140,13 +140,12 @@ def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
 
 
 class LayerNorm(Module):
-    def __init__(self, d: int, eps: float = 1e-5):
+    def __init__(self, d: int):
         self.gain = Tensor(np.ones(d, dtype=DTYPE), requires_grad=True)
         self.bias = Tensor(np.zeros(d, dtype=DTYPE), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,

@@ -200,8 +200,6 @@ class DecodeResult:
     output: list[int]
     fertility: list[int] | None
     strategy: str
-    token_logprob: float
-    fert_logprob: float = 0.0
     teacher_score: float | None = None
 
 
@@ -222,9 +220,9 @@ def _encode_source(src_ids: Sequence[int], model: NatModel
 
 
 def _translate(src_ids: Sequence[int], inputs: Sequence[list], model: NatModel,
-               memory: Tensor) -> list[tuple[list[int], float]]:
+               memory: Tensor) -> list[list[int]]:
     """Translate several decoder inputs of one source in one padded pass;
-    returns (per-position argmax tokens, their summed log-prob) per input."""
+    returns the per-position argmax tokens of each input."""
     dec_ids, dec_len = pad_block(inputs)
     n = len(inputs)
     with T.no_grad():
@@ -232,17 +230,8 @@ def _translate(src_ids: Sequence[int], inputs: Sequence[list], model: NatModel,
         logits = model.decode_logits(mem, np.full(n, len(src_ids)), dec_ids, dec_len)
         logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
     logp[:, :, PAD] = -np.inf  # padding is not an emittable token
-    out = []
-    for rows in (logp[i, :m] for i, m in enumerate(dec_len)):
-        toks = rows.argmax(axis=-1)
-        out.append(([int(t) for t in toks],
-                    float(rows[np.arange(len(toks)), toks].sum())))
-    return out
-
-
-def _fert_logprob(probs: np.ndarray, fert: np.ndarray) -> float:
-    rows = np.clip(probs[np.arange(len(fert)), fert], 1e-30, None)
-    return float(np.log(rows).sum())
+    return [[int(t) for t in logp[i, :m].argmax(axis=-1)]
+            for i, m in enumerate(dec_len)]
 
 
 def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
@@ -259,11 +248,9 @@ def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
                                       for f in ferts], model, memory)
     scores, win = [], 0
     if teacher_model is not None:
-        scores = AR.score_candidates(src_ids, [t for t, _ in translated], teacher_model)
+        scores = AR.score_candidates(src_ids, translated, teacher_model)
         win = int(np.argmax(scores))  # ties keep the lowest candidate index
-    toks, lp = translated[win]
-    result = DecodeResult(toks, [int(f) for f in ferts[win]], strategy, lp,
-                          _fert_logprob(probs, ferts[win]),
+    result = DecodeResult(translated[win], [int(f) for f in ferts[win]], strategy,
                           scores[win] if scores else None)
     return result, scores
 
@@ -273,8 +260,7 @@ def translate_given_fertility(src_ids: Sequence[int], fertility: Sequence[int],
     """Per-position argmax output for one fertility sequence; length is
     exactly the fertility total."""
     inputs = [copy_fertility(list(src_ids), list(fertility))]
-    [(toks, _)] = _translate(src_ids, inputs, model, _encode_memory(src_ids, model))
-    return toks
+    return _translate(src_ids, inputs, model, _encode_memory(src_ids, model))[0]
 
 
 def decode_argmax(src_ids: Sequence[int], model: NatModel) -> DecodeResult:
@@ -346,5 +332,5 @@ def decode_uniform(src_ids: Sequence[int], model: NatModel,
             raise ValueError("need target_len or ratio")
         target_len = max(1, int(round_half_away(len(src_ids) * ratio)))
     inputs = [copy_uniform(list(src_ids), target_len)]
-    [(toks, lp)] = _translate(src_ids, inputs, model, _encode_memory(src_ids, model))
-    return DecodeResult(toks, None, "uniform", lp)
+    [toks] = _translate(src_ids, inputs, model, _encode_memory(src_ids, model))
+    return DecodeResult(toks, None, "uniform")

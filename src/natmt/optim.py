@@ -8,6 +8,8 @@ import numpy as np
 
 from .tensor import DTYPE, Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.98, 1e-9   # the Transformer's Adam settings
+
 
 def warmup_rate(t: int, scale: float, warmup: int) -> float:
     """Learning rate at step t: scale * min(t^-0.5, t * warmup^-1.5)."""
@@ -29,14 +31,10 @@ class AdamWarmup:
     gradients the latest step applied.
     """
 
-    def __init__(self, params, scale: float, warmup: int = 746,
-                 beta1: float = 0.9, beta2: float = 0.98, eps: float = 1e-9):
+    def __init__(self, params, scale: float, warmup: int = 746):
         self.params: list[tuple[str, Tensor]] = list(params)
         self.scale = float(scale)
         self.warmup = int(warmup)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.grad_norm = 0.0
         bounds = np.cumsum([0] + [p.data.size for _, p in self.params]).tolist()
@@ -67,9 +65,8 @@ class AdamWarmup:
             if has]
         self.t += 1
         lr = self.lr
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         sq = 0.0
         for run in runs:
             lo, hi = self._spans[run[0]][0], self._spans[run[-1]][1]
@@ -78,19 +75,19 @@ class AdamWarmup:
             np.concatenate([self.params[i][1].grad for i in run], axis=None, out=g)
             sq += float(np.dot(g, g))
             # the per-parameter formulas, in the same order, element for element:
-            # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+            # m = BETA1*m + (1-BETA1)*g;  v = BETA2*v + (1-BETA2)*g*g;
             # p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
-            m *= b1
-            np.multiply(g, 1 - b1, out=tmp)
+            m *= BETA1
+            np.multiply(g, 1 - BETA1, out=tmp)
             m += tmp
-            v *= b2
-            np.multiply(g, 1 - b2, out=tmp)
+            v *= BETA2
+            np.multiply(g, 1 - BETA2, out=tmp)
             tmp *= g
             v += tmp
             np.divide(m, bc1, out=g)
             np.divide(v, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += EPS
             g *= lr
             g /= tmp
             for i in run:

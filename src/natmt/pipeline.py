@@ -165,13 +165,9 @@ def _nat_forward(batch: Batch, model: NAT.NatModel, memory: Tensor
               for i in range(batch.size)]
     dec_ids, dec_len = pad_block(copies)
     logits = model.decode_logits(memory, batch.src_len, dec_ids, dec_len)
-    tgt = batch.tgt
-    if tgt.shape[1] < dec_ids.shape[1]:
-        pad_cols = dec_ids.shape[1] - tgt.shape[1]
-        tgt = np.concatenate(
-            [tgt, np.full((batch.size, pad_cols), PAD, dtype=tgt.dtype)], axis=1)
-    tgt_valid = np.arange(tgt.shape[1])[None, :] < batch.tgt_len[:, None]
-    trans_loss = T.cross_entropy(T.log_softmax(logits, axis=-1), tgt,
+    # the fertility sums equal tgt_len, so the decoder is as wide as the target
+    tgt_valid = np.arange(batch.tgt.shape[1])[None, :] < batch.tgt_len[:, None]
+    trans_loss = T.cross_entropy(T.log_softmax(logits, axis=-1), batch.tgt,
                                  pad_id=PAD, mask=tgt_valid)
     return trans_loss, fert_loss, fert_lp, logits
 
@@ -506,11 +502,10 @@ def finetune(model: NAT.NatModel, teacher_model: AR.TeacherModel,
 # model persistence
 # ---------------------------------------------------------------------------
 
-def save_model(path, model, src_vocab: Vocab, tgt_vocab: Vocab,
-               extra: dict | None = None) -> None:
+def save_model(path, model, src_vocab: Vocab, tgt_vocab: Vocab) -> None:
     params = [(n, p.data) for n, p in model.named_parameters()]
     save_checkpoint(path, model.kind, model.cfg.to_dict(), params,
-                    src_vocab, tgt_vocab, extra)
+                    src_vocab, tgt_vocab)
 
 
 def load_model(path):

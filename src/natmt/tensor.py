@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5   # the Transformer's layer-norm epsilon
 
 
 class NumericError(ArithmeticError):
@@ -305,10 +306,8 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (logits,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     # np.mean/np.var spelled as the ufunc calls they make, in the same order,
     # without their per-call argument handling; full-size float64 temporaries
@@ -317,7 +316,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = x.data.astype(np.float64)
     xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
     var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     y64 = xhat * gain.data
     y64 += bias.data
@@ -359,11 +358,12 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def cross_entropy(log_probs: Tensor, target_ids: np.ndarray, pad_id: int,
-                  reduction: str = "mean", mask: np.ndarray | None = None) -> Tensor:
-    """Negative log-likelihood of ``target_ids`` under per-position log_probs.
+                  mask: np.ndarray | None = None) -> Tensor:
+    """Mean negative log-likelihood of ``target_ids`` under per-position
+    log_probs.
 
     ``log_probs`` has shape [..., vocab]; ``target_ids`` matches the leading
-    shape. Positions equal to ``pad_id`` are excluded from the reduction; an
+    shape. Positions equal to ``pad_id`` are excluded from the mean; an
     explicit boolean ``mask`` of counted positions overrides that, so padded
     slots stay excluded whatever ids they hold.
     """
@@ -389,12 +389,11 @@ def cross_entropy(log_probs: Tensor, target_ids: np.ndarray, pad_id: int,
     flat_m = mask.reshape(-1)
     picked = flat_lp[np.arange(flat_t.size), flat_t].astype(np.float64)
     total = -(picked * flat_m).sum()
-    denom = n if reduction == "mean" else 1
-    out = np.asarray(total / denom, dtype=DTYPE)
+    out = np.asarray(total / n, dtype=DTYPE)
 
     def vjp(g):
         gl = np.zeros_like(flat_lp)
-        gl[np.arange(flat_t.size), flat_t] = -(flat_m.astype(DTYPE) / denom)
+        gl[np.arange(flat_t.size), flat_t] = -(flat_m.astype(DTYPE) / n)
         return ((float(g) * gl).reshape(log_probs.shape).astype(DTYPE),)
 
     return _make(out, (log_probs,), vjp)

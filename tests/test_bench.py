@@ -41,7 +41,7 @@ def test_bench_counts_passes_per_contract(models):
     testset = [[4, 5, 6], [5, 6, 7, 4]]
     rep = B.bench_latency(testset, teacher, nat,
                           strategies=("greedy", "argmax", "npd:3"),
-                          repeats=1, baseline="greedy")
+                          repeats=1)
     for src, r in zip(testset, rep.sentences["greedy"]):
         teacher.reset_passes()
         out = AR.greedy_decode(src, teacher)
@@ -83,9 +83,6 @@ def test_bench_argument_errors(models):
     teacher, nat = models
     with pytest.raises(ValueError, match="empty"):
         B.bench_latency([], teacher, nat)
-    with pytest.raises(ValueError, match="baseline"):
-        B.bench_latency([[4]], teacher, nat, strategies=("greedy",),
-                        baseline="argmax")
     with pytest.raises(ValueError, match="teacher"):
         B.bench_latency([[4]], None, nat, strategies=("greedy",))
     with pytest.raises(ValueError, match="parallel"):

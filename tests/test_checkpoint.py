@@ -1,5 +1,6 @@
 """Checkpoint format tests: bit-exact round-trips and hard format errors."""
 
+import json
 import struct
 
 import numpy as np
@@ -26,11 +27,10 @@ def sample_state(seed=0):
 def test_roundtrip_bit_exact(tmp_path):
     params, opt, sv, tv, cfg = sample_state()
     path = tmp_path / "m.ckpt"
-    C.save_checkpoint(path, "teacher", cfg, params, sv, tv, extra={"step": 5})
+    C.save_checkpoint(path, "teacher", cfg, params, sv, tv)
     got = C.load_checkpoint(path)
     assert got.kind == "teacher"
     assert got.config == cfg
-    assert got.extra == {"step": 5}
     assert list(got.params) == [n for n, _ in params]  # manifest order kept
     for name, arr in params:
         loaded = got.params[name]
@@ -38,6 +38,30 @@ def test_roundtrip_bit_exact(tmp_path):
         assert loaded.shape == arr.shape
         assert np.array_equal(
             loaded.view(np.uint32), arr.view(np.uint32))  # bit-exact
+    assert got.src_vocab.tokens == sv.tokens
+    assert got.tgt_vocab.tokens == tv.tokens
+
+
+def test_manifest_with_extra_key_still_loads(tmp_path):
+    """A save writes no "extra" manifest entry; a version-3 file that carries
+    one, as earlier saves wrote, still loads bit-exactly."""
+    params, _, sv, tv, cfg = sample_state()
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(path, "teacher", cfg, params, sv, tv)
+    raw = path.read_bytes()
+    _, mlen = struct.unpack_from("<II", raw, 4)
+    manifest = json.loads(raw[12:12 + mlen])
+    assert "extra" not in manifest
+    manifest["extra"] = {"step": 5}
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(raw[:4] + struct.pack("<II", C.VERSION, len(blob)) + blob
+                     + raw[12 + mlen:])
+    got = C.load_checkpoint(path)
+    assert (got.kind, got.config) == ("teacher", cfg)
+    assert list(got.params) == [n for n, _ in params]
+    for name, arr in params:
+        assert got.params[name].dtype == np.float32
+        assert np.array_equal(got.params[name].view(np.uint32), arr.view(np.uint32))
     assert got.src_vocab.tokens == sv.tokens
     assert got.tgt_vocab.tokens == tv.tokens
 

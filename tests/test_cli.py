@@ -402,6 +402,85 @@ def test_score_prints_one_number_per_line(workdir, capsys):
     assert all(v <= 0 for v in values)
 
 
+def _score(workdir, capsys, sources, candidates):
+    d = workdir["dir"]
+    src, cand = d / "score.src", d / "score.cand"
+    src.write_text("\n".join(sources) + "\n")
+    cand.write_text("\n".join(candidates) + "\n")
+    code, out, err = run(capsys, "score", "--teacher", workdir["teacher"],
+                         "--source", str(src), "--candidates", str(cand))
+    return code, out, err, str(src), str(cand)
+
+
+@pytest.mark.parametrize("case", ["empty_source", "long_source", "long_candidate",
+                                  "pad_candidate"])
+def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
+    """Every line is checked before any score is printed."""
+    src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
+    srcs, cands = [" ".join(src_tok)] * 3, [" ".join(tgt_tok)] * 3
+    if case == "empty_source":
+        srcs[1] = ""
+    elif case == "long_source":
+        srcs[1] = " ".join([src_tok[0]] * 65)
+    elif case == "long_candidate":
+        cands[1] = " ".join([tgt_tok[0]] * 64)   # bos + 64 > max_len 64
+    else:
+        cands[1] = "<pad> " + cands[1]
+    code, out, err, src, cand = _score(workdir, capsys, srcs, cands)
+    assert code == 2 and out == ""
+    want = {"empty_source": f"{src}:2: empty input line",
+            "long_source": f"{src}:2: line of 65 tokens exceeds max_len 64",
+            "long_candidate": f"{cand}:2: candidate of 64 tokens exceeds "
+                              "max_len 64 less the start marker",
+            "pad_candidate": f"{cand}:2: candidate holds the padding token"}[case]
+    assert f"data error: {want}" in err
+
+
+def test_score_accepts_empty_and_longest_candidates(workdir, capsys):
+    src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
+    code, out, _, _, _ = _score(workdir, capsys, [" ".join(src_tok)] * 2,
+                                ["", " ".join([tgt_tok[0]] * 63)])
+    assert code == 0
+    assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train-nat", "finetune",
+                                     "align"])
+def test_empty_corpus_exits_2_naming_prefix(workdir, tmp_path, capsys, command):
+    prefix = str(tmp_path / "empty")
+    for ext in (".src", ".tgt", ".fert"):
+        (tmp_path / ("empty" + ext)).write_text("")
+    out = str(tmp_path / "out.nat")
+    args = {"train-teacher": ["--out", out],
+            "train-nat": ["--fertilities", prefix + ".fert", "--out", out],
+            "finetune": ["--nat", workdir["nat"], "--teacher", workdir["teacher"],
+                         "--fertilities", prefix + ".fert", "--out", out],
+            "align": []}[command]
+    code, _, err = run(capsys, command, "--corpus", prefix, *args)
+    assert code == 2
+    assert f"data error: corpus {prefix} has no non-empty sentence pairs" in err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("", ":2: empty input line"),
+    ("long", ":2: line of 65 tokens exceeds max_len 64"),
+    ("no lines", ": empty testset")])
+def test_bench_bad_testset_exits_2_naming_file(workdir, capsys, bad, message):
+    good = " ".join(load_corpus(workdir["corpus"])[0][0])
+    path = workdir["dir"] / "bench_bad.src"
+    if bad == "no lines":
+        path.write_text("")
+    else:
+        if bad == "long":
+            bad = " ".join([good.split()[0]] * 65)
+        path.write_text("\n".join([good, bad, good]) + "\n")
+    code, out, err = run(capsys, "bench", "--teacher", workdir["teacher"],
+                         "--nat", workdir["nat"], "--testset", str(path),
+                         "--strategies", "greedy,argmax", "--repeats", "1")
+    assert code == 2 and out == ""
+    assert f"data error: {path}{message}" in err
+
+
 def test_bench_subcommand_writes_tsv(workdir, capsys):
     d = workdir["dir"]
     tsv = d / "lat.tsv"

@@ -28,7 +28,6 @@ def test_vocab_encode_decode_roundtrip():
     ids = v.encode(["y", "missing", "z"])
     assert ids[1] == D.UNK
     assert v.decode(ids) == ["y", "z"]
-    assert v.decode(ids, keep_reserved=True) == ["y", "<unk>", "z"]
 
 
 def test_vocab_bijective_over_tail():
@@ -40,23 +39,6 @@ def test_vocab_bijective_over_tail():
 def test_vocab_rejects_duplicates():
     with pytest.raises(D.DataError):
         D.Vocab(["dup", "dup"])
-
-
-def test_vocab_file_roundtrip(tmp_path):
-    v = D.Vocab.build([["alpha", "beta"]])
-    path = tmp_path / "v.txt"
-    v.save(path)
-    lines = path.read_text().splitlines()
-    assert lines[:4] == list(D.RESERVED)
-    v2 = D.Vocab.load(path)
-    assert v2.tokens == v.tokens
-
-
-def test_vocab_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("cat\ndog\n")
-    with pytest.raises(D.DataError):
-        D.Vocab.load(path)
 
 
 def test_load_corpus_roundtrip(tmp_path):

@@ -560,11 +560,10 @@ def test_model_save_load_round_trip(tmp_path, teacher):
     sv = Vocab(["a", "b"])
     tv = Vocab(["c"])
     path = tmp_path / "m.nat"
-    P.save_model(path, teacher, sv, tv, extra={"note": 1})
-    loaded, lsv, ltv, ckpt = P.load_model(path)
+    P.save_model(path, teacher, sv, tv)
+    loaded, lsv, ltv, _ = P.load_model(path)
     assert isinstance(loaded, AR.TeacherModel)
     assert lsv.tokens == sv.tokens and ltv.tokens == tv.tokens
-    assert ckpt.extra == {"note": 1}
     for (n, p), (m, q) in zip(teacher.named_parameters(),
                               loaded.named_parameters()):
         assert n == m and np.array_equal(p.data, q.data)

@@ -307,7 +307,7 @@ def test_layer_norm_bitwise_matches_mean_var_formula(shape):
                      - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
 
     tx, tg, tb = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
-    out = T.layer_norm(tx, tg, tb, eps)
+    out = T.layer_norm(tx, tg, tb)
     assert np.array_equal(out.numpy(), want)
     T.backward(T.tsum(T.mul(out, Tensor(g.astype(np.float32)))))
     assert np.array_equal(tx.grad, want_dx.astype(np.float32))
@@ -390,8 +390,6 @@ def test_cross_entropy_hand_value():
     lp = np.log(np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]], dtype=np.float32))
     loss = T.cross_entropy(Tensor(lp), np.array([0, 1]), pad_id=-1)
     assert abs(loss.item() - 0.2899092476264711) < 1e-6
-    loss_sum = T.cross_entropy(Tensor(lp), np.array([0, 1]), pad_id=-1, reduction="sum")
-    assert abs(loss_sum.item() - 0.5798184952529422) < 1e-6
 
 
 def test_cross_entropy_target_out_of_range():
