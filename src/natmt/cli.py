@@ -18,8 +18,8 @@ from . import synth as SY
 from . import teacher as AR
 from .bleu import bleu
 from .config import ModelConfig, TrainConfig
-from .data import (PAD, DataError, Vocab, encode_corpus, load_corpus,
-                   read_sentences, save_corpus)
+from .data import (PAD, RESERVED, UNK, DataError, Vocab, encode_corpus,
+                   load_corpus, read_sentences, save_corpus)
 from .tensor import NumericError
 
 
@@ -116,10 +116,14 @@ def _add_config_flags(sp):
 
 
 def _load_training_corpus(prefix):
-    """`load_corpus`, refusing a corpus without one pair of non-empty sides."""
+    """`load_corpus`, refusing a corpus without one pair of non-empty sides
+    and any empty source line, naming PREFIX.src:LINE."""
     pairs = load_corpus(prefix)
     if not any(s and t for s, t in pairs):
         raise DataError(f"corpus {prefix} has no non-empty sentence pairs")
+    for ln, (src, _) in enumerate(pairs, 1):
+        if not src:
+            raise DataError(f"{prefix}.src:{ln}: empty source line")
     return pairs
 
 
@@ -183,6 +187,8 @@ def cmd_train_teacher(args) -> None:
 def cmd_distill(args) -> None:
     model, sv, tv, _ = _load_kind(args.teacher, "teacher")
     pairs_tok = load_corpus(args.corpus)
+    _check_input_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok],
+                       model.cfg.max_len)
     enc = encode_corpus(pairs_tok, sv, tv)
     out = P.build_distill_corpus(enc, model, mode=args.mode,
                                  beam_width=args.beam)
@@ -196,12 +202,14 @@ def cmd_distill(args) -> None:
 def cmd_align(args) -> None:
     pairs_tok = _load_training_corpus(args.corpus)
     model = AL.em_train(pairs_tok, args.iters_m1, args.iters_m2)
+    alignments = AL.corpus_alignments(pairs_tok, model)
     if args.alignments_out:
-        lines = AL.dump_alignments(pairs_tok, model)
+        lines = AL.dump_alignments(alignments)
         Path(args.alignments_out).write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
     if args.fertilities_out:
-        ferts = AL.corpus_fertilities(pairs_tok, model, args.max_fertility)
+        ferts = [AL.extract_fertilities(align, len(src), args.max_fertility)
+                 for (src, _), align in zip(pairs_tok, alignments)]
         text = "\n".join(" ".join(str(f) for f in row) for row in ferts)
         Path(args.fertilities_out).write_text(text + "\n", encoding="utf-8")
     print(f"aligned {len(pairs_tok)} pairs; final log-likelihood "
@@ -253,15 +261,23 @@ def cmd_finetune(args) -> None:
           f"loss {last:.4f}, saved to {args.out}")
 
 
+# reserved tokens input text may not hold; `<unk>` already means "unknown word"
+_MARKERS = frozenset(RESERVED) - {RESERVED[UNK]}
+
+
 def _check_input_lines(path, sents, max_len: int) -> None:
-    """Reject an empty or over-long input line, naming FILE:LINE, before
-    anything is decoded."""
+    """Reject an empty or over-long input line, or one holding a reserved
+    token other than `<unk>`, naming FILE:LINE, before anything is decoded."""
     for ln, sent in enumerate(sents, 1):
         if not sent:
             raise DataError(f"{path}:{ln}: empty input line")
         if len(sent) > max_len:
             raise DataError(f"{path}:{ln}: line of {len(sent)} tokens "
                             f"exceeds max_len {max_len}")
+        for tok in sent:
+            if tok in _MARKERS:
+                raise DataError(f"{path}:{ln}: line holds the reserved "
+                                f"token {tok}")
 
 
 def cmd_translate(args) -> None:

@@ -244,7 +244,7 @@ def rkl_values(src: np.ndarray, src_len: np.ndarray,
         t_in, t_len = pad_block(outputs)
         t_logits = teacher_model.decode_logits(Tensor(t_memory.data[rows]),
                                                src_len[rows], t_in, t_len)
-        t_logp = T.log_softmax(t_logits, axis=-1).numpy().astype(np.float64)
+        t_logp = T.log_softmax(t_logits, axis=-1).numpy()
 
     values, start = [], 0
     for p, (_, out_len, _) in zip(probs, groups):
@@ -252,8 +252,8 @@ def rkl_values(src: np.ndarray, src_len: np.ndarray,
         lp = t_logp[start : start + n_rows]
         start += n_rows
         valid = np.arange(width)[None, :, None] < out_len[:, None, None]
-        weight = np.where(valid, lp[:, :width], 0.0).astype(np.float32)
-        eos = lp[np.arange(n_rows), out_len, EOS].astype(np.float32)
+        weight = np.where(valid, lp[:, :width], np.float32(0.0))
+        eos = lp[np.arange(n_rows), out_len, EOS]
         values.append(T.add(T.tsum(T.mul(p, Tensor(weight)), axis=(1, 2)),
                             Tensor(eos)))
     return values

@@ -1,12 +1,14 @@
 """Alignment model tests: EM behavior, Viterbi decisions, fertility extraction."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natmt import aligner as AL
-from natmt.synth import gen_planted_dictionary
+from natmt.synth import gen_planted_dictionary, gen_synth_multimodal
 
 
 def hand_model(lex_rows, pos_tables=None, src_tokens=("a", "b"), tgt_tokens=("x", "y")):
@@ -14,6 +16,136 @@ def hand_model(lex_rows, pos_tables=None, src_tokens=("a", "b"), tgt_tokens=("x"
     tgt_index = {t: i for i, t in enumerate(tgt_tokens)}
     return AL.AlignmentModel(src_index, tgt_index, np.array(lex_rows, dtype=float),
                              pos_tables or {})
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: one pair and one (target, source) cell at a time
+# ---------------------------------------------------------------------------
+
+def ref_em_train(corpus, iters_m1=5, iters_m2=5):
+    """EM with a loop over pairs, the order every float is added in."""
+    pairs = [(s, t) for s, t in corpus if s and t]
+    src_index, tgt_index = {}, {}
+    for src, tgt in pairs:
+        for tok in src:
+            src_index.setdefault(tok, len(src_index) + 1)
+        for tok in tgt:
+            tgt_index.setdefault(tok, len(tgt_index))
+    enc = [(np.array([AL.NULL] + [src_index[t] for t in src]),
+            np.array([tgt_index[t] for t in tgt])) for src, tgt in pairs]
+    lex = np.full((len(src_index) + 1, len(tgt_index)), 1.0 / len(tgt_index))
+    buckets = sorted({(len(ys), len(xs) - 1) for xs, ys in enc})
+    pos = {(t, tp): np.full((t, tp + 1), 1.0 / (tp + 1)) for t, tp in buckets}
+    history = {"m1": [], "m2": []}
+
+    def sweep(model2):
+        nonlocal lex
+        ll = 0.0
+        lex_counts = np.zeros_like(lex)
+        pos_counts = {k: np.zeros_like(v) for k, v in pos.items()}
+        for xs, ys in enc:
+            t, tp = len(ys), len(xs) - 1
+            sub = lex[np.ix_(xs, ys)]
+            scores = pos[(t, tp)].T * sub if model2 else sub / (tp + 1)
+            totals = scores.sum(axis=0)
+            ll += float(np.log(totals).sum())
+            gamma = scores / totals
+            np.add.at(lex_counts, (xs[:, None], ys[None, :]), gamma)
+            pos_counts[(t, tp)] += gamma.T
+        lex = lex_counts / lex_counts.sum(axis=1, keepdims=True)
+        if model2:
+            for k, c in pos_counts.items():
+                pos[k] = c / c.sum(axis=1, keepdims=True)
+        return ll
+
+    for _ in range(iters_m1):
+        history["m1"].append(sweep(False))
+    for _ in range(iters_m2):
+        history["m2"].append(sweep(True))
+    return AL.AlignmentModel(src_index, tgt_index, lex, pos, history)
+
+
+def ref_viterbi_align(pair, model):
+    """Per target position, the best of NULL and each source token, scored
+    cell by cell with floored probabilities; exact ties go to the index
+    closest to the diagonal, then the smaller."""
+    def lex_prob(i, j):
+        if i is None or j is None:
+            return AL.FLOOR
+        return max(float(model.lex[i, j]), AL.FLOOR)
+
+    src, tgt = pair
+    tp, t = len(src), len(tgt)
+    tab = model.pos.get((t, tp))
+    out = []
+    for j, y in enumerate(tgt):
+        col = model.tgt_index.get(y)
+        scores = np.empty(tp + 1)
+        for i in range(tp + 1):
+            row = AL.NULL if i == 0 else model.src_index.get(src[i - 1])
+            p = 1.0 / (tp + 1) if tab is None else max(float(tab[j, i]), AL.FLOOR)
+            scores[i] = lex_prob(row, col) * p
+        tied = np.flatnonzero(scores == scores.max())
+        diag = int(math.floor((j + 1) * tp / t + 0.5))
+        out.append(int(min(tied, key=lambda i: (abs(int(i) - diag), int(i)))))
+    return out
+
+
+def _mixed_corpus(seed, size=150):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(size):
+        n_src, n_tgt = (int(n) for n in rng.integers(1, 14, size=2))
+        pairs.append(([f"s{int(i)}" for i in rng.integers(0, 9, n_src)],
+                      [f"t{int(i)}" for i in rng.integers(0, 9, n_tgt)]))
+    return pairs
+
+
+EQUIVALENCE_CORPORA = {
+    "planted_8_20": lambda: gen_planted_dictionary(90, seed=5, vocab=15,
+                                                   min_len=8, max_len=20)[0],
+    "multimodal_1": lambda: gen_synth_multimodal(80, seed=6, phrases_per_sent=1)[0],
+    "multimodal_2": lambda: gen_synth_multimodal(80, seed=7, phrases_per_sent=2)[0],
+    "multimodal_4": lambda: gen_synth_multimodal(80, seed=8, phrases_per_sent=4)[0],
+    "mixed_lengths": lambda: _mixed_corpus(9),
+}
+
+
+@pytest.mark.parametrize("block_cells", [AL.BLOCK_CELLS, 60])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CORPORA))
+def test_bucketed_em_and_viterbi_equal_scalar_reference(monkeypatch, name,
+                                                        block_cells):
+    """Every table, log-likelihood, alignment and fertility equals the scalar
+    loop's bit for bit, also when blocks split buckets (60 cells hold one
+    pair of up to 7 x 6 cells, or several short ones)."""
+    monkeypatch.setattr(AL, "BLOCK_CELLS", block_cells)
+    corpus = EQUIVALENCE_CORPORA[name]()
+    got, want = AL.em_train(corpus), ref_em_train(corpus)
+    assert got.src_index == want.src_index and got.tgt_index == want.tgt_index
+    assert np.array_equal(got.lex, want.lex)
+    assert got.pos.keys() == want.pos.keys()
+    for k in want.pos:
+        assert np.array_equal(got.pos[k], want.pos[k]), k
+    assert got.ll_history == want.ll_history
+    aligns = [ref_viterbi_align(p, want) for p in corpus]
+    assert AL.corpus_alignments(corpus, want) == aligns
+    assert [AL.viterbi_align(p, want) for p in corpus[:10]] == aligns[:10]
+    assert AL.corpus_fertilities(corpus, want) == [
+        AL.extract_fertilities(a, len(s)) for (s, _), a in zip(corpus, aligns)]
+
+
+def test_viterbi_equals_reference_on_unseen_tokens_and_lengths(monkeypatch):
+    """Unseen source and target tokens score FLOOR; a length pair without a
+    table gets unfloored uniform positions; split into blocks of one pair."""
+    monkeypatch.setattr(AL, "BLOCK_CELLS", 1)
+    model = AL.em_train(_mixed_corpus(10, size=60))
+    rng = np.random.default_rng(11)
+    corpus = [([f"s{int(i)}" for i in rng.integers(0, 12, n_src)],
+               [f"t{int(i)}" for i in rng.integers(0, 12, n_tgt)])
+              for n_src, n_tgt in rng.integers(1, 18, size=(80, 2))]
+    assert any((len(t), len(s)) not in model.pos for s, t in corpus)
+    assert AL.corpus_alignments(corpus, model) == [
+        ref_viterbi_align(p, model) for p in corpus]
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +226,31 @@ def test_ties_break_toward_diagonal():
     assert got == [1, 1, 2, 2]  # diag of j=1..4 is round(j/2) = 1,1,2,2
 
 
+TIE_CASES = [
+    # every probability equal
+    (hand_model([[0.5, 0.5]] * 5, src_tokens=("a", "b", "c", "d")),
+     [(["a", "b", "c", "d"], ["x", "y"]), (["a", "b"], ["x", "y", "x", "y"]),
+      (["a"], ["x", "y", "x"]), (["a", "b", "c", "d"], ["y"]),
+      (["d", "c", "b"], ["x", "y", "y", "x", "y"])]),
+    # ties at FLOOR (zero and sub-floor entries), tied positional tables
+    (hand_model([[0.0, 1e-12], [1e-12, 0.3], [0.3, 0.0]],
+                {(2, 2): np.array([[0.25, 0.25, 0.5], [0.5, 0.25, 0.25]]),
+                 (3, 1): np.array([[0.5, 0.5], [0.5, 0.5], [1e-12, 1.0]]),
+                 (1, 1): np.array([[1e-12, 0.0]])}),
+     [(["a", "b"], ["x", "y"]), (["b", "a"], ["y", "x"]), (["a"], ["x", "y", "y"]),
+      (["a"], ["x"]),
+      (["b"], ["x", "x", "x"]), (["a", "b"], ["y", "mystery"]),
+      (["zz", "b"], ["x", "y"])]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(TIE_CASES)))
+def test_viterbi_equals_reference_on_hand_built_ties(case):
+    model, corpus = TIE_CASES[case]
+    assert AL.corpus_alignments(corpus, model) == [
+        ref_viterbi_align(p, model) for p in corpus]
+
+
 def test_all_null_only_when_null_dominates():
     model = hand_model([[0.9, 0.9], [0.01, 0.01], [0.02, 0.02]])
     assert AL.viterbi_align((["a", "b"], ["x", "y"]), model) == [0, 0]
@@ -164,10 +321,11 @@ def test_corpus_fertility_sums_exact():
 
 def test_dump_format():
     model = hand_model([[0.01, 0.01], [0.9, 0.02], [0.02, 0.9]])
-    lines = AL.dump_alignments([(["a", "b"], ["x", "y"]), (["a"], ["y", "y"])], model)
+    corpus = [(["a", "b"], ["x", "y"]), (["a"], ["y", "y"])]
+    lines = AL.dump_alignments(AL.corpus_alignments(corpus, model))
     assert lines[0] == "1-1 2-2"
     # "y" beats NULL via source "a"? NULL has 0.01 vs a's 0.02: aligns to 1
     assert lines[1] == "1-1 2-1"
     null_model = hand_model([[0.9, 0.9], [0.01, 0.01], [0.02, 0.02]])
-    lines = AL.dump_alignments([(["a", "b"], ["x"])], null_model)
+    lines = AL.dump_alignments(AL.corpus_alignments([(["a", "b"], ["x"])], null_model))
     assert lines[0] == "1-0"

@@ -283,16 +283,23 @@ def test_fertility_lines_sum_to_target_lengths(workdir):
         assert sum(fert) == len(tgt)
 
 
-def test_distill_empty_source_exits_2_with_index(workdir, capsys):
+@pytest.mark.parametrize("case", ["empty", "reserved", "long"])
+def test_distill_bad_source_exits_2_naming_file_line(workdir, capsys, case):
     pairs = load_corpus(workdir["corpus"])[:2]
-    bad = workdir["dir"] / "holey"
-    (bad.parent / "holey.src").write_text(
-        " ".join(pairs[0][0]) + "\n\n" + " ".join(pairs[1][0]) + "\n")
-    (bad.parent / "holey.tgt").write_text("a\nb\nc\n")
+    bad, message = {
+        "empty": ("", "empty input line"),
+        "reserved": ("<eos>", "line holds the reserved token <eos>"),
+        "long": (" ".join([pairs[0][0][0]] * 65),
+                 "line of 65 tokens exceeds max_len 64")}[case]
+    prefix = workdir["dir"] / "holey"
+    (prefix.parent / "holey.src").write_text(
+        " ".join(pairs[0][0]) + f"\n{bad}\n" + " ".join(pairs[1][0]) + "\n")
+    (prefix.parent / "holey.tgt").write_text("a\nb\nc\n")
     code, _, err = run(capsys, "distill", "--teacher", workdir["teacher"],
-                       "--corpus", str(bad), "--out-prefix", str(bad) + ".out")
+                       "--corpus", str(prefix), "--out-prefix", str(prefix) + ".out")
     assert code == 2
-    assert "data error: empty source sentence at corpus index 1" in err
+    assert f"data error: {prefix}.src:2: {message}" in err
+    assert not (prefix.parent / "holey.out.src").exists()
 
 
 def test_translate_writes_one_line_per_input(workdir, capsys):
@@ -392,6 +399,25 @@ def test_translate_over_long_line_exits_2_naming_file_line(workdir, capsys,
             in err)
 
 
+@pytest.mark.parametrize("kind,strategy", TRANSLATE_CASES)
+@pytest.mark.parametrize("token", ["<pad>", "<bos>", "<eos>"])
+def test_translate_reserved_token_exits_2_naming_file_line(workdir, capsys,
+                                                           monkeypatch, kind,
+                                                           strategy, token):
+    good = load_corpus(workdir["corpus"])[0][0]
+    path, err = _translate_bad_line(workdir, capsys, monkeypatch, kind,
+                                    strategy, " ".join([good[0], token]))
+    assert f"data error: {path}:3: line holds the reserved token {token}" in err
+
+
+def test_translate_accepts_unknown_word_token(workdir, capsys):
+    path = workdir["dir"] / "unk.src"
+    path.write_text("<unk> " + " ".join(load_corpus(workdir["corpus"])[0][0]) + "\n")
+    code, out, _ = run(capsys, "translate", "--model", workdir["nat"],
+                       "--input", str(path), "--strategy", "argmax")
+    assert code == 0 and len(out.splitlines()) == 1
+
+
 def test_score_prints_one_number_per_line(workdir, capsys):
     code, out, _ = run(capsys, "score", "--teacher", workdir["teacher"],
                        "--source", workdir["corpus"] + ".src",
@@ -413,7 +439,7 @@ def _score(workdir, capsys, sources, candidates):
 
 
 @pytest.mark.parametrize("case", ["empty_source", "long_source", "long_candidate",
-                                  "pad_candidate"])
+                                  "pad_candidate", "bos_source"])
 def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
     """Every line is checked before any score is printed."""
     src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
@@ -424,6 +450,8 @@ def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
         srcs[1] = " ".join([src_tok[0]] * 65)
     elif case == "long_candidate":
         cands[1] = " ".join([tgt_tok[0]] * 64)   # bos + 64 > max_len 64
+    elif case == "bos_source":
+        srcs[1] = "<bos> " + srcs[1]
     else:
         cands[1] = "<pad> " + cands[1]
     code, out, err, src, cand = _score(workdir, capsys, srcs, cands)
@@ -432,7 +460,8 @@ def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
             "long_source": f"{src}:2: line of 65 tokens exceeds max_len 64",
             "long_candidate": f"{cand}:2: candidate of 64 tokens exceeds "
                               "max_len 64 less the start marker",
-            "pad_candidate": f"{cand}:2: candidate holds the padding token"}[case]
+            "pad_candidate": f"{cand}:2: candidate holds the padding token",
+            "bos_source": f"{src}:2: line holds the reserved token <bos>"}[case]
     assert f"data error: {want}" in err
 
 
@@ -464,6 +493,7 @@ def test_empty_corpus_exits_2_naming_prefix(workdir, tmp_path, capsys, command):
 @pytest.mark.parametrize("bad, message", [
     ("", ":2: empty input line"),
     ("long", ":2: line of 65 tokens exceeds max_len 64"),
+    ("<pad> <pad>", ":2: line holds the reserved token <pad>"),
     ("no lines", ": empty testset")])
 def test_bench_bad_testset_exits_2_naming_file(workdir, capsys, bad, message):
     good = " ".join(load_corpus(workdir["corpus"])[0][0])
@@ -479,6 +509,27 @@ def test_bench_bad_testset_exits_2_naming_file(workdir, capsys, bad, message):
                          "--strategies", "greedy,argmax", "--repeats", "1")
     assert code == 2 and out == ""
     assert f"data error: {path}{message}" in err
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "train-nat", "finetune",
+                                     "align"])
+def test_empty_source_line_exits_2_naming_file_line(workdir, tmp_path, capsys,
+                                                    command):
+    src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
+    prefix = str(tmp_path / "holey")
+    (tmp_path / "holey.src").write_text(" ".join(src_tok) + "\n\n")
+    (tmp_path / "holey.tgt").write_text(" ".join(tgt_tok) + "\nz\n")
+    (tmp_path / "holey.fert").write_text(" ".join(["1"] * len(src_tok)) + "\n\n")
+    out = str(tmp_path / "out.nat")
+    args = {"train-teacher": ["--out", out],
+            "train-nat": ["--fertilities", prefix + ".fert", "--out", out],
+            "finetune": ["--nat", workdir["nat"], "--teacher", workdir["teacher"],
+                         "--fertilities", prefix + ".fert", "--out", out],
+            "align": ["--fertilities-out", prefix + ".out"]}[command]
+    code, _, err = run(capsys, command, "--corpus", prefix, *args)
+    assert code == 2
+    assert f"data error: {prefix}.src:2: empty source line" in err
+    assert "Traceback" not in err
 
 
 def test_bench_subcommand_writes_tsv(workdir, capsys):
