@@ -473,19 +473,27 @@ def test_score_accepts_empty_and_longest_candidates(workdir, capsys):
     assert len(out.splitlines()) == 2
 
 
-@pytest.mark.parametrize("command", ["train-teacher", "train-nat", "finetune",
-                                     "align"])
-def test_empty_corpus_exits_2_naming_prefix(workdir, tmp_path, capsys, command):
-    prefix = str(tmp_path / "empty")
-    for ext in (".src", ".tgt", ".fert"):
-        (tmp_path / ("empty" + ext)).write_text("")
-    out = str(tmp_path / "out.nat")
+CORPUS_COMMANDS = ["train-teacher", "train-nat", "finetune", "align"]
+
+
+def _run_on_corpus(workdir, capsys, command, prefix):
+    """Run a corpus-reading command on PREFIX, with PREFIX.fert as its
+    fertility file and outputs next to it."""
+    out = prefix + ".out"
     args = {"train-teacher": ["--out", out],
             "train-nat": ["--fertilities", prefix + ".fert", "--out", out],
             "finetune": ["--nat", workdir["nat"], "--teacher", workdir["teacher"],
                          "--fertilities", prefix + ".fert", "--out", out],
-            "align": []}[command]
-    code, _, err = run(capsys, command, "--corpus", prefix, *args)
+            "align": ["--fertilities-out", out]}[command]
+    return run(capsys, command, "--corpus", prefix, *args)
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
+def test_empty_corpus_exits_2_naming_prefix(workdir, tmp_path, capsys, command):
+    prefix = str(tmp_path / "empty")
+    for ext in (".src", ".tgt", ".fert"):
+        (tmp_path / ("empty" + ext)).write_text("")
+    code, _, err = _run_on_corpus(workdir, capsys, command, prefix)
     assert code == 2
     assert f"data error: corpus {prefix} has no non-empty sentence pairs" in err
 
@@ -511,8 +519,7 @@ def test_bench_bad_testset_exits_2_naming_file(workdir, capsys, bad, message):
     assert f"data error: {path}{message}" in err
 
 
-@pytest.mark.parametrize("command", ["train-teacher", "train-nat", "finetune",
-                                     "align"])
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
 def test_empty_source_line_exits_2_naming_file_line(workdir, tmp_path, capsys,
                                                     command):
     src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
@@ -520,13 +527,7 @@ def test_empty_source_line_exits_2_naming_file_line(workdir, tmp_path, capsys,
     (tmp_path / "holey.src").write_text(" ".join(src_tok) + "\n\n")
     (tmp_path / "holey.tgt").write_text(" ".join(tgt_tok) + "\nz\n")
     (tmp_path / "holey.fert").write_text(" ".join(["1"] * len(src_tok)) + "\n\n")
-    out = str(tmp_path / "out.nat")
-    args = {"train-teacher": ["--out", out],
-            "train-nat": ["--fertilities", prefix + ".fert", "--out", out],
-            "finetune": ["--nat", workdir["nat"], "--teacher", workdir["teacher"],
-                         "--fertilities", prefix + ".fert", "--out", out],
-            "align": ["--fertilities-out", prefix + ".out"]}[command]
-    code, _, err = run(capsys, command, "--corpus", prefix, *args)
+    code, _, err = _run_on_corpus(workdir, capsys, command, prefix)
     assert code == 2
     assert f"data error: {prefix}.src:2: empty source line" in err
     assert "Traceback" not in err
