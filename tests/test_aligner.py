@@ -238,8 +238,7 @@ TIE_CASES = [
                  (3, 1): np.array([[0.5, 0.5], [0.5, 0.5], [1e-12, 1.0]]),
                  (1, 1): np.array([[1e-12, 0.0]])}),
      [(["a", "b"], ["x", "y"]), (["b", "a"], ["y", "x"]), (["a"], ["x", "y", "y"]),
-      (["a"], ["x"]),
-      (["b"], ["x", "x", "x"]), (["a", "b"], ["y", "mystery"]),
+      (["a"], ["x"]), (["b"], ["x", "x", "x"]), (["a", "b"], ["y", "mystery"]),
       (["zz", "b"], ["x", "y"])]),
 ]
 
