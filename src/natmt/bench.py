@@ -1,5 +1,6 @@
-"""Single-sentence decoding benchmark: wall-clock, instrumented decoder-pass
-counts, and plot-ready report emitters."""
+"""Strategy specs and the one batch-size-one decode entry point; the
+single-sentence decoding benchmark (wall-clock, instrumented decoder-pass
+counts) and plot-ready report emitters."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 from . import nat as N
 from . import teacher as AR
 from .bleu import bleu
+from .data import DataError
 
 
 @dataclass
@@ -39,53 +41,53 @@ def parse_strategy(spec: str) -> tuple[str, int | None]:
     """'greedy', 'beam:4', 'npd:10' -> (kind, numeric argument)."""
     kind, _, arg = spec.partition(":")
     if kind not in ("greedy", "beam", "argmax", "average", "npd"):
-        raise ValueError(f"unknown decoding strategy {spec!r}")
-    if arg:
-        try:
-            n = int(arg)
-        except ValueError:
-            raise ValueError(f"bad strategy argument in {spec!r}") from None
-        if n < 1:
-            raise ValueError(f"strategy argument must be positive in {spec!r}")
-    else:
-        n = {"beam": 4, "npd": 10}.get(kind)
+        raise DataError(f"unknown decoding strategy {spec!r}")
+    if not arg:
+        return kind, {"beam": 4, "npd": 10}.get(kind)
+    if kind not in ("beam", "npd"):
+        raise DataError(f"strategy {kind!r} takes no argument in {spec!r}")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise DataError(f"bad strategy argument in {spec!r}") from None
+    if n < 1:
+        raise DataError(f"strategy argument must be positive in {spec!r}")
     return kind, n
 
 
-def _runner(spec: str, teacher_model, nat_model, seed: int,
-            source_length: bool) -> Callable:
-    """Returns src_ids -> (output tokens, decoder passes) at batch size one;
-    ``source_length`` caps teacher decodes at the source length."""
+def decoder(spec: str, teacher_model, nat_model,
+            seed: int = 0) -> Callable[[Sequence[int]], N.DecodeResult]:
+    """The one map from a strategy spec to a batch-size-one decode
+    ``src_ids -> DecodeResult``; refuses a missing model before anything is
+    decoded. Teacher strategies report no fertility."""
     kind, arg = parse_strategy(spec)
-    if kind in ("greedy", "beam") and teacher_model is None:
-        raise ValueError(f"strategy {spec!r} needs a teacher model")
     if kind in ("argmax", "average", "npd") and nat_model is None:
-        raise ValueError(f"strategy {spec!r} needs a parallel model")
-    if kind == "npd" and teacher_model is None:
-        raise ValueError("npd needs a teacher model for rescoring")
+        raise DataError(f"strategy {spec!r} needs a parallel model")
+    if kind in ("greedy", "beam", "npd") and teacher_model is None:
+        raise DataError(f"strategy {spec!r} needs a teacher model")
+    if kind == "greedy":
+        return lambda src: N.DecodeResult(AR.greedy_decode(src, teacher_model),
+                                          None, kind)
+    if kind == "beam":
+        return lambda src: N.DecodeResult(AR.beam_decode(src, teacher_model, b=arg),
+                                          None, kind)
+    if kind == "argmax":
+        return lambda src: N.decode_argmax(src, nat_model)
+    if kind == "average":
+        return lambda src: N.decode_average(src, nat_model)
+    return lambda src: N.decode_npd(src, nat_model, teacher_model, arg, seed)
+
+
+def _runner(spec: str, teacher_model, nat_model, seed: int) -> Callable:
+    """Returns src_ids -> (output tokens, decoder passes)."""
+    decode = decoder(spec, teacher_model, nat_model, seed)
+    models = [m for m in (teacher_model, nat_model) if m is not None]
 
     def run(src):
-        max_len = len(src) if source_length else None
-        if teacher_model is not None:
-            teacher_model.reset_passes()
-        if nat_model is not None:
-            nat_model.reset_passes()
-        if kind == "greedy":
-            out = AR.greedy_decode(src, teacher_model, max_len)
-        elif kind == "beam":
-            out = AR.beam_decode(src, teacher_model, b=arg, max_len=max_len)
-        elif kind == "argmax":
-            out = N.decode_argmax(src, nat_model).output
-        elif kind == "average":
-            out = N.decode_average(src, nat_model).output
-        else:
-            out = N.decode_npd(src, nat_model, teacher_model, arg, seed).output
-        passes = 0
-        if teacher_model is not None:
-            passes += teacher_model.decoder_passes
-        if nat_model is not None:
-            passes += nat_model.decoder_passes
-        return out, passes
+        for m in models:
+            m.reset_passes()
+        out = decode(src).output
+        return out, sum(m.decoder_passes for m in models)
 
     return run
 
@@ -93,16 +95,11 @@ def _runner(spec: str, teacher_model, nat_model, seed: int,
 def bench_latency(testset: Sequence[Sequence[int]],
                   teacher_model=None, nat_model=None,
                   strategies: Sequence[str] = ("beam:4", "greedy", "argmax"),
-                  repeats: int = 3, seed: int = 0,
-                  source_length: bool = False) -> BenchReport:
+                  repeats: int = 3, seed: int = 0) -> BenchReport:
     """Times each strategy on every sentence alone (no minibatching); the
     first sentence is decoded once untimed to warm caches. Per-sentence
     wall-clock is the median over ``repeats`` runs of ``perf_counter``.
-    Speedups are relative to the first strategy.
-
-    ``source_length`` caps greedy and beam decodes at the source length, so
-    that a teacher whose end marker is suppressed emits exactly as many
-    tokens as a unit-fertility parallel decode."""
+    Speedups are relative to the first strategy."""
     if not testset:
         raise ValueError("empty benchmark set")
     if repeats < 1:
@@ -111,7 +108,7 @@ def bench_latency(testset: Sequence[Sequence[int]],
 
     sentences: dict[str, list[SentenceStat]] = {}
     for spec in strategies:
-        run = _runner(spec, teacher_model, nat_model, seed, source_length)
+        run = _runner(spec, teacher_model, nat_model, seed)
         run(testset[0])  # warm-up, untimed
         stats = []
         for src in testset:
@@ -166,12 +163,10 @@ def npd_quality_curve(testset, refs, nat_model, teacher_model,
     budget; rows are plot-ready."""
     rows = []
     for s in sample_counts:
-        hyps, scores = [], []
-        for src in testset:
-            res = N.decode_npd(src, nat_model, teacher_model, s, seed)
-            hyps.append(res.output)
-            scores.append(res.teacher_score)
-        rows.append((s, bleu(hyps, refs), statistics.fmean(scores)))
+        decode = decoder(f"npd:{s}", teacher_model, nat_model, seed)
+        results = [decode(src) for src in testset]
+        rows.append((s, bleu([r.output for r in results], refs),
+                     statistics.fmean(r.teacher_score for r in results)))
     return rows
 
 

@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import aligner as AL
 from . import bench as B
-from . import nat as N
 from . import pipeline as P
 from . import synth as SY
 from . import teacher as AR
@@ -115,15 +114,28 @@ def _add_config_flags(sp):
     sp.add_argument("--log", help="JSONL training log path")
 
 
+# reserved tokens input text may not hold; `<unk>` already means "unknown word"
+_MARKERS = frozenset(RESERVED) - {RESERVED[UNK]}
+
+
+def _refuse_markers(path, ln: int, sent) -> None:
+    for tok in sent:
+        if tok in _MARKERS:
+            raise DataError(f"{path}:{ln}: line holds the reserved token {tok}")
+
+
 def _load_training_corpus(prefix):
-    """`load_corpus`, refusing a corpus without one pair of non-empty sides
-    and any empty source line, naming PREFIX.src:LINE."""
+    """`load_corpus`, refusing a corpus without one pair of non-empty sides,
+    an empty source line or a reserved token other than `<unk>` on either
+    side, naming PREFIX.src:LINE or PREFIX.tgt:LINE."""
     pairs = load_corpus(prefix)
     if not any(s and t for s, t in pairs):
         raise DataError(f"corpus {prefix} has no non-empty sentence pairs")
-    for ln, (src, _) in enumerate(pairs, 1):
+    for ln, (src, tgt) in enumerate(pairs, 1):
         if not src:
             raise DataError(f"{prefix}.src:{ln}: empty source line")
+        _refuse_markers(f"{prefix}.src", ln, src)
+        _refuse_markers(f"{prefix}.tgt", ln, tgt)
     return pairs
 
 
@@ -154,6 +166,14 @@ def _load_kind(path, kind: str):
         raise DataError(f"checkpoint {path} holds a {model.kind} model, "
                         f"expected {kind}")
     return model, sv, tv, ckpt
+
+
+def _check_same_vocabs(teacher_path, teacher_vocabs, nat_path, nat_vocabs) -> None:
+    """Refuse a teacher and a parallel model whose (source, target)
+    vocabularies differ: each would read the other's token ids as its own."""
+    if any(a.tokens != b.tokens for a, b in zip(teacher_vocabs, nat_vocabs)):
+        raise DataError(f"checkpoints {teacher_path} and {nat_path} have "
+                        "different vocabularies")
 
 
 def _paired_fertilities(pairs, fert_path):
@@ -245,7 +265,8 @@ def cmd_train_nat(args) -> None:
 
 def cmd_finetune(args) -> None:
     model, sv, tv, _ = _load_kind(args.nat, "nat")
-    teacher_model, *_ = _load_kind(args.teacher, "teacher")
+    teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
+    _check_same_vocabs(args.teacher, (tsv, ttv), args.nat, (sv, tv))
     pairs_tok = _load_training_corpus(args.corpus)
     ferts = _paired_fertilities(pairs_tok, args.fertilities)
     _, tcfg = split_config(gather_config(args),
@@ -261,10 +282,6 @@ def cmd_finetune(args) -> None:
           f"loss {last:.4f}, saved to {args.out}")
 
 
-# reserved tokens input text may not hold; `<unk>` already means "unknown word"
-_MARKERS = frozenset(RESERVED) - {RESERVED[UNK]}
-
-
 def _check_input_lines(path, sents, max_len: int) -> None:
     """Reject an empty or over-long input line, or one holding a reserved
     token other than `<unk>`, naming FILE:LINE, before anything is decoded."""
@@ -274,48 +291,25 @@ def _check_input_lines(path, sents, max_len: int) -> None:
         if len(sent) > max_len:
             raise DataError(f"{path}:{ln}: line of {len(sent)} tokens "
                             f"exceeds max_len {max_len}")
-        for tok in sent:
-            if tok in _MARKERS:
-                raise DataError(f"{path}:{ln}: line holds the reserved "
-                                f"token {tok}")
+        _refuse_markers(path, ln, sent)
 
 
 def cmd_translate(args) -> None:
     model, sv, tv, _ = P.load_model(args.model)
     sents = read_sentences(args.input)
-    outputs = []
-    if model.kind == "teacher":
-        if args.strategy not in ("greedy", "beam"):
-            raise DataError(f"strategy {args.strategy!r} needs a parallel "
-                            "model checkpoint")
-        _check_input_lines(args.input, sents, model.cfg.max_len)
-        for sent in sents:
-            src = sv.encode(sent)
-            hyp = (AR.greedy_decode(src, model) if args.strategy == "greedy"
-                   else AR.beam_decode(src, model, b=args.beam))
-            outputs.append(tv.decode(hyp))
-    else:
-        if args.strategy not in ("argmax", "average", "npd"):
-            raise DataError(f"strategy {args.strategy!r} needs a teacher "
-                            "model checkpoint")
-        teacher_model = None
-        max_len = model.cfg.max_len
-        if args.strategy == "npd":
-            if not args.teacher:
-                raise UsageError("npd strategy requires --teacher")
-            teacher_model, *_ = _load_kind(args.teacher, "teacher")
-            max_len = min(max_len, teacher_model.cfg.max_len)
-        _check_input_lines(args.input, sents, max_len)
-        for sent in sents:
-            src = sv.encode(sent)
-            if args.strategy == "argmax":
-                res = N.decode_argmax(src, model)
-            elif args.strategy == "average":
-                res = N.decode_average(src, model)
-            else:
-                res = N.decode_npd(src, model, teacher_model,
-                                   args.samples, args.seed)
-            outputs.append(tv.decode(res.output))
+    models = {model.kind: model}
+    if args.strategy == "npd" and model.kind == "nat":
+        if not args.teacher:
+            raise UsageError("npd strategy requires --teacher")
+        teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
+        _check_same_vocabs(args.teacher, (tsv, ttv), args.model, (sv, tv))
+        models["teacher"] = teacher_model
+    spec = {"beam": f"beam:{args.beam}",
+            "npd": f"npd:{args.samples}"}.get(args.strategy, args.strategy)
+    decode = B.decoder(spec, models.get("teacher"), models.get("nat"), args.seed)
+    _check_input_lines(args.input, sents,
+                       min(m.cfg.max_len for m in models.values()))
+    outputs = [tv.decode(decode(sv.encode(sent)).output) for sent in sents]
     text = "\n".join(" ".join(toks) for toks in outputs)
     if args.output:
         Path(args.output).write_text(text + "\n" if text else "",
@@ -353,23 +347,25 @@ def cmd_bleu(args) -> None:
 
 
 def cmd_bench(args) -> None:
-    teacher_model = nat_model = None
-    sv = None
-    if args.teacher:
-        teacher_model, sv, _, _ = _load_kind(args.teacher, "teacher")
-    if args.nat:
-        nat_model, sv, _, _ = _load_kind(args.nat, "nat")
-    if teacher_model is None and nat_model is None:
+    teacher = _load_kind(args.teacher, "teacher") if args.teacher else None
+    nat = _load_kind(args.nat, "nat") if args.nat else None
+    if teacher is None and nat is None:
         raise UsageError("bench needs --teacher and/or --nat")
+    if teacher and nat:
+        _check_same_vocabs(args.teacher, teacher[1:3], args.nat, nat[1:3])
+    sv = (nat or teacher)[1]
     sents = read_sentences(args.testset)
     if not sents:
         raise DataError(f"{args.testset}: empty testset")
-    max_len = min(m.cfg.max_len for m in (teacher_model, nat_model) if m is not None)
-    _check_input_lines(args.testset, sents, max_len)
+    _check_input_lines(args.testset, sents,
+                       min(m[0].cfg.max_len for m in (teacher, nat) if m))
     testset = [sv.encode(s) for s in sents]
     strategies = [s for s in args.strategies.split(",") if s]
-    report = B.bench_latency(testset, teacher_model, nat_model, strategies,
-                             repeats=args.repeats, seed=args.seed or 0)
+    if not strategies:
+        raise UsageError("bench: --strategies names no strategy")
+    report = B.bench_latency(testset, teacher and teacher[0], nat and nat[0],
+                             strategies, repeats=args.repeats,
+                             seed=args.seed or 0)
     if args.out:
         B.write_latency_tsv(report, args.out)
     for spec in strategies:

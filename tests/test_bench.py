@@ -11,7 +11,7 @@ import natmt.bench as B
 import natmt.nat as N
 import natmt.teacher as AR
 from natmt.config import ModelConfig
-from natmt.data import EOS
+from natmt.data import EOS, DataError
 
 
 def tiny_cfg():
@@ -34,6 +34,39 @@ def test_parse_strategy():
     for bad in ("sampled", "npd:x", "beam:0"):
         with pytest.raises(ValueError):
             B.parse_strategy(bad)
+
+
+@pytest.mark.parametrize("spec", ["greedy:2", "argmax:1", "average:3"])
+def test_parse_strategy_refuses_argument_it_would_ignore(spec):
+    with pytest.raises(DataError, match="takes no argument"):
+        B.parse_strategy(spec)
+
+
+@pytest.mark.parametrize("spec", ["greedy", "beam:2", "argmax", "average",
+                                  "npd:3"])
+def test_decoder_equals_direct_call(models, spec):
+    teacher, nat = models
+    direct = {"greedy": lambda s: AR.greedy_decode(s, teacher),
+              "beam:2": lambda s: AR.beam_decode(s, teacher, b=2),
+              "argmax": lambda s: N.decode_argmax(s, nat).output,
+              "average": lambda s: N.decode_average(s, nat).output,
+              "npd:3": lambda s: N.decode_npd(s, nat, teacher, 3, 5).output}[spec]
+    decode = B.decoder(spec, teacher, nat, seed=5)
+    for src in ([4, 5, 6], [7, 7, 7], [11, 10, 9, 5]):  # beam 2 and 4 differ on the last two
+        res = decode(src)
+        assert res.output == direct(src)
+        assert res.strategy == spec.partition(":")[0]
+
+
+@pytest.mark.parametrize("spec, teacher, nat, missing", [
+    ("greedy", False, True, "teacher"), ("beam:2", False, True, "teacher"),
+    ("argmax", True, False, "parallel"), ("average", True, False, "parallel"),
+    ("npd:3", True, False, "parallel"), ("npd:3", False, True, "teacher")])
+def test_decoder_refuses_missing_model(models, spec, teacher, nat, missing):
+    t, n = models
+    with pytest.raises(DataError,
+                       match=f"strategy '{spec}' needs a {missing} model"):
+        B.decoder(spec, t if teacher else None, n if nat else None)
 
 
 def test_bench_counts_passes_per_contract(models):
@@ -113,24 +146,6 @@ def test_latency_tsv_round_trip(tmp_path, models):
     float(first[3])  # parses as a number
 
 
-def test_structural_latency_script_matches_output_lengths(tmp_path, capsys):
-    # every strategy emits exactly the source length, so speedups compare
-    # decodes of equal output length
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_latency_bench.py"
-    spec = importlib.util.spec_from_file_location("run_latency_bench", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "latency.tsv"
-    assert script.main(["--out", str(out), "--lengths", "3", "7",
-                        "--per-length", "1", "--repeats", "1",
-                        "--d-model", "16", "--n-layer", "1"]) == 0
-    rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
-    assert {r[0] for r in rows} == {"greedy", "beam:4", "argmax", "average",
-                                    "npd:10"}
-    for strategy, src_len, out_len, _, _ in rows:
-        assert out_len == src_len, strategy
-
-
 def test_npd_curve_rows_and_tsv(tmp_path, models):
     teacher, nat = models
     testset = [[4, 5], [6, 7]]
@@ -141,6 +156,21 @@ def test_npd_curve_rows_and_tsv(tmp_path, models):
     B.write_npd_curve_tsv(rows, tmp_path / "npd.tsv")
     lines = (tmp_path / "npd.tsv").read_text().splitlines()
     assert lines[0].startswith("samples\t") and len(lines) == 3
+
+
+def test_multimodal_pipeline_script_smoke(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_multimodal_pipeline.py"
+    spec = importlib.util.spec_from_file_location("run_multimodal_pipeline", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--out-dir", str(tmp_path), "--size", "40",
+                        "--dev-size", "10", "--teacher-steps", "3",
+                        "--nat-steps", "3", "--skip-finetune"]) == 0
+    curve = (tmp_path / "npd_curve.tsv").read_text().splitlines()
+    assert curve[0].split("\t") == ["samples", "bleu", "mean_teacher_score"]
+    assert [row.split("\t")[0] for row in curve[1:]] == ["1", "2", "5", "10", "20"]
+    for name in ("summary.txt", "learning_curve.tsv"):
+        assert (tmp_path / name).stat().st_size > 0, name
 
 
 def test_learning_curve_tsv(tmp_path):

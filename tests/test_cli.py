@@ -2,17 +2,19 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import natmt.bench as B
 import natmt.pipeline as P
 from natmt import nat as N
 from natmt import teacher as AR
 from natmt.checkpoint import load_checkpoint, save_checkpoint
 from natmt.cli import main
 from natmt.config import ModelConfig
-from natmt.data import Vocab, load_corpus
+from natmt.data import RESERVED, Vocab, load_corpus
 
 
 def run(capsys, *argv):
@@ -355,6 +357,62 @@ def test_translate_teacher_greedy_and_beam(workdir, capsys):
                "--beam", "2")[0] == 0
 
 
+@pytest.mark.parametrize("strategy, flags, spec", [
+    ("beam", ["--beam", "2"], "beam:2"),
+    ("npd", ["--samples", "3", "--seed", "4"], "npd:3")])
+def test_translate_flags_decode_as_their_spec(workdir, capsys, monkeypatch,
+                                              strategy, flags, spec):
+    # on these models beam widths 2 and 4 decode alike, so record the width
+    widths, beam = [], AR.beam_decode
+    monkeypatch.setattr(AR, "beam_decode", lambda src, model, b:
+                        widths.append(b) or beam(src, model, b=b))
+    kind = "teacher" if strategy == "beam" else "nat"
+    code, out, _ = run(capsys, "translate", "--model", workdir[kind],
+                       "--input", workdir["corpus"] + ".src",
+                       "--strategy", strategy, "--teacher", workdir["teacher"],
+                       *flags)
+    assert code == 0
+    teacher_model, sv, tv, _ = P.load_model(workdir["teacher"])
+    nat_model = P.load_model(workdir["nat"])[0]
+    decode = B.decoder(spec, teacher_model, nat_model, seed=4)
+    want = [" ".join(tv.decode(decode(sv.encode(src)).output))
+            for src, _ in load_corpus(workdir["corpus"])]
+    assert out.splitlines() == want
+    assert set(widths) == ({2} if strategy == "beam" else set())
+
+
+def _with_reordered_vocab(workdir, side):
+    """The parallel model saved again with one vocabulary's order reversed:
+    same sizes, different token ids."""
+    model, sv, tv, _ = P.load_model(workdir["nat"])
+    flip = lambda v: Vocab(list(reversed(v.tokens[len(RESERVED):])))
+    path = workdir["dir"] / f"nat_{side}_reordered.nat"
+    P.save_model(path, model, *((flip(sv), tv) if side == "src" else (sv, flip(tv))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["translate", "bench", "finetune"])
+@pytest.mark.parametrize("side", ["src", "tgt"])
+def test_teacher_and_parallel_vocab_mismatch_exits_2(workdir, capsys, command,
+                                                    side):
+    nat = _with_reordered_vocab(workdir, side)
+    teacher, corpus = workdir["teacher"], workdir["corpus"]
+    out = str(workdir["dir"] / f"mismatch_{command}_{side}.out")
+    argv = {"translate": ["--model", nat, "--input", corpus + ".src",
+                          "--output", out, "--strategy", "npd"],
+            "bench": ["--nat", nat, "--testset", corpus + ".src",
+                      "--strategies", "greedy,npd:3", "--repeats", "1",
+                      "--out", out],
+            "finetune": ["--nat", nat, "--corpus", workdir["distilled"],
+                         "--fertilities", workdir["ferts"], "--out", out,
+                         "--steps", "1"]}[command]
+    code, stdout, err = run(capsys, command, "--teacher", teacher, *argv)
+    assert code == 2 and stdout == ""
+    assert (f"data error: checkpoints {teacher} and {nat} have different "
+            "vocabularies") in err
+    assert not Path(out).exists()
+
+
 TRANSLATE_CASES = [("teacher", "greedy"), ("teacher", "beam"), ("nat", "argmax")]
 
 
@@ -520,6 +578,32 @@ def test_bench_bad_testset_exits_2_naming_file(workdir, capsys, bad, message):
 
 
 @pytest.mark.parametrize("command", CORPUS_COMMANDS)
+@pytest.mark.parametrize("side", ["src", "tgt"])
+@pytest.mark.parametrize("token", ["<pad>", "<bos>", "<eos>"])
+def test_training_corpus_reserved_token_exits_2_naming_file_line(
+        workdir, tmp_path, capsys, command, side, token):
+    src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
+    lines = {"src": [" ".join(src_tok)] * 3, "tgt": [" ".join(tgt_tok)] * 3}
+    lines[side][1] = f"{lines[side][1]} {token}"
+    prefix = str(tmp_path / "marked")
+    for ext, rows in (("src", lines["src"]), ("tgt", lines["tgt"]),
+                      ("fert", [" ".join(["1"] * len(src_tok))] * 3)):
+        (tmp_path / f"marked.{ext}").write_text("\n".join(rows) + "\n")
+    code, _, err = _run_on_corpus(workdir, capsys, command, prefix)
+    assert code == 2
+    assert (f"data error: {prefix}.{side}:2: line holds the reserved token "
+            f"{token}") in err
+    assert not (tmp_path / "marked.out").exists()
+
+
+def test_training_corpus_accepts_unknown_word_token(tmp_path, capsys):
+    (tmp_path / "unk.src").write_text("a <unk> b\nb c\n")
+    (tmp_path / "unk.tgt").write_text("x <unk> y\ny z\n")
+    code, _, _ = run(capsys, "align", "--corpus", str(tmp_path / "unk"))
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", CORPUS_COMMANDS)
 def test_empty_source_line_exits_2_naming_file_line(workdir, tmp_path, capsys,
                                                     command):
     src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
@@ -531,6 +615,20 @@ def test_empty_source_line_exits_2_naming_file_line(workdir, tmp_path, capsys,
     assert code == 2
     assert f"data error: {prefix}.src:2: empty source line" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("strategies, code, message", [
+    ("", 1, "bench: --strategies names no strategy"),
+    (",", 1, "bench: --strategies names no strategy"),
+    ("greedy:2", 2, "data error: strategy 'greedy' takes no argument in 'greedy:2'"),
+    ("beam:0", 2, "data error: strategy argument must be positive in 'beam:0'"),
+    ("argmax", 2, "data error: strategy 'argmax' needs a parallel model")])
+def test_bench_bad_strategies(workdir, capsys, strategies, code, message):
+    got, out, err = run(capsys, "bench", "--teacher", workdir["teacher"],
+                        "--testset", workdir["corpus"] + ".src",
+                        "--strategies", strategies, "--repeats", "1")
+    assert (got, out) == (code, "")
+    assert message in err and "Traceback" not in err
 
 
 def test_bench_subcommand_writes_tsv(workdir, capsys):

@@ -5,7 +5,7 @@ operation with plain float64 numpy, independent of the engine's graph machinery.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natmt import tensor as T
@@ -363,12 +363,13 @@ def test_transpose_backward_inverts_non_involutive_permutation(axes):
 
 @settings(max_examples=40)
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=8))
+@example(xs=[0.0, 0.0625])   # variance near the epsilon: the output variance is not 1
 def test_layer_norm_stats(xs):
     x = np.asarray(xs, dtype=np.float32)
     out = T.layer_norm(Tensor(x), Tensor(np.ones(len(xs))), Tensor(np.zeros(len(xs)))).numpy()
-    if np.ptp(x) > 1e-2:
-        assert abs(out.mean()) < 1e-4
-        assert abs(out.astype(np.float64).var() - 1.0) < 1e-2
+    var = x.astype(np.float64).var()
+    assert abs(out.astype(np.float64).mean()) < 1e-4
+    assert abs(out.astype(np.float64).var() - var / (var + T.LAYER_NORM_EPS)) < 1e-4
 
 
 def test_cross_entropy_one_hot_is_zero():
