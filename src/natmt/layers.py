@@ -60,21 +60,18 @@ def attention_bias(structural: np.ndarray | None, key_lengths: np.ndarray,
     permitted key.
     """
     key_lengths = np.asarray(key_lengths)
-    b = key_lengths.shape[0]
-    permitted = np.broadcast_to(
-        np.arange(tk)[None, :] < key_lengths[:, None], (b, tk))[:, None, :]
-    permitted = np.broadcast_to(permitted, (b, tq, tk))
+    permitted = np.empty((key_lengths.shape[0], 1, tq, tk), dtype=bool)
+    np.less(np.arange(tk), key_lengths[:, None, None, None], out=permitted)
     if structural is not None:
         if structural.shape != (tq, tk):
             raise ValueError(f"structural mask {structural.shape} != ({tq}, {tk})")
-        permitted = permitted & structural[None, :, :]
+        permitted &= structural
     if exclude_self:
-        permitted = permitted & ~np.eye(tq, tk, dtype=bool)[None]
-        permitted[key_lengths == 1, 0, 0] = True
+        permitted &= ~np.eye(tq, tk, dtype=bool)
+        permitted[key_lengths == 1, 0, 0, 0] = True
     if not permitted.any(axis=-1).all():
         raise ValueError("attention row with zero permitted keys")
-    bias = np.where(permitted, np.float32(0.0), MASK_BIAS)
-    return bias[:, None, :, :].astype(DTYPE)
+    return np.where(permitted, np.float32(0.0), MASK_BIAS)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +141,10 @@ class LayerNorm(Module):
         self.gain = Tensor(np.ones(d, dtype=DTYPE), requires_grad=True)
         self.bias = Tensor(np.zeros(d, dtype=DTYPE), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        """Normalized `x`, or normalized ``residual + x`` for a post-norm
+        sublayer with output `x`."""
+        return T.layer_norm(x, self.gain, self.bias, residual)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
@@ -155,10 +154,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
     Returns (weighted values, attention weights); forbidden positions carry a
     -1e9 additive bias so their weight underflows to exactly zero.
     """
-    logits = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), Tensor(np.float32(scale)))
-    if bias is not None:
-        logits = T.add(logits, Tensor(bias))
-    weights = T.softmax(logits, axis=-1)
+    logits = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    weights = T.attention_softmax(logits, scale, bias)
     return T.matmul(weights, v), weights
 
 
@@ -198,28 +195,20 @@ class MultiHeadAttention(Module):
         self.wv = Linear(d, d, rng)
         self.wo = Linear(d, d, rng)
         self.n_head = cfg.n_head
-        self.d_head = cfg.d_head
         self.scale = cfg.attn_scale
         self.last_weights: np.ndarray | None = None
 
-    def _split(self, x: Tensor) -> Tensor:
-        b, t, d = x.shape
-        return T.transpose(T.reshape(x, (b, t, self.n_head, self.d_head)), (0, 2, 1, 3))
-
-    def _merge(self, x: Tensor) -> Tensor:
-        b, h, t, dh = x.shape
-        return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
-
     def project_kv(self, k_in: Tensor, v_in: Tensor) -> tuple[Tensor, Tensor]:
         """Per-head keys and values [B, H, T, d_head] of the given inputs."""
-        return self._split(self.wk(k_in)), self._split(self.wv(v_in))
+        return (T.split_heads(self.wk(k_in), self.n_head),
+                T.split_heads(self.wv(v_in), self.n_head))
 
     def __call__(self, q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
                  bias: np.ndarray | None, cache: "KVCache | None" = None) -> Tensor:
         """Attend from `q_in` to `k_in`/`v_in`. A growing `cache` appends the
         new keys and values to those of earlier steps; a fixed one supplies
         them instead, and `k_in`/`v_in` are not read."""
-        q = self._split(self.wq(q_in))
+        q = T.split_heads(self.wq(q_in), self.n_head)
         if cache is not None and not cache.grow:
             k, v = cache.k, cache.v
         else:
@@ -228,7 +217,7 @@ class MultiHeadAttention(Module):
                 k, v = cache.append(k, v)
         ctx, weights = attention_core(q, k, v, bias, self.scale)
         self.last_weights = weights.numpy()
-        return self.wo(self._merge(ctx))
+        return self.wo(T.merge_heads(ctx))
 
 
 class FFNBlock(Module):
@@ -250,9 +239,8 @@ class EncoderLayer(Module):
         self.norm_ffn = LayerNorm(cfg.d_model)
 
     def __call__(self, x: Tensor, bias: np.ndarray) -> Tensor:
-        x = self.norm_attn(T.add(x, self.self_attn(x, x, x, bias)))
-        x = self.norm_ffn(T.add(x, self.ffn(x)))
-        return x
+        x = self.norm_attn(self.self_attn(x, x, x, bias), x)
+        return self.norm_ffn(self.ffn(x), x)
 
 
 class Encoder(Module):

@@ -90,10 +90,10 @@ class NatDecoderLayer(Module):
     def __call__(self, x: Tensor, memory: Tensor, pos_q: Tensor,
                  self_bias: np.ndarray, pad_bias: np.ndarray,
                  cross_bias: np.ndarray) -> Tensor:
-        x = self.norm_self(T.add(x, self.self_attn(x, x, x, self_bias)))
-        x = self.norm_pos(T.add(x, self.pos_attn(pos_q, pos_q, x, pad_bias)))
-        x = self.norm_cross(T.add(x, self.cross_attn(x, memory, memory, cross_bias)))
-        return self.norm_ffn(T.add(x, self.ffn(x)))
+        x = self.norm_self(self.self_attn(x, x, x, self_bias), x)
+        x = self.norm_pos(self.pos_attn(pos_q, pos_q, x, pad_bias), x)
+        x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias), x)
+        return self.norm_ffn(self.ffn(x), x)
 
 
 class NatModel(Module):

@@ -44,10 +44,9 @@ class DecoderLayer(Module):
                  self_bias: np.ndarray | None, cross_bias: np.ndarray,
                  cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
         self_kv, cross_kv = cache if cache is not None else (None, None)
-        x = self.norm_self(T.add(x, self.self_attn(x, x, x, self_bias, self_kv)))
-        x = self.norm_cross(T.add(
-            x, self.cross_attn(x, memory, memory, cross_bias, cross_kv)))
-        return self.norm_ffn(T.add(x, self.ffn(x)))
+        x = self.norm_self(self.self_attn(x, x, x, self_bias, self_kv), x)
+        x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias, cross_kv), x)
+        return self.norm_ffn(self.ffn(x), x)
 
 
 class DecoderCache:

@@ -7,6 +7,13 @@ records its parents and a vector-Jacobian closure, and ``backward`` replays them
 in reverse topological order. Only leaves (parameters and inputs, which record
 no op) receive ``.grad``; gradients of intermediate nodes flow through the
 pass and are dropped with it.
+
+Each op costs a fixed Python overhead, which dominates batch-size-one
+decoding, so attention's frequent chains are single ops: ``split_heads`` and
+``merge_heads`` (reshape + transpose), ``attention_softmax`` (scale + bias +
+softmax) and ``layer_norm(x, gain, bias, residual)`` (residual add + layer
+norm). Each runs the numpy calls of the chain it replaces, in the same order,
+forward and backward, so results are bit-identical to the chain.
 """
 
 from __future__ import annotations
@@ -149,12 +156,13 @@ def neg(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; both operands must share rank and batch dimensions."""
-    if a.ndim != b.ndim or a.ndim < 2:
-        raise ValueError(f"matmul rank mismatch: {a.shape} @ {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ValueError(f"matmul batch mismatch: {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul inner-dim mismatch: {a.shape} @ {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != len(sb) or len(sa) < 2:
+        raise ValueError(f"matmul rank mismatch: {sa} @ {sb}")
+    if sa[:-2] != sb[:-2]:
+        raise ValueError(f"matmul batch mismatch: {sa} @ {sb}")
+    if sa[-1] != sb[-2]:
+        raise ValueError(f"matmul inner-dim mismatch: {sa} @ {sb}")
     out = np.matmul(a.data, b.data)
 
     def vjp(g):
@@ -171,20 +179,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     bias gradient a sum over contiguous rows, whatever the layout of the
     upstream gradient."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
-    flat = x.data.reshape(-1, x.shape[-1])
+    sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
+    if sx[-1] != sw[0] or sb != sw[1:]:
+        raise ValueError(f"linear shape mismatch: {sx} @ {sw} + {sb}")
+    flat = x.data.reshape(-1, sx[-1])
     out = np.matmul(flat, w.data)
     out += b.data
 
     def vjp(g):
-        g2 = g.reshape(-1, out.shape[1])
-        gx = np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None
+        g2 = g.reshape(-1, sw[1])
+        gx = np.matmul(g2, w.data.T).reshape(sx) if x.requires_grad else None
         gw = np.matmul(flat.T, g2) if w.requires_grad else None
-        gb = _unbroadcast(g2, b.shape) if b.requires_grad else None
+        gb = _unbroadcast(g2, sb) if b.requires_grad else None
         return gx, gw, gb
 
-    return _make(out.reshape(*x.shape[:-1], out.shape[1]), (x, w, b), vjp)
+    return _make(out.reshape(*sx[:-1], sw[1]), (x, w, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -229,6 +238,32 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(out, (a,), vjp)
 
 
+def split_heads(a: Tensor, n_head: int) -> Tensor:
+    """[B, T, d] -> [B, H, T, d/H]: ``reshape`` then ``transpose`` as one op."""
+    a = _as_tensor(a)
+    shape = a.data.shape
+    b, t, d = shape
+    out = a.data.reshape(b, t, n_head, d // n_head).transpose(0, 2, 1, 3)
+
+    def vjp(g):
+        return (g.transpose(0, 2, 1, 3).reshape(shape),)
+
+    return _make(out, (a,), vjp)
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """[B, H, T, dh] -> [B, T, H*dh], the inverse of `split_heads`."""
+    a = _as_tensor(a)
+    shape = a.data.shape
+    b, h, t, dh = shape
+    out = a.data.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+    def vjp(g):
+        return (g.reshape(b, t, h, dh).transpose(0, 2, 1, 3),)
+
+    return _make(out, (a,), vjp)
+
+
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Sum reduction; accumulates in float64."""
     a = _as_tensor(a)
@@ -262,28 +297,56 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- fused neural-net primitives -------------------------------------------
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
+def _softmax64(x: np.ndarray, axis: int, name: str) -> np.ndarray:
+    """The float64 softmax kernel of `softmax` and `attention_softmax`.
 
     Raises NumericError on non-finite input: masked attention must encode
     forbidden positions as large negative finite biases, never NaN/inf.
     """
-    logits = _as_tensor(logits)
-    if not np.isfinite(logits.data).all():
-        raise NumericError("softmax received non-finite logits")
-    y64 = logits.data.astype(np.float64)
+    if not np.isfinite(x).all():
+        raise NumericError(f"{name} received non-finite logits")
+    y64 = x.astype(np.float64)
     y64 -= np.maximum.reduce(y64, axis=axis, keepdims=True)
     np.exp(y64, out=y64)
     y64 /= np.add.reduce(y64, axis=axis, keepdims=True)
-    out = y64.astype(DTYPE)
+    return y64
+
+
+def _softmax64_vjp(g: np.ndarray, y64: np.ndarray, axis: int) -> np.ndarray:
+    g64 = g.astype(np.float64)
+    g64 -= np.add.reduce(g64 * y64, axis=axis, keepdims=True)
+    g64 *= y64
+    return g64.astype(DTYPE)
+
+
+def softmax(logits: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``; raises NumericError on
+    non-finite logits."""
+    logits = _as_tensor(logits)
+    y64 = _softmax64(logits.data, axis, "softmax")
 
     def vjp(g):
-        g64 = g.astype(np.float64)
-        g64 -= np.add.reduce(g64 * y64, axis=axis, keepdims=True)
-        g64 *= y64
-        return (g64.astype(DTYPE),)
+        return (_softmax64_vjp(g, y64, axis),)
 
-    return _make(out, (logits,), vjp)
+    return _make(y64.astype(DTYPE), (logits,), vjp)
+
+
+def attention_softmax(logits: Tensor, scale: float,
+                      bias: np.ndarray | None) -> Tensor:
+    """softmax(logits * scale + bias) over the last axis as one op, with the
+    float32 multiply and add of `mul` and `add`. `bias` is a constant that
+    broadcasts to the logits, or None."""
+    logits = _as_tensor(logits)
+    scale = DTYPE(scale)
+    z = logits.data * scale
+    if bias is not None:
+        z += np.asarray(bias, dtype=DTYPE)
+    y64 = _softmax64(z, -1, "attention_softmax")
+
+    def vjp(g):
+        return (_softmax64_vjp(g, y64, -1) * scale,)
+
+    return _make(y64.astype(DTYPE), (logits,), vjp)
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -306,14 +369,24 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (logits,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               residual: Tensor | None = None) -> Tensor:
+    """Normalize over the last axis, then scale and shift. With `residual`,
+    normalize ``residual + x`` (the float32 sum `add` makes) in the same op."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if residual is None:
+        s, parents = x.data, (x, gain, bias)
+    else:
+        residual = _as_tensor(residual)
+        if residual.data.shape != x.data.shape:
+            raise ValueError(f"layer_norm residual shape {residual.data.shape} "
+                             f"!= input shape {x.data.shape}")
+        s, parents = residual.data + x.data, (residual, x, gain, bias)
     # np.mean/np.var spelled as the ufunc calls they make, in the same order,
     # without their per-call argument handling; full-size float64 temporaries
     # are updated in place once their old values are no longer read.
-    d = x.shape[-1]
-    xhat = x.data.astype(np.float64)
+    d = s.shape[-1]
+    xhat = s.astype(np.float64)
     xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
     var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
@@ -330,14 +403,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         dx -= m1
         dx -= xhat * m2
         dx *= inv
-        lead = tuple(range(x.ndim - 1))
+        lead = tuple(range(g.ndim - 1))
         dgain = np.add.reduce(g64 * xhat, axis=lead) if gain.requires_grad else None
         dbias = np.add.reduce(g64, axis=lead) if bias.requires_grad else None
-        return (dx.astype(DTYPE) if x.requires_grad else None,
-                None if dgain is None else dgain.astype(DTYPE),
-                None if dbias is None else dbias.astype(DTYPE))
+        # with a residual, both addends of the sum get its gradient, as from `add`
+        dx = dx.astype(DTYPE)
+        return tuple(dx if p.requires_grad else None for p in parents[:-2]) + (
+            None if dgain is None else dgain.astype(DTYPE),
+            None if dbias is None else dbias.astype(DTYPE))
 
-    return _make(out, (x, gain, bias), vjp)
+    return _make(out, parents, vjp)
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

@@ -1,5 +1,6 @@
 """Benchmark harness: pass-count instrumentation, aggregates, TSV reports."""
 
+import dataclasses
 import importlib.util
 import statistics
 from pathlib import Path
@@ -10,8 +11,9 @@ import pytest
 import natmt.bench as B
 import natmt.nat as N
 import natmt.teacher as AR
+import natmt.tensor as T
 from natmt.config import ModelConfig
-from natmt.data import EOS, DataError
+from natmt.data import BOS, EOS, DataError
 
 
 def tiny_cfg():
@@ -31,7 +33,8 @@ def test_parse_strategy():
     assert B.parse_strategy("greedy") == ("greedy", None)
     assert B.parse_strategy("beam") == ("beam", 4)
     assert B.parse_strategy("npd:7") == ("npd", 7)
-    for bad in ("sampled", "npd:x", "beam:0"):
+    for bad in ("sampled", "npd:x", "beam:0", "beam:1_0", "npd:+4", "npd: 4",
+                "npd:\u0663"):
         with pytest.raises(ValueError):
             B.parse_strategy(bad)
 
@@ -67,6 +70,33 @@ def test_decoder_refuses_missing_model(models, spec, teacher, nat, missing):
     with pytest.raises(DataError,
                        match=f"strategy '{spec}' needs a {missing} model"):
         B.decoder(spec, t if teacher else None, n if nat else None)
+
+
+def test_tensor_ops_per_decode_are_pinned(monkeypatch):
+    """Graph ops are the per-call overhead of batch-size-one decoding. With
+    2-layer models, a cached teacher step (decoder pass plus log-softmax)
+    runs 58 ops and an `argmax` decode 132, whatever the length."""
+    cfg = dataclasses.replace(tiny_cfg(), n_layer=2)
+    teacher = AR.TeacherModel(cfg, np.random.default_rng(3))
+    nat = N.NatModel(cfg, np.random.default_rng(4))
+    src = [4, 5, 6, 7, 8]
+    ops = [0]
+    make = T._make
+
+    def counting_make(*args):
+        ops[0] += 1
+        return make(*args)
+
+    with T.no_grad():
+        memory = teacher.encode(np.array([src]), np.array([len(src)]))
+        cache = AR.DecoderCache(teacher, memory, np.array([len(src)]))
+        AR._step_logprobs(teacher, None, None, [[BOS]], cache)
+        monkeypatch.setattr(T, "_make", counting_make)
+        AR._step_logprobs(teacher, None, None, [[BOS, 9]], cache)
+    assert ops[0] == 58
+    ops[0] = 0
+    N.decode_argmax(src, nat)
+    assert ops[0] == 132
 
 
 def test_bench_counts_passes_per_contract(models):

@@ -622,6 +622,8 @@ def test_empty_source_line_exits_2_naming_file_line(workdir, tmp_path, capsys,
     (",", 1, "bench: --strategies names no strategy"),
     ("greedy:2", 2, "data error: strategy 'greedy' takes no argument in 'greedy:2'"),
     ("beam:0", 2, "data error: strategy argument must be positive in 'beam:0'"),
+    ("beam:1_0", 2, "data error: bad strategy argument in 'beam:1_0'"),
+    ("npd:+4", 2, "data error: bad strategy argument in 'npd:+4'"),
     ("argmax", 2, "data error: strategy 'argmax' needs a parallel model")])
 def test_bench_bad_strategies(workdir, capsys, strategies, code, message):
     got, out, err = run(capsys, "bench", "--teacher", workdir["teacher"],

@@ -89,6 +89,52 @@ def test_attention_bias_blocks_pads_and_checks_rows():
         L.attention_bias(np.zeros((2, 2), dtype=bool), np.array([2]), 2, 2)
 
 
+def _reference_attention_bias(structural, key_lengths, tq, tk, exclude_self=False):
+    """The attention-bias builder as it was before it built its mask once at
+    [B, 1, tq, tk], verbatim."""
+    key_lengths = np.asarray(key_lengths)
+    b = key_lengths.shape[0]
+    permitted = np.broadcast_to(
+        np.arange(tk)[None, :] < key_lengths[:, None], (b, tk))[:, None, :]
+    permitted = np.broadcast_to(permitted, (b, tq, tk))
+    if structural is not None:
+        if structural.shape != (tq, tk):
+            raise ValueError(f"structural mask {structural.shape} != ({tq}, {tk})")
+        permitted = permitted & structural[None, :, :]
+    if exclude_self:
+        permitted = permitted & ~np.eye(tq, tk, dtype=bool)[None]
+        permitted[key_lengths == 1, 0, 0] = True
+    if not permitted.any(axis=-1).all():
+        raise ValueError("attention row with zero permitted keys")
+    bias = np.where(permitted, np.float32(0.0), L.MASK_BIAS)
+    return bias[:, None, :, :].astype(np.float32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 6),
+       st.integers(0, 2), st.booleans(), st.booleans())
+@example([3, 1], 1, 0, False, False)     # one query, as in a cached step
+@example([1, 4], 4, 0, True, True)       # a length-1 row keeps its own key
+@example([2, 3], 3, 0, True, True)       # row 0 of length 2 has no key left
+@example([1, 1, 3], 5, 2, False, True)
+def test_attention_bias_matches_reference(lengths, tq, extra_width, causal,
+                                         exclude_self):
+    key_lengths = np.array(lengths)
+    tk = max(lengths) + extra_width
+    structural = np.tril(np.ones((tq, tk), dtype=bool)) if causal else None
+    args = (structural, key_lengths, tq, tk, exclude_self)
+    try:
+        want = _reference_attention_bias(*args)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero permitted keys"):
+            L.attention_bias(*args)
+        return
+    got = L.attention_bias(*args)
+    assert got.shape == (len(lengths), 1, tq, tk)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # attention core
 # ---------------------------------------------------------------------------

@@ -372,6 +372,109 @@ def test_layer_norm_stats(xs):
     assert abs(out.astype(np.float64).var() - var / (var + T.LAYER_NORM_EPS)) < 1e-4
 
 
+# ---------------------------------------------------------------------------
+# fused attention ops against the op chains they replace, bit for bit
+# ---------------------------------------------------------------------------
+
+def _value_and_grads(build, arrays, g):
+    """Forward value of build(*tensors) and the gradient of every input under
+    the upstream gradient g."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = build(*tensors)
+    T.backward(T.tsum(T.mul(out, Tensor(g))))
+    return [out.numpy()] + [t.grad for t in tensors]
+
+
+def _assert_identical(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+small_dims = st.integers(1, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dims, small_dims, small_dims, small_dims, st.integers(0, 2**16))
+@example(1, 2, 1, 3, 0)      # one position, as in a cached decoding step
+def test_split_and_merge_heads_equal_reshape_transpose(b, h, t, dh, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (b, t, h * dh)).astype(np.float32)
+    heads = rng.normal(0, 1, (b, h, t, dh)).astype(np.float32)
+    _assert_identical(
+        _value_and_grads(lambda a: T.split_heads(a, h), [x], heads),
+        _value_and_grads(lambda a: T.transpose(T.reshape(a, (b, t, h, dh)),
+                                               (0, 2, 1, 3)), [x], heads))
+    _assert_identical(
+        _value_and_grads(T.merge_heads, [heads], x),
+        _value_and_grads(lambda a: T.reshape(T.transpose(a, (0, 2, 1, 3)),
+                                             (b, t, h * dh)), [heads], x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_dims, small_dims, small_dims, st.integers(1, 6),
+       st.sampled_from(["none", "full", "query-broadcast"]),
+       st.floats(0.05, 2.0), st.integers(0, 2**16))
+@example(2, 2, 1, 5, "query-broadcast", 0.5, 1)   # a cached step's cross-attention
+@example(1, 2, 1, 3, "none", 0.5, 2)              # a cached step's self-attention
+def test_attention_softmax_equals_mul_add_softmax(b, h, tq, tk, bias_kind,
+                                                  scale, seed):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0, 3, (b, h, tq, tk)).astype(np.float32)
+    g = rng.normal(0, 1, (b, h, tq, tk)).astype(np.float32)
+    bias = None
+    if bias_kind != "none":
+        rows = tq if bias_kind == "full" else 1
+        bias = np.where(rng.random((b, 1, rows, tk)) < 0.3,
+                        np.float32(-1e9), np.float32(0.0))
+
+    def chain(a):
+        z = T.mul(a, Tensor(np.float32(scale)))
+        if bias is not None:
+            z = T.add(z, Tensor(bias))
+        return T.softmax(z, axis=-1)
+
+    _assert_identical(
+        _value_and_grads(lambda a: T.attention_softmax(a, scale, bias), [logits], g),
+        _value_and_grads(chain, [logits], g))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_attention_softmax_rejects_non_finite(bad):
+    logits = np.zeros((1, 1, 2, 3), dtype=np.float32)
+    logits[0, 0, 1, 2] = bad
+    with pytest.raises(T.NumericError):
+        T.attention_softmax(Tensor(logits), 0.5, None)
+    with pytest.raises(T.NumericError):
+        T.attention_softmax(Tensor(logits), 0.5, np.zeros((1, 1, 2, 3), np.float32))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_dims, min_size=0, max_size=2), st.integers(1, 9),
+       st.integers(0, 2**16))
+@example([1, 1], 4, 0)
+def test_layer_norm_with_residual_equals_add_then_layer_norm(lead, d, seed):
+    rng = np.random.default_rng(seed)
+    shape = (*lead, d)
+    x = rng.normal(0, 1, shape).astype(np.float32)
+    res = rng.normal(0, 2, shape).astype(np.float32)
+    gain = rng.normal(1, 0.5, d).astype(np.float32)
+    bias = rng.normal(0, 0.5, d).astype(np.float32)
+    g = rng.normal(0, 1, shape).astype(np.float32)
+    _assert_identical(
+        _value_and_grads(lambda a, r, gn, bs: T.layer_norm(a, gn, bs, r),
+                         [x, res, gain, bias], g),
+        _value_and_grads(lambda a, r, gn, bs: T.layer_norm(T.add(r, a), gn, bs),
+                         [x, res, gain, bias], g))
+
+
+def test_layer_norm_rejects_residual_of_another_shape():
+    d = np.ones(3, dtype=np.float32)
+    with pytest.raises(ValueError, match="residual shape"):
+        T.layer_norm(Tensor(np.zeros((2, 3))), Tensor(d), Tensor(d),
+                     Tensor(np.zeros((1, 3))))
+
+
 def test_cross_entropy_one_hot_is_zero():
     lp = np.full((2, 3), -30.0, dtype=np.float32)
     lp[0, 1] = 0.0
