@@ -215,7 +215,7 @@ def cmd_distill(args) -> None:
     decoded = [(src_tok, tv.decode(tgt_ids))
                for (src_tok, _), (_, tgt_ids) in zip(pairs_tok, out.pairs)]
     save_corpus(args.out_prefix, decoded)
-    print(f"distilled {len(decoded)} pairs with {out.mode} decoding "
+    print(f"distilled {len(decoded)} pairs with {args.mode} decoding "
           f"({out.replaced_empty} empty decodes replaced) to {args.out_prefix}")
 
 
@@ -452,9 +452,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--output", help="write here instead of stdout")
     sp.add_argument("--strategy", default="argmax",
                     choices=("argmax", "average", "npd", "greedy", "beam"))
-    sp.add_argument("--samples", type=int, default=10)
+    # the strategy spec built from these two validates them
+    sp.add_argument("--samples", default="10")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--beam", type=int, default=4)
+    sp.add_argument("--beam", default="4")
     sp.add_argument("--teacher", help="teacher checkpoint for npd rescoring")
     sp.set_defaults(func=cmd_translate)
 

@@ -26,6 +26,8 @@ class ModelConfig:
     max_fertility: int = 50
 
     def __post_init__(self):
+        if self.n_head < 1:
+            raise ValueError(f"n_head must be at least 1, got {self.n_head}")
         if self.d_model % self.n_head != 0:
             raise ValueError(
                 f"d_model={self.d_model} must be divisible by n_head={self.n_head}")
@@ -71,6 +73,10 @@ class TrainConfig:
     log_every: int = 25
 
     def __post_init__(self):
+        for key in ("steps", "batch_size", "warmup", "log_every"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
         bad = set(self.finetune_terms) - {"rl", "bp", "kd"}

@@ -47,15 +47,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    def id(self, token: str) -> int:
-        return self._ids.get(token, UNK)
-
-    def token(self, idx: int) -> str:
-        return self._tokens[idx]
-
     def encode(self, tokens: Sequence[str]) -> list[int]:
         return [self._ids.get(t, UNK) for t in tokens]
 

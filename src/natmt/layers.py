@@ -24,17 +24,9 @@ MASK_BIAS = np.float32(-1e9)  # large negative finite stand-in for -inf logits
 # positional encodings
 # ---------------------------------------------------------------------------
 
-def positional_encoding(j: int, k: int, d: int) -> float:
-    """Sinusoid for timestep j, channel k: sin(j/10000^(k/d)) on even channels,
-    cos on odd channels."""
-    if not 0 <= k < d:
-        raise ValueError(f"channel {k} outside [0, {d})")
-    angle = j / (10000.0 ** (k / d))
-    return math.sin(angle) if k % 2 == 0 else math.cos(angle)
-
-
 def positional_table(max_len: int, d: int) -> np.ndarray:
-    """Precomputed [max_len, d] table of positional encodings (entries in [-1, 1])."""
+    """[max_len, d] positional encodings: sin(j / 10000^(k/d)) for timestep j
+    on even channels k, cos on odd channels (entries in [-1, 1])."""
     j = np.arange(max_len, dtype=np.float64)[:, None]
     k = np.arange(d, dtype=np.float64)[None, :]
     angle = j / np.power(10000.0, k / d)

@@ -1,12 +1,12 @@
 """Parallel decoder with fertility latent variables.
 
-The decoder receives copies of source embeddings (uniform or fertility-driven)
-instead of previously emitted tokens, so all output positions are computed in
-one pass. Each decoder layer runs self-attention masked only at the query's
-own position, positional attention (positional encodings as query and key,
-decoder states as value), encoder-decoder attention, and an FFN. A one-layer
-softmax head over the last encoder layer predicts per-source-token fertility
-classes 0..L-1.
+The decoder receives copies of source embeddings, each source token repeated
+as often as its fertility, instead of previously emitted tokens, so all
+output positions are computed in one pass. Each decoder layer runs
+self-attention masked only at the query's own position, positional attention
+(positional encodings as query and key, decoder states as value),
+encoder-decoder attention, and an FFN. A one-layer softmax head over the
+last encoder layer predicts per-source-token fertility classes 0..L-1.
 
 Decoding has one core. A strategy proposes fertility sequences from the
 distribution of a source encoded once; the core fits each (an all-zero one
@@ -16,8 +16,8 @@ given an autoregressive teacher, keeps the first candidate it scores best.
 The proposers are per-position argmax, rounded expected fertility, and noisy
 parallel decoding (npd): the argmax sequence as candidate 0, the average as
 candidate 1, then independent draws, so the winning teacher score can only
-improve with more samples under a fixed seed. The uniform-copy fallback and
-`translate_given_fertility` share the core's translate step.
+improve with more samples under a fixed seed. `translate_given_fertility`
+shares the core's translate step.
 """
 
 from __future__ import annotations
@@ -45,17 +45,6 @@ def round_half_away(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # decoder-input construction
 # ---------------------------------------------------------------------------
-
-def copy_uniform(source: Sequence, t_out: int) -> list:
-    """Slot t of the decoder input is source token Round(T' * t / T), clamped
-    into range; equal lengths give the identity copy."""
-    if t_out < 1:
-        raise ValueError("uniform copy needs a positive target length")
-    tp = len(source)
-    idx = round_half_away(np.arange(1, t_out + 1) * (tp / t_out))
-    idx = np.clip(idx, 1, tp)
-    return [source[i - 1] for i in idx]
-
 
 def copy_fertility(source: Sequence, fertility: Sequence[int]) -> list:
     """Source token i repeated fertility[i] times, in order."""
@@ -141,12 +130,10 @@ class NatModel(Module):
 # ---------------------------------------------------------------------------
 
 def fertility_dist_batch(src: np.ndarray, src_len: np.ndarray, model: NatModel,
-                         memory: Tensor | None = None) -> np.ndarray:
-    """[B, T', L] fertility probabilities; padded positions get class 0 with
-    probability one."""
+                         memory: Tensor) -> np.ndarray:
+    """[B, T', L] fertility probabilities from the sources' encoder memory;
+    padded positions get class 0 with probability one."""
     with T.no_grad():
-        if memory is None:
-            memory = model.encode(src, src_len)
         probs = T.softmax(model.fertility_logits(memory), axis=-1).numpy()
     pad = np.arange(src.shape[1])[None, :] >= src_len[:, None]
     probs[pad] = 0.0
@@ -219,12 +206,13 @@ def _encode_source(src_ids: Sequence[int], model: NatModel
                                         memory)[0]
 
 
-def _translate(src_ids: Sequence[int], inputs: Sequence[list], model: NatModel,
-               memory: Tensor) -> list[list[int]]:
-    """Translate several decoder inputs of one source in one padded pass;
-    returns the per-position argmax tokens of each input."""
-    dec_ids, dec_len = pad_block(inputs)
-    n = len(inputs)
+def _translate(src_ids: Sequence[int], ferts: Sequence[Sequence[int]],
+               model: NatModel, memory: Tensor) -> list[list[int]]:
+    """Translate several fertility sequences of one source in one padded pass
+    over their copied inputs; returns the per-position argmax tokens of each."""
+    dec_ids, dec_len = pad_block([copy_fertility(list(src_ids), list(f))
+                                  for f in ferts])
+    n = len(ferts)
     with T.no_grad():
         mem = Tensor(np.repeat(memory.data, n, axis=0)) if n > 1 else memory
         logits = model.decode_logits(mem, np.full(n, len(src_ids)), dec_ids, dec_len)
@@ -244,8 +232,7 @@ def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
     teacher scores of all candidates."""
     max_len = max_output_len(model, teacher_model)
     ferts = [fit_fertility(f, probs, max_len) for f in fert_list]
-    translated = _translate(src_ids, [copy_fertility(list(src_ids), list(f))
-                                      for f in ferts], model, memory)
+    translated = _translate(src_ids, ferts, model, memory)
     scores, win = [], 0
     if teacher_model is not None:
         scores = AR.score_candidates(src_ids, translated, teacher_model)
@@ -259,8 +246,7 @@ def translate_given_fertility(src_ids: Sequence[int], fertility: Sequence[int],
                               model: NatModel) -> list[int]:
     """Per-position argmax output for one fertility sequence; length is
     exactly the fertility total."""
-    inputs = [copy_fertility(list(src_ids), list(fertility))]
-    return _translate(src_ids, inputs, model, _encode_memory(src_ids, model))[0]
+    return _translate(src_ids, [fertility], model, _encode_memory(src_ids, model))[0]
 
 
 def decode_argmax(src_ids: Sequence[int], model: NatModel) -> DecodeResult:
@@ -321,16 +307,3 @@ def decode_npd(src_ids: Sequence[int], model: NatModel,
     return npd_over_candidates(src_ids, cands, model, teacher_model,
                                (memory, probs))[0]
 
-
-def decode_uniform(src_ids: Sequence[int], model: NatModel,
-                   target_len: int | None = None,
-                   ratio: float | None = None) -> DecodeResult:
-    """Uniform-copy fallback decode: the output length comes from the caller
-    (ground-truth mode) or from the corpus mean length ratio."""
-    if target_len is None:
-        if ratio is None:
-            raise ValueError("need target_len or ratio")
-        target_len = max(1, int(round_half_away(len(src_ids) * ratio)))
-    inputs = [copy_uniform(list(src_ids), target_len)]
-    [toks] = _translate(src_ids, inputs, model, _encode_memory(src_ids, model))
-    return DecodeResult(toks, None, "uniform")

@@ -68,7 +68,6 @@ class TrainingLog:
 @dataclass
 class DistilledCorpus:
     pairs: list[tuple[list[int], list[int]]]
-    mode: str                       # "greedy" or "beam"
     replaced_empty: int = 0
 
 
@@ -116,7 +115,7 @@ def build_distill_corpus(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
         out.append((src, hyp))
     if empty:
         warnings.warn(f"replaced {empty} empty teacher decode(s) with the end marker")
-    return DistilledCorpus(out, mode, empty)
+    return DistilledCorpus(out, empty)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +157,7 @@ def _nat_forward(batch: Batch, model: NAT.NatModel, memory: Tensor
 
     fert_lp = T.log_softmax(model.fertility_logits(memory), axis=-1)
     src_valid = np.arange(batch.src.shape[1])[None, :] < batch.src_len[:, None]
-    fert_loss = T.cross_entropy(fert_lp, batch.fertility, pad_id=-1, mask=src_valid)
+    fert_loss = T.cross_entropy(fert_lp, batch.fertility, src_valid)
 
     copies = [NAT.copy_fertility(list(batch.src[i, : batch.src_len[i]]),
                                  list(batch.fertility[i, : batch.src_len[i]]))
@@ -167,8 +166,7 @@ def _nat_forward(batch: Batch, model: NAT.NatModel, memory: Tensor
     logits = model.decode_logits(memory, batch.src_len, dec_ids, dec_len)
     # the fertility sums equal tgt_len, so the decoder is as wide as the target
     tgt_valid = np.arange(batch.tgt.shape[1])[None, :] < batch.tgt_len[:, None]
-    trans_loss = T.cross_entropy(T.log_softmax(logits, axis=-1), batch.tgt,
-                                 pad_id=PAD, mask=tgt_valid)
+    trans_loss = T.cross_entropy(T.log_softmax(logits, axis=-1), batch.tgt, tgt_valid)
     return trans_loss, fert_loss, fert_lp, logits
 
 
@@ -438,10 +436,8 @@ def _train_loop(phase: str, model, step_fn, pairs, tcfg: TrainConfig,
 
 
 def train_teacher(pairs, cfg: ModelConfig, tcfg: TrainConfig,
-                  log: TrainingLog | None = None,
-                  model: AR.TeacherModel | None = None) -> AR.TeacherModel:
-    if model is None:
-        model = AR.TeacherModel(cfg, np.random.default_rng(tcfg.seed))
+                  log: TrainingLog | None = None) -> AR.TeacherModel:
+    model = AR.TeacherModel(cfg, np.random.default_rng(tcfg.seed))
     _train_loop("teacher", model,
                 lambda batch, opt: {"loss": AR.ar_train_step(batch, model, opt)},
                 pairs, tcfg, log)
@@ -465,11 +461,10 @@ def attach_fertilities(pairs, fertilities):
 
 def train_nat(pairs, fertilities, cfg: ModelConfig, tcfg: TrainConfig,
               log: TrainingLog | None = None,
-              init_from: Sequence[tuple[str, np.ndarray]] | None = None,
-              model: NAT.NatModel | None = None) -> NAT.NatModel:
+              init_from: Sequence[tuple[str, np.ndarray]] | None = None
+              ) -> NAT.NatModel:
     pairs, fertilities, _ = attach_fertilities(pairs, fertilities)
-    if model is None:
-        model = NAT.NatModel(cfg, np.random.default_rng(tcfg.seed))
+    model = NAT.NatModel(cfg, np.random.default_rng(tcfg.seed))
     if init_from is not None:
         init_encoder_from_teacher(model, init_from)
 

@@ -1,12 +1,12 @@
 """Synthetic corpora.
 
-Three generators: a copy task, a planted-dictionary translation task with a
-known positional shuffle, and a multimodal phrase corpus where every source
-phrase has several equally valid target renderings. The multimodal oracle
-classifies a model output as pure-mode or contaminated, contamination being a
-mixture of tokens from two different renderings of the same phrase (the
-"Vielen schön ." failure: gluing half of one valid translation to half of
-another).
+Three generators: a copy task, a planted-dictionary translation task whose
+targets reverse the source word order, and a multimodal phrase corpus where
+every source phrase has several equally valid target renderings of
+`MODE_LEN` tokens. The multimodal oracle classifies a model output as
+pure-mode or contaminated, contamination being a mixture of tokens from two
+different renderings of the same phrase (the "Vielen schön ." failure:
+gluing half of one valid translation to half of another).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 Pair = tuple[list[str], list[str]]
+MODE_LEN = 3   # tokens in every multimodal rendering of a phrase
 
 
 # ---------------------------------------------------------------------------
@@ -40,23 +41,20 @@ def gen_copy_corpus(size: int, seed: int, vocab: int = 30,
 # ---------------------------------------------------------------------------
 
 def gen_planted_dictionary(size: int, seed: int, vocab: int = 20,
-                           min_len: int = 3, max_len: int = 8,
-                           shuffle: str = "reverse"
+                           min_len: int = 3, max_len: int = 8
                            ) -> tuple[list[Pair], list[list[int]]]:
-    """1:1 dictionary s{i} -> t{i} with a known positional shuffle.
+    """1:1 dictionary s{i} -> t{i} in reversed word order.
 
     Returns (pairs, links) where links[n][j] is the 1-indexed source position
     that produced target position j+1, i.e. the ground-truth alignment.
     """
-    if shuffle not in ("identity", "reverse"):
-        raise ValueError(f"unknown shuffle {shuffle!r}")
     rng = np.random.default_rng(seed)
     pairs, links = [], []
     for _ in range(size):
         n = int(rng.integers(min_len, max_len + 1))
         ids = rng.integers(0, vocab, size=n)
         src = [f"s{int(i)}" for i in ids]
-        order = list(range(n)) if shuffle == "identity" else list(range(n))[::-1]
+        order = list(range(n))[::-1]
         tgt = [f"t{int(ids[i])}" for i in order]
         pairs.append((src, tgt))
         links.append([i + 1 for i in order])
@@ -107,8 +105,7 @@ class MultimodalOracle:
 
 
 def gen_synth_multimodal(size: int, seed: int, n_modes: int = 3,
-                         n_phrases: int = 12, mode_len: int = 3,
-                         phrases_per_sent: int = 2
+                         n_phrases: int = 12, phrases_per_sent: int = 2
                          ) -> tuple[list[Pair], MultimodalOracle]:
     """Each sentence picks distinct phrases; each phrase renders as one of its
     modes chosen uniformly, so every training target is pure by construction.
@@ -119,7 +116,7 @@ def gen_synth_multimodal(size: int, seed: int, n_modes: int = 3,
     if phrases_per_sent > n_phrases:
         raise ValueError("more phrases per sentence than phrases exist")
     rng = np.random.default_rng(seed)
-    modes = [[[f"p{p}m{m}x{k}" for k in range(mode_len)]
+    modes = [[[f"p{p}m{m}x{k}" for k in range(MODE_LEN)]
               for m in range(n_modes)] for p in range(n_phrases)]
     src_tokens = [f"src{p}" for p in range(n_phrases)]
     oracle = MultimodalOracle(modes, src_tokens)

@@ -148,8 +148,7 @@ def ar_train_step(batch: Batch, model: TeacherModel, optim) -> float:
     memory = model.encode(batch.src, batch.src_len)
     logits = model.decode_logits(memory, batch.src_len, dec_in, batch.tgt_len + 1)
     valid = np.arange(dec_tgt.shape[1])[None, :] <= batch.tgt_len[:, None]
-    loss = T.cross_entropy(T.log_softmax(logits, axis=-1), dec_tgt,
-                           pad_id=PAD, mask=valid)
+    loss = T.cross_entropy(T.log_softmax(logits, axis=-1), dec_tgt, valid)
     model.zero_grad()
     T.backward(loss)
     optim.step()
@@ -312,15 +311,14 @@ def beam_decode(src_ids: Sequence[int], model: TeacherModel, b: int,
 # ---------------------------------------------------------------------------
 
 def score_parallel(src_ids: Sequence[int], candidate: Sequence[int],
-                   model: TeacherModel, per_position: bool = False):
+                   model: TeacherModel) -> float:
     """Log-probability of a candidate in one teacher-forced decoder pass:
     sum over its tokens plus the end marker."""
-    out = score_candidates(src_ids, [candidate], model, per_position)
-    return out[0]
+    return score_candidates(src_ids, [candidate], model)[0]
 
 
 def score_candidates(src_ids: Sequence[int], candidates: Sequence[Sequence[int]],
-                     model: TeacherModel, per_position: bool = False) -> list:
+                     model: TeacherModel) -> list[float]:
     for cand in candidates:
         if PAD in cand:
             raise ValueError("candidate contains pad tokens")
@@ -337,8 +335,6 @@ def score_candidates(src_ids: Sequence[int], candidates: Sequence[Sequence[int]]
     rows = np.arange(dec_in.shape[1])[None, :]
     gathered = np.take_along_axis(logp, picked[:, :, None], axis=2)[:, :, 0]
     valid = rows < lens[:, None]
-    if per_position:
-        return [gathered[i, : lens[i]] for i in range(n)]
     return [float((gathered[i] * valid[i]).sum()) for i in range(n)]
 
 

@@ -432,15 +432,14 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return _make(out, (weight,), vjp)
 
 
-def cross_entropy(log_probs: Tensor, target_ids: np.ndarray, pad_id: int,
-                  mask: np.ndarray | None = None) -> Tensor:
+def cross_entropy(log_probs: Tensor, target_ids: np.ndarray,
+                  mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of ``target_ids`` under per-position
     log_probs.
 
-    ``log_probs`` has shape [..., vocab]; ``target_ids`` matches the leading
-    shape. Positions equal to ``pad_id`` are excluded from the mean; an
-    explicit boolean ``mask`` of counted positions overrides that, so padded
-    slots stay excluded whatever ids they hold.
+    ``log_probs`` has shape [..., vocab]; ``target_ids`` and the boolean
+    ``mask`` of counted positions match the leading shape, so padded slots
+    stay excluded whatever ids they hold.
     """
     targets = np.asarray(target_ids)
     if targets.shape != log_probs.shape[:-1]:
@@ -452,9 +451,7 @@ def cross_entropy(log_probs: Tensor, target_ids: np.ndarray, pad_id: int,
         raise ValueError(f"target id {targets.max()} >= vocab size {vocab}")
     if targets.size and targets.min() < 0:
         raise ValueError("negative target id")
-    if mask is None:
-        mask = targets != pad_id
-    elif mask.shape != targets.shape:
+    if mask.shape != targets.shape:
         raise ValueError(f"mask shape {mask.shape} != targets {targets.shape}")
     n = int(mask.sum())
     if n == 0:

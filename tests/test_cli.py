@@ -110,6 +110,27 @@ def test_bad_config_key_and_value_exit_2(tmp_path, capsys):
     assert code == 2 and "many" in err
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--steps", "0"], "steps"),
+    (["--steps", "-3"], "steps"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--warmup", "0"], "warmup"),
+    (["--log-every", "0"], "log_every"),
+    (["--set", "n_head=0"], "n_head"),
+], ids=["steps_0", "steps_negative", "batch_size_0", "warmup_0", "log_every_0",
+        "n_head_0"])
+def test_config_value_below_one_exits_2_naming_key(tmp_path, capsys, flags, key):
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    out_path = tmp_path / "t.nat"
+    code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                         "--out", str(out_path), *flags)
+    assert (code, out) == (2, "")
+    assert f"data error: {key} must be at least 1" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_removed_rl_samples_key_is_unknown(tmp_path, capsys):
     # fine-tuning draws one fertility sample per sentence; there is no knob
     (tmp_path / "c.src").write_text("a b\n")
@@ -154,8 +175,9 @@ def test_removed_architecture_and_loss_keys_are_unknown(tmp_path, capsys, key):
      "proj.bias"),
     ("config", lambda c: dict(c, n_layer="1"), "n_layer"),
     ("config", lambda c: dict(c, n_head=True), "n_head"),
+    ("config", lambda c: dict(c, n_head=0), "n_head"),
 ], ids=["unknown_key", "missing_key", "unknown_kind", "missing_param",
-        "shape_mismatch", "str_value", "bool_value"])
+        "shape_mismatch", "str_value", "bool_value", "zero_heads"])
 def test_translate_with_unfit_checkpoint_exits_2_naming_file(tmp_path, capsys,
                                                              field, change, named):
     cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
@@ -379,6 +401,23 @@ def test_translate_flags_decode_as_their_spec(workdir, capsys, monkeypatch,
             for src, _ in load_corpus(workdir["corpus"])]
     assert out.splitlines() == want
     assert set(widths) == ({2} if strategy == "beam" else set())
+
+
+@pytest.mark.parametrize("value", ["1_0", "+4", " 4", "\u0664"],
+                         ids=["underscore", "plus", "space", "arabic_indic"])
+@pytest.mark.parametrize("strategy, flag", [("beam", "--beam"),
+                                            ("npd", "--samples")])
+def test_translate_count_flags_obey_the_strategy_spec_rule(workdir, capsys,
+                                                           strategy, flag, value):
+    # the same refusal as `bench --strategies beam:1_0`
+    kind = "teacher" if strategy == "beam" else "nat"
+    code, out, err = run(capsys, "translate", "--model", workdir[kind],
+                         "--input", workdir["corpus"] + ".src",
+                         "--strategy", strategy, "--teacher", workdir["teacher"],
+                         flag, value)
+    assert (code, out) == (2, "")
+    assert f"data error: bad strategy argument in {f'{strategy}:{value}'!r}" in err
+    assert "Traceback" not in err
 
 
 def _with_reordered_vocab(workdir, side):

@@ -8,9 +8,9 @@ from natmt import data as D
 
 def test_reserved_ids_fixed():
     v = D.Vocab(["cat", "dog"])
-    assert (v.id("<pad>"), v.id("<bos>"), v.id("<eos>"), v.id("<unk>")) == (0, 1, 2, 3)
+    assert v.encode(["<pad>", "<bos>", "<eos>", "<unk>"]) == [0, 1, 2, 3]
     assert (D.PAD, D.BOS, D.EOS, D.UNK) == (0, 1, 2, 3)
-    assert v.id("cat") == 4
+    assert v.encode(["cat"]) == [4]
     assert len(v) == 6
 
 
@@ -20,7 +20,7 @@ def test_vocab_build_frequency_order():
     assert v.tokens[4:] == ["a", "b", "c"]  # by count desc, then alphabetical
     v2 = D.Vocab.build(sents, min_freq=2)
     assert v2.tokens[4:] == ["a", "b"]
-    assert v2.id("c") == D.UNK
+    assert v2.encode(["c"]) == [D.UNK]
 
 
 def test_vocab_encode_decode_roundtrip():
@@ -33,7 +33,7 @@ def test_vocab_encode_decode_roundtrip():
 def test_vocab_bijective_over_tail():
     v = D.Vocab.build([["p", "q", "r", "p"]])
     for i in range(4, len(v)):
-        assert v.id(v.token(i)) == i
+        assert v.encode(v.decode([i])) == [i]
 
 
 def test_vocab_rejects_duplicates():
@@ -108,4 +108,4 @@ def test_encode_corpus():
     sv = D.Vocab.build([["a", "b"]])
     tv = D.Vocab.build([["x"]])
     enc = D.encode_corpus([(["a"], ["x", "q"])], sv, tv)
-    assert enc == [([sv.id("a")], [tv.id("x"), D.UNK])]
+    assert enc == [(sv.encode(["a"]), tv.encode(["x"]) + [D.UNK])]

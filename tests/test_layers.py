@@ -27,23 +27,32 @@ def small_cfg(**kw):
 # positional encodings
 # ---------------------------------------------------------------------------
 
+def positional_encoding(j: int, k: int, d: int) -> float:
+    """Scalar reference for `positional_table`: sin(j/10000^(k/d)) on even
+    channels, cos on odd channels."""
+    if not 0 <= k < d:
+        raise ValueError(f"channel {k} outside [0, {d})")
+    angle = j / (10000.0 ** (k / d))
+    return math.sin(angle) if k % 2 == 0 else math.cos(angle)
+
+
 def test_positional_encoding_origin():
-    assert L.positional_encoding(0, 0, 4) == 0.0      # sin(0)
-    assert L.positional_encoding(0, 1, 4) == 1.0      # cos(0)
+    assert positional_encoding(0, 0, 4) == 0.0      # sin(0)
+    assert positional_encoding(0, 1, 4) == 1.0      # cos(0)
 
 
 def test_positional_encoding_formula():
     # even channel 2 of d=4: sin(3 / 10000^(2/4))
     want = math.sin(3 / 10000 ** 0.5)
-    assert abs(L.positional_encoding(3, 2, 4) - want) < 1e-9
+    assert abs(positional_encoding(3, 2, 4) - want) < 1e-9
     # odd channel 3 of d=4: cos(5 / 10000^(3/4))
     want = math.cos(5 / 10000 ** 0.75)
-    assert abs(L.positional_encoding(5, 3, 4) - want) < 1e-9
+    assert abs(positional_encoding(5, 3, 4) - want) < 1e-9
 
 
 def test_positional_encoding_channel_range():
     with pytest.raises(ValueError):
-        L.positional_encoding(0, 4, 4)
+        positional_encoding(0, 4, 4)
 
 
 def test_positional_table_matches_scalar_and_bounded():
@@ -52,7 +61,7 @@ def test_positional_table_matches_scalar_and_bounded():
     assert np.abs(table).max() <= 1.0
     for j in (0, 3, 11):
         for k in range(6):
-            assert abs(table[j, k] - L.positional_encoding(j, k, 6)) < 1e-6
+            assert abs(table[j, k] - positional_encoding(j, k, 6)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,6 @@ def test_round_half_away():
                                   [0, 1, 1, 2, 3])
 
 
-def test_copy_uniform_examples():
-    assert N.copy_uniform(["A", "B", "C"], 2) == ["B", "C"]   # Round(1.5)=2, Round(3)=3
-    assert N.copy_uniform(["a", "b"], 4) == ["a", "a", "b", "b"]
-    assert N.copy_uniform(["a", "b", "c"], 3) == ["a", "b", "c"]
-    with pytest.raises(ValueError):
-        N.copy_uniform(["a"], 0)
-
-
 def test_copy_fertility_examples():
     assert N.copy_fertility(["Thank", "you", "."], [2, 0, 1]) == ["Thank", "Thank", "."]
     assert N.copy_fertility(["a", "b", "c"], [1, 1, 1]) == ["a", "b", "c"]
@@ -77,7 +69,10 @@ def test_fertility_dist_shape_and_rows():
 def test_fertility_pad_positions_forced_to_zero():
     model = new_model()
     src = np.array([[4, 5, 6], [7, 8, PAD]])
-    probs = N.fertility_dist_batch(src, np.array([3, 2]), model)
+    src_len = np.array([3, 2])
+    with T.no_grad():
+        memory = model.encode(src, src_len)
+    probs = N.fertility_dist_batch(src, src_len, model, memory)
     np.testing.assert_array_equal(probs[1, 2], [1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -322,23 +317,6 @@ def test_sample_fertilities_rejects_what_choice_rejects(bad):
 
 
 # ---------------------------------------------------------------------------
-# uniform-copy fallback
-# ---------------------------------------------------------------------------
-
-def test_decode_uniform_modes():
-    model = new_model(seed=15)
-    res = N.decode_uniform([4, 5, 6], model, target_len=5)
-    assert len(res.output) == 5
-    assert res.fertility is None
-    res = N.decode_uniform([4, 5, 6], model, ratio=1.5)
-    assert len(res.output) == 5  # Round(3 * 1.5) = 5
-    res = N.decode_uniform([4], model, ratio=0.1)
-    assert len(res.output) == 1  # floored at one slot
-    with pytest.raises(ValueError):
-        N.decode_uniform([4, 5], model)
-
-
-# ---------------------------------------------------------------------------
 # one decode core
 # ---------------------------------------------------------------------------
 
@@ -404,8 +382,7 @@ def test_decode_npd_encodes_the_source_once(monkeypatch):
     (lambda m, t: N.decode_average([4, 5, 6], m), 1),
     (lambda m, t: N.decode_npd([4, 5, 6], m, t, samples=4, seed=1), 1),
     (lambda m, t: N.translate_given_fertility([4, 5, 6], [1, 2, 1], m), 0),
-    (lambda m, t: N.decode_uniform([4, 5, 6], m, target_len=4), 0),
-], ids=["argmax", "average", "npd", "given_fertility", "uniform"])
+], ids=["argmax", "average", "npd", "given_fertility"])
 def test_fertility_head_calls_per_decode(monkeypatch, decode, expected):
     model = new_model(seed=13)
     tch = teacher_for(model.cfg)
@@ -434,7 +411,7 @@ def _reference_translate(src, inputs, model):
     return [int(t) for t in logp.argmax(axis=-1)]
 
 
-def test_decode_average_and_uniform_match_explicit_reference():
+def test_decode_average_matches_explicit_reference():
     model = new_model(seed=16)
     model.proj.bias.data[PAD] = 10.0   # padding would win every slot unmasked
     for src in ([4], [5, 6, 7], [8, 9, 10, 11, 4]):
@@ -444,7 +421,3 @@ def test_decode_average_and_uniform_match_explicit_reference():
         toks = _reference_translate(src, N.copy_fertility(src, fert), model)
         assert N.decode_average(src, model) == N.DecodeResult(
             toks, [int(f) for f in fert], "average")
-        for target_len in (1, 4, 2 * len(src) + 1):
-            toks = _reference_translate(src, N.copy_uniform(src, target_len), model)
-            assert N.decode_uniform(src, model, target_len=target_len) == \
-                N.DecodeResult(toks, None, "uniform")

@@ -229,7 +229,7 @@ def test_rkl_uniform_student_averages_teacher_logprobs(teacher):
     val = float(P.rkl_value(src, fert, flat, teacher, with_grad=False).item())
 
     yhat = N.translate_given_fertility(src, fert, flat)
-    per_pos = AR.score_parallel(src, yhat, teacher, per_position=True)
+    score = AR.score_parallel(src, yhat, teacher)
     with T.no_grad():
         mem = teacher.encode(np.array([src]), np.array([2]))
         t_in = np.array([[AR.BOS] + yhat])
@@ -238,8 +238,8 @@ def test_rkl_uniform_student_averages_teacher_logprobs(teacher):
     # the student spreads mass evenly over the eleven non-pad tokens
     want = tlp[:3, 1:].mean(axis=1).sum() + tlp[3, EOS]
     assert val == pytest.approx(want, abs=1e-5)
-    # sanity: per-position teacher scores come from the same forced pass
-    assert per_pos.sum() == pytest.approx(
+    # sanity: the teacher's score comes from the same forced pass
+    assert score == pytest.approx(
         sum(tlp[t, y] for t, y in enumerate(yhat)) + tlp[3, EOS], abs=1e-5)
 
 

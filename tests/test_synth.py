@@ -16,13 +16,11 @@ def test_copy_corpus_properties():
 
 
 def test_planted_dictionary_links_are_ground_truth():
-    pairs, links = S.gen_planted_dictionary(30, seed=1, shuffle="reverse")
+    pairs, links = S.gen_planted_dictionary(30, seed=1)
     for (src, tgt), link in zip(pairs, links):
         assert len(tgt) == len(src) == len(link)
         for j, i in enumerate(link):
             assert tgt[j] == "t" + src[i - 1][1:]  # dictionary holds at the link
-    with pytest.raises(ValueError):
-        S.gen_planted_dictionary(5, seed=0, shuffle="random")
 
 
 def test_multimodal_training_targets_are_pure():

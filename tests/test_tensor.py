@@ -221,7 +221,7 @@ def test_grad_cross_entropy(seed):
         return -(picked * mask).sum() / n
 
     check_grad(
-        lambda lp: T.cross_entropy(lp, targets, pad_id=0),
+        lambda lp: T.cross_entropy(lp, targets, mask=targets != 0),
         ref, [(6, 5)], seed)
 
 
@@ -479,37 +479,38 @@ def test_cross_entropy_one_hot_is_zero():
     lp = np.full((2, 3), -30.0, dtype=np.float32)
     lp[0, 1] = 0.0
     lp[1, 2] = 0.0
-    loss = T.cross_entropy(Tensor(lp), np.array([1, 2]), pad_id=0)
+    loss = T.cross_entropy(Tensor(lp), np.array([1, 2]), mask=np.ones(2, bool))
     assert abs(loss.item()) < 1e-7
 
 
 def test_cross_entropy_uniform_is_log_vocab():
     v = 7
     lp = np.full((3, v), -np.log(v), dtype=np.float32)
-    loss = T.cross_entropy(Tensor(lp), np.array([1, 3, 6]), pad_id=0)
+    loss = T.cross_entropy(Tensor(lp), np.array([1, 3, 6]), mask=np.ones(3, bool))
     assert abs(loss.item() - np.log(v)) < 1e-6
 
 
 def test_cross_entropy_hand_value():
     lp = np.log(np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]], dtype=np.float32))
-    loss = T.cross_entropy(Tensor(lp), np.array([0, 1]), pad_id=-1)
+    loss = T.cross_entropy(Tensor(lp), np.array([0, 1]), mask=np.ones(2, bool))
     assert abs(loss.item() - 0.2899092476264711) < 1e-6
 
 
 def test_cross_entropy_target_out_of_range():
     lp = np.zeros((2, 3), dtype=np.float32)
     with pytest.raises(ValueError):
-        T.cross_entropy(Tensor(lp), np.array([0, 3]), pad_id=0)
+        T.cross_entropy(Tensor(lp), np.array([0, 3]), mask=np.array([False, True]))
 
 
 def test_cross_entropy_ignores_pad_targets():
     rng = np.random.default_rng(0)
     lp = rng.normal(0, 1, (4, 5)).astype(np.float32)
-    a = T.cross_entropy(Tensor(lp), np.array([1, 0, 2, 0]), pad_id=0).item()
-    b = T.cross_entropy(Tensor(lp), np.array([1, 0, 2, 0]), pad_id=0).item()
+    targets = np.array([1, 0, 2, 0])
+    a = T.cross_entropy(Tensor(lp), targets, mask=targets != 0).item()
+    b = T.cross_entropy(Tensor(lp), targets, mask=targets != 0).item()
     assert a == b
     # changing the padded targets to other pad entries does not matter
-    c = T.cross_entropy(Tensor(lp), np.array([1, 0, 2, 0]), pad_id=0)
+    c = T.cross_entropy(Tensor(lp), targets, mask=targets != 0)
     assert abs(c.item() - a) == 0.0
 
 
@@ -563,7 +564,8 @@ def test_backward_stores_grad_only_on_leaves():
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     x, w1, b1, w2, b2 = tensors
     h = T.relu(T.linear(x, w1, b1))
-    loss = T.cross_entropy(T.log_softmax(T.linear(h, w2, b2)), targets, pad_id=-1)
+    loss = T.cross_entropy(T.log_softmax(T.linear(h, w2, b2)), targets,
+                           mask=np.ones(3, bool))
     T.backward(loss)
     order = T._topo_order(loss)
     inner = [n for n in order if n._vjp is not None]
