@@ -147,16 +147,24 @@ def _check_lengths(pairs, cfg: ModelConfig) -> None:
             "raise max_len in the configuration")
 
 
-def read_fertility_file(path: str | Path) -> list[list[int]]:
+def read_fertility_file(path: str | Path, max_fertility: int) -> list[list[int]]:
+    """One row of integers per line, each a fertility class of a parallel
+    model with `max_fertility` classes (0 to max_fertility - 1)."""
     p = Path(path)
     if not p.exists():
         raise DataError(f"fertility file not found: {p}")
     out = []
     for ln, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
         try:
-            out.append([int(tok) for tok in line.split()])
+            row = [int(tok) for tok in line.split()]
         except ValueError:
             raise DataError(f"{p}:{ln}: fertility lines must be integers") from None
+        for f in row:
+            if not 0 <= f < max_fertility:
+                raise DataError(f"{p}:{ln}: fertility {f} is not a class of the "
+                                f"parallel model (0 to {max_fertility - 1}, "
+                                f"max_fertility {max_fertility})")
+        out.append(row)
     return out
 
 
@@ -176,8 +184,8 @@ def _check_same_vocabs(teacher_path, teacher_vocabs, nat_path, nat_vocabs) -> No
                         "different vocabularies")
 
 
-def _paired_fertilities(pairs, fert_path):
-    ferts = read_fertility_file(fert_path)
+def _paired_fertilities(pairs, fert_path, max_fertility: int):
+    ferts = read_fertility_file(fert_path, max_fertility)
     if len(ferts) != len(pairs):
         raise DataError(f"fertility file has {len(ferts)} lines for "
                         f"{len(pairs)} sentence pairs")
@@ -220,6 +228,9 @@ def cmd_distill(args) -> None:
 
 
 def cmd_align(args) -> None:
+    if args.max_fertility < 2:
+        raise DataError(f"--max-fertility must be at least 2 (fertility classes "
+                        f"0 and 1), got {args.max_fertility}")
     pairs_tok = _load_training_corpus(args.corpus)
     model = AL.em_train(pairs_tok, args.iters_m1, args.iters_m2)
     alignments = AL.corpus_alignments(pairs_tok, model)
@@ -238,7 +249,6 @@ def cmd_align(args) -> None:
 
 def cmd_train_nat(args) -> None:
     pairs_tok = _load_training_corpus(args.corpus)
-    ferts = _paired_fertilities(pairs_tok, args.fertilities)
     exported = None
     if args.init_encoder:
         teacher_model, sv, tv, _ = _load_kind(args.init_encoder, "teacher")
@@ -253,6 +263,7 @@ def cmd_train_nat(args) -> None:
         tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)
         forced = {"src_vocab": len(sv), "tgt_vocab": len(tv)}
     mcfg, tcfg = split_config(gather_config(args), **forced)
+    ferts = _paired_fertilities(pairs_tok, args.fertilities, mcfg.max_fertility)
     pairs = encode_corpus(pairs_tok, sv, tv)
     _check_lengths(pairs, mcfg)
     log = P.TrainingLog(args.log)
@@ -268,7 +279,8 @@ def cmd_finetune(args) -> None:
     teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
     _check_same_vocabs(args.teacher, (tsv, ttv), args.nat, (sv, tv))
     pairs_tok = _load_training_corpus(args.corpus)
-    ferts = _paired_fertilities(pairs_tok, args.fertilities)
+    ferts = _paired_fertilities(pairs_tok, args.fertilities,
+                                model.cfg.max_fertility)
     _, tcfg = split_config(gather_config(args),
                            src_vocab=model.cfg.src_vocab,
                            tgt_vocab=model.cfg.tgt_vocab)

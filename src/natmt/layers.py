@@ -112,9 +112,6 @@ class Embedding(Module):
     def __init__(self, vocab: int, d: int, rng: np.random.Generator):
         self.weight = Tensor(_uniform_init(rng, (vocab, d), d), requires_grad=True)
 
-    def __call__(self, ids: np.ndarray) -> Tensor:
-        return T.embedding(self.weight, ids)
-
 
 def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
                     scale: float, start: int = 0) -> Tensor:
@@ -124,8 +121,7 @@ def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
     _, t = ids.shape
     if start + t > len(pos):
         raise ValueError(f"length {start + t} exceeds max_len {len(pos)}")
-    emb = T.mul(embed(ids), Tensor(np.float32(scale)))
-    return T.add(emb, Tensor(pos[start:start + t]))
+    return T.scaled_embedding(embed.weight, ids, scale, pos[start:start + t])
 
 
 class LayerNorm(Module):
@@ -192,15 +188,17 @@ class MultiHeadAttention(Module):
 
     def project_kv(self, k_in: Tensor, v_in: Tensor) -> tuple[Tensor, Tensor]:
         """Per-head keys and values [B, H, T, d_head] of the given inputs."""
-        return (T.split_heads(self.wk(k_in), self.n_head),
-                T.split_heads(self.wv(v_in), self.n_head))
+        return (self._split(self.wk, k_in), self._split(self.wv, v_in))
+
+    def _split(self, proj: Linear, x: Tensor) -> Tensor:
+        return T.linear_split_heads(x, proj.weight, proj.bias, self.n_head)
 
     def __call__(self, q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
                  bias: np.ndarray | None, cache: "KVCache | None" = None) -> Tensor:
         """Attend from `q_in` to `k_in`/`v_in`. A growing `cache` appends the
         new keys and values to those of earlier steps; a fixed one supplies
         them instead, and `k_in`/`v_in` are not read."""
-        q = T.split_heads(self.wq(q_in), self.n_head)
+        q = self._split(self.wq, q_in)
         if cache is not None and not cache.grow:
             k, v = cache.k, cache.v
         else:
@@ -209,7 +207,7 @@ class MultiHeadAttention(Module):
                 k, v = cache.append(k, v)
         ctx, weights = attention_core(q, k, v, bias, self.scale)
         self.last_weights = weights.numpy()
-        return self.wo(T.merge_heads(ctx))
+        return T.merge_heads_linear(ctx, self.wo.weight, self.wo.bias)
 
 
 class FFNBlock(Module):
@@ -220,7 +218,8 @@ class FFNBlock(Module):
         self.outer = Linear(cfg.d_hidden, cfg.d_model, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.outer(T.relu(self.inner(x)))
+        return T.ffn(x, self.inner.weight, self.inner.bias,
+                     self.outer.weight, self.outer.bias)
 
 
 class EncoderLayer(Module):

@@ -9,11 +9,16 @@ no op) receive ``.grad``; gradients of intermediate nodes flow through the
 pass and are dropped with it.
 
 Each op costs a fixed Python overhead, which dominates batch-size-one
-decoding, so attention's frequent chains are single ops: ``split_heads`` and
-``merge_heads`` (reshape + transpose), ``attention_softmax`` (scale + bias +
-softmax) and ``layer_norm(x, gain, bias, residual)`` (residual add + layer
-norm). Each runs the numpy calls of the chain it replaces, in the same order,
-forward and backward, so results are bit-identical to the chain.
+decoding, so the transformer's frequent chains are single ops:
+``linear_split_heads`` (a query, key or value projection and its head split),
+``merge_heads_linear`` (the head merge and the output projection),
+``attention_softmax`` (scale + bias + softmax), ``layer_norm(x, gain, bias,
+residual)`` (residual add + layer norm), ``ffn`` (linear + ReLU + linear) and
+``scaled_embedding`` (embedding * scale + positional encodings). Each runs
+the numpy calls of the chain it replaces, in the same order, forward and
+backward, and takes the chain's inputs in the chain's order, so values,
+gradients and the order in which backward sums them are bit-identical to the
+chain.
 """
 
 from __future__ import annotations
@@ -100,9 +105,14 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=DTYPE))
 
 
+_FLOAT32 = np.dtype(DTYPE)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = data if data.dtype == DTYPE else data.astype(DTYPE)
+    # an identity test: `==` against the scalar type DTYPE would convert that
+    # type to a dtype on every call
+    out.data = data if data.dtype is _FLOAT32 else data.astype(DTYPE)
     out.grad = None
     track = _GRAD_ENABLED[-1] and any(p.requires_grad for p in parents)
     out.requires_grad = track
@@ -238,30 +248,85 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def split_heads(a: Tensor, n_head: int) -> Tensor:
-    """[B, T, d] -> [B, H, T, d/H]: ``reshape`` then ``transpose`` as one op."""
-    a = _as_tensor(a)
-    shape = a.data.shape
-    b, t, d = shape
-    out = a.data.reshape(b, t, n_head, d // n_head).transpose(0, 2, 1, 3)
+def linear_split_heads(x: Tensor, w: Tensor, b: Tensor, n_head: int) -> Tensor:
+    """`linear` then the split of its [B, T, d] output into [B, H, T, d/H]
+    heads (reshape + transpose) as one op, for a query, key or value
+    projection."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
+    if len(sx) != 3 or sx[-1] != sw[0] or sb != sw[1:]:
+        raise ValueError(f"linear_split_heads shape mismatch: {sx} @ {sw} + {sb}")
+    d = sw[1]
+    flat = x.data.reshape(-1, sx[-1])
+    out = np.matmul(flat, w.data)
+    out += b.data
+    heads = out.reshape(sx[0], sx[1], n_head, d // n_head).transpose(0, 2, 1, 3)
 
     def vjp(g):
-        return (g.transpose(0, 2, 1, 3).reshape(shape),)
+        g2 = g.transpose(0, 2, 1, 3).reshape(-1, d)
+        gx = np.matmul(g2, w.data.T).reshape(sx) if x.requires_grad else None
+        gw = np.matmul(flat.T, g2) if w.requires_grad else None
+        gb = _unbroadcast(g2, sb) if b.requires_grad else None
+        return gx, gw, gb
 
-    return _make(out, (a,), vjp)
+    return _make(heads, (x, w, b), vjp)
 
 
-def merge_heads(a: Tensor) -> Tensor:
-    """[B, H, T, dh] -> [B, T, H*dh], the inverse of `split_heads`."""
-    a = _as_tensor(a)
-    shape = a.data.shape
-    b, h, t, dh = shape
-    out = a.data.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+def merge_heads_linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The merge of [B, H, T, dh] heads into [B, T, H*dh] (transpose +
+    reshape) then `linear`, as one op, for an output projection."""
+    a, w, b = _as_tensor(a), _as_tensor(w), _as_tensor(b)
+    sa, sw, sb = a.data.shape, w.data.shape, b.data.shape
+    if len(sa) != 4 or sa[1] * sa[3] != sw[0] or sb != sw[1:]:
+        raise ValueError(f"merge_heads_linear shape mismatch: {sa} @ {sw} + {sb}")
+    bsz, h, t, dh = sa
+    flat = a.data.transpose(0, 2, 1, 3).reshape(bsz * t, h * dh)
+    out = np.matmul(flat, w.data)
+    out += b.data
 
     def vjp(g):
-        return (g.reshape(b, t, h, dh).transpose(0, 2, 1, 3),)
+        g2 = g.reshape(-1, sw[1])
+        ga = (np.matmul(g2, w.data.T).reshape(bsz, t, h, dh).transpose(0, 2, 1, 3)
+              if a.requires_grad else None)
+        gw = np.matmul(flat.T, g2) if w.requires_grad else None
+        gb = _unbroadcast(g2, sb) if b.requires_grad else None
+        return ga, gw, gb
 
-    return _make(out, (a,), vjp)
+    return _make(out.reshape(bsz, t, sw[1]), (a, w, b), vjp)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one op. The ReLU runs
+    in place on the hidden pre-activations, and its gradient masks on the
+    hidden outputs, which are positive exactly where their inputs are, so
+    the op keeps one hidden array where the chain kept two."""
+    x, w1, b1 = _as_tensor(x), _as_tensor(w1), _as_tensor(b1)
+    w2, b2 = _as_tensor(w2), _as_tensor(b2)
+    sx, s1, s2 = x.data.shape, w1.data.shape, w2.data.shape
+    sb1, sb2 = b1.data.shape, b2.data.shape
+    if sx[-1] != s1[0] or sb1 != s1[1:] or s1[1] != s2[0] or sb2 != s2[1:]:
+        raise ValueError(f"ffn shape mismatch: {sx} @ {s1} + {sb1} @ {s2} + {sb2}")
+    flat = x.data.reshape(-1, sx[-1])
+    r = np.matmul(flat, w1.data)
+    r += b1.data
+    np.maximum(r, 0.0, out=r)
+    out = np.matmul(r, w2.data)
+    out += b2.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, s2[1])
+        gr = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gr = np.matmul(g2, w2.data.T)
+            gr *= r > 0
+        gw2 = np.matmul(r.T, g2) if w2.requires_grad else None
+        gb2 = _unbroadcast(g2, sb2) if b2.requires_grad else None
+        gx = np.matmul(gr, w1.data.T).reshape(sx) if x.requires_grad else None
+        gw1 = np.matmul(flat.T, gr) if w1.requires_grad else None
+        gb1 = _unbroadcast(gr, sb1) if b1.requires_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _make(out.reshape(*sx[:-1], s2[1]), (x, w1, b1, w2, b2), vjp)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -415,18 +480,42 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return _make(out, parents, vjp)
 
 
-def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather: out[..., :] = weight[ids[...], :]."""
-    ids = np.asarray(ids)
+def _check_ids(weight: Tensor, ids: np.ndarray) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise ValueError(
             f"embedding id out of range: ids in [{ids.min()}, {ids.max()}], "
             f"table has {weight.shape[0]} rows")
+
+
+def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
+    """Row gather: out[..., :] = weight[ids[...], :]."""
+    ids = np.asarray(ids)
+    _check_ids(weight, ids)
     out = weight.data[ids]
 
     def vjp(g):
         gw = np.zeros_like(weight.data)
         np.add.at(gw, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
+        return (gw,)
+
+    return _make(out, (weight,), vjp)
+
+
+def scaled_embedding(weight: Tensor, ids: np.ndarray, scale: float,
+                     pos: np.ndarray) -> Tensor:
+    """``embedding(weight, ids) * scale + pos`` as one op, with the float32
+    multiply and add of `mul` and `add`; `pos` is a constant that
+    broadcasts to the [..., d] rows."""
+    ids = np.asarray(ids)
+    _check_ids(weight, ids)
+    scale = DTYPE(scale)
+    out = weight.data[ids]
+    out *= scale
+    out += pos
+
+    def vjp(g):
+        gw = np.zeros_like(weight.data)
+        np.add.at(gw, ids.reshape(-1), (g * scale).reshape(-1, weight.shape[1]))
         return (gw,)
 
     return _make(out, (weight,), vjp)

@@ -75,7 +75,8 @@ def test_decoder_refuses_missing_model(models, spec, teacher, nat, missing):
 def test_tensor_ops_per_decode_are_pinned(monkeypatch):
     """Graph ops are the per-call overhead of batch-size-one decoding. With
     2-layer models, a cached teacher step (decoder pass plus log-softmax)
-    runs 58 ops and an `argmax` decode 132, whatever the length."""
+    runs 40 ops, an `argmax` decode 88 and an `npd:10` decode 156, whatever
+    the length."""
     cfg = dataclasses.replace(tiny_cfg(), n_layer=2)
     teacher = AR.TeacherModel(cfg, np.random.default_rng(3))
     nat = N.NatModel(cfg, np.random.default_rng(4))
@@ -93,10 +94,13 @@ def test_tensor_ops_per_decode_are_pinned(monkeypatch):
         AR._step_logprobs(teacher, None, None, [[BOS]], cache)
         monkeypatch.setattr(T, "_make", counting_make)
         AR._step_logprobs(teacher, None, None, [[BOS, 9]], cache)
-    assert ops[0] == 58
+    assert ops[0] == 40
     ops[0] = 0
     N.decode_argmax(src, nat)
-    assert ops[0] == 132
+    assert ops[0] == 88
+    ops[0] = 0
+    N.decode_npd(src, nat, teacher, 10)
+    assert ops[0] == 156
 
 
 def test_bench_counts_passes_per_contract(models):

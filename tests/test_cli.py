@@ -656,6 +656,40 @@ def test_empty_source_line_exits_2_naming_file_line(workdir, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train-nat", "finetune"])
+@pytest.mark.parametrize("value", [-1, 4])
+def test_fertility_outside_the_model_classes_exits_2_naming_file_line(
+        workdir, tmp_path, capsys, command, value):
+    # the parallel model has max_fertility 4: classes 0 to 3
+    src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
+    prefix = str(tmp_path / "fert")
+    (tmp_path / "fert.src").write_text((" ".join(src_tok) + "\n") * 3)
+    (tmp_path / "fert.tgt").write_text((" ".join(tgt_tok) + "\n") * 3)
+    good = ["1"] * len(src_tok)
+    bad = [str(value)] + good[1:]
+    (tmp_path / "fert.fert").write_text(
+        "\n".join(" ".join(row) for row in (good, bad, good)) + "\n")
+    out = str(tmp_path / "fert.out")
+    models = (["--nat", workdir["nat"], "--teacher", workdir["teacher"]]
+              if command == "finetune" else ["--max-fertility", "4"])
+    code, _, err = run(capsys, command, "--corpus", prefix, "--fertilities",
+                       prefix + ".fert", "--out", out, *models)
+    assert code == 2
+    assert (f"data error: {prefix}.fert:2: fertility {value} is not a class of "
+            "the parallel model (0 to 3, max_fertility 4)") in err
+    assert "Traceback" not in err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-1"])
+def test_align_max_fertility_below_two_exits_2_naming_flag(workdir, capsys, value):
+    code, _, err = run(capsys, "align", "--corpus", workdir["corpus"],
+                       "--max-fertility", value)
+    assert code == 2
+    assert (f"data error: --max-fertility must be at least 2 (fertility classes "
+            f"0 and 1), got {value}") in err
+
+
 @pytest.mark.parametrize("strategies, code, message", [
     ("", 1, "bench: --strategies names no strategy"),
     (",", 1, "bench: --strategies names no strategy"),

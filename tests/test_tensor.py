@@ -373,42 +373,129 @@ def test_layer_norm_stats(xs):
 
 
 # ---------------------------------------------------------------------------
-# fused attention ops against the op chains they replace, bit for bit
+# fused ops against the op chains they replace, bit for bit
 # ---------------------------------------------------------------------------
 
-def _value_and_grads(build, arrays, g):
+def _value_and_grads(build, arrays, g, grad=None):
     """Forward value of build(*tensors) and the gradient of every input under
-    the upstream gradient g."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    the upstream gradient g; `grad` flags which inputs require one (all by
+    default), and an input without one reports None."""
+    grad = [True] * len(arrays) if grad is None else grad
+    tensors = [Tensor(a, requires_grad=r) for a, r in zip(arrays, grad, strict=True)]
     out = build(*tensors)
-    T.backward(T.tsum(T.mul(out, Tensor(g))))
+    if out.requires_grad:
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
     return [out.numpy()] + [t.grad for t in tensors]
 
 
 def _assert_identical(got, want):
     for a, b in zip(got, want, strict=True):
+        if a is None or b is None:
+            assert a is None and b is None
+            continue
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.array_equal(a, b)
 
 
 small_dims = st.integers(1, 4)
+grad_flags = st.lists(st.booleans(), min_size=3, max_size=3)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_dims, small_dims, small_dims, small_dims, st.integers(0, 2**16))
-@example(1, 2, 1, 3, 0)      # one position, as in a cached decoding step
-def test_split_and_merge_heads_equal_reshape_transpose(b, h, t, dh, seed):
+@given(small_dims, small_dims, small_dims, small_dims, st.integers(1, 6),
+       grad_flags, st.integers(0, 2**16))
+@example(1, 2, 1, 3, 4, [True, True, True], 0)    # one position, as in a cached step
+@example(2, 2, 3, 2, 5, [False, True, True], 1)   # an input without gradient
+def test_linear_split_heads_equals_linear_reshape_transpose(b, h, t, dh, d_in,
+                                                            grad, seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(0, 1, (b, t, h * dh)).astype(np.float32)
+    x = rng.normal(0, 1, (b, t, d_in)).astype(np.float32)
+    w = rng.normal(0, 1, (d_in, h * dh)).astype(np.float32)
+    bias = rng.normal(0, 1, h * dh).astype(np.float32)
+    g = rng.normal(0, 1, (b, h, t, dh)).astype(np.float32)
+
+    def chain(a, wt, bs):
+        return T.transpose(T.reshape(T.linear(a, wt, bs), (b, t, h, dh)), (0, 2, 1, 3))
+
+    _assert_identical(
+        _value_and_grads(lambda a, wt, bs: T.linear_split_heads(a, wt, bs, h),
+                         [x, w, bias], g, grad),
+        _value_and_grads(chain, [x, w, bias], g, grad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dims, small_dims, small_dims, small_dims, st.integers(1, 6),
+       grad_flags, st.integers(0, 2**16))
+@example(1, 2, 1, 3, 4, [True, True, True], 0)    # one position, as in a cached step
+@example(2, 2, 3, 2, 5, [False, True, True], 1)   # an input without gradient
+def test_merge_heads_linear_equals_transpose_reshape_linear(b, h, t, dh, d_out,
+                                                            grad, seed):
+    rng = np.random.default_rng(seed)
     heads = rng.normal(0, 1, (b, h, t, dh)).astype(np.float32)
+    w = rng.normal(0, 1, (h * dh, d_out)).astype(np.float32)
+    bias = rng.normal(0, 1, d_out).astype(np.float32)
+    g = rng.normal(0, 1, (b, t, d_out)).astype(np.float32)
+
+    def chain(a, wt, bs):
+        return T.linear(T.reshape(T.transpose(a, (0, 2, 1, 3)), (b, t, h * dh)), wt, bs)
+
     _assert_identical(
-        _value_and_grads(lambda a: T.split_heads(a, h), [x], heads),
-        _value_and_grads(lambda a: T.transpose(T.reshape(a, (b, t, h, dh)),
-                                               (0, 2, 1, 3)), [x], heads))
+        _value_and_grads(T.merge_heads_linear, [heads, w, bias], g, grad),
+        _value_and_grads(chain, [heads, w, bias], g, grad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_dims, min_size=1, max_size=3), st.integers(1, 6),
+       st.integers(1, 8), st.integers(1, 6),
+       st.lists(st.booleans(), min_size=5, max_size=5), st.booleans(),
+       st.integers(0, 2**16))
+@example([1, 1], 4, 8, 4, [True] * 5, True, 0)    # a cached step, a dead unit
+@example([2, 3], 4, 8, 4, [False, True, True, True, True], False, 1)
+def test_ffn_equals_linear_relu_linear(lead, d, d_hidden, d_out, grad, dead, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0, 1, (*lead, d)).astype(np.float32)
+    w1 = rng.normal(0, 1, (d, d_hidden)).astype(np.float32)
+    b1 = rng.normal(0, 1, d_hidden).astype(np.float32)
+    w2 = rng.normal(0, 1, (d_hidden, d_out)).astype(np.float32)
+    b2 = rng.normal(0, 1, d_out).astype(np.float32)
+    if dead:   # a hidden unit whose input is exactly 0 everywhere
+        w1[:, 0] = 0.0
+        b1[0] = 0.0
+    g = rng.normal(0, 1, (*lead, d_out)).astype(np.float32)
+
+    def chain(a, v1, c1, v2, c2):
+        return T.linear(T.relu(T.linear(a, v1, c1)), v2, c2)
+
+    _assert_identical(_value_and_grads(T.ffn, [x, w1, b1, w2, b2], g, grad),
+                      _value_and_grads(chain, [x, w1, b1, w2, b2], g, grad))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dims, small_dims, st.integers(1, 6), st.integers(1, 8),
+       st.floats(0.5, 10.0), st.booleans(), st.integers(0, 2**16))
+@example(1, 1, 4, 5, 8.0, True, 0)    # one position, as in a cached step
+@example(2, 3, 3, 4, 2.0, False, 1)   # a table without gradient
+def test_scaled_embedding_equals_embedding_mul_add(b, t, vocab, d, scale, grad, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.normal(0, 1, (vocab, d)).astype(np.float32)
+    ids = rng.integers(0, vocab, (b, t))   # repeats accumulate in the gradient
+    pos = rng.normal(0, 1, (t, d)).astype(np.float32)
+    g = rng.normal(0, 1, (b, t, d)).astype(np.float32)
+
+    def chain(wt):
+        return T.add(T.mul(T.embedding(wt, ids), Tensor(np.float32(scale))),
+                     Tensor(pos))
+
     _assert_identical(
-        _value_and_grads(T.merge_heads, [heads], x),
-        _value_and_grads(lambda a: T.reshape(T.transpose(a, (0, 2, 1, 3)),
-                                             (b, t, h * dh)), [heads], x))
+        _value_and_grads(lambda wt: T.scaled_embedding(wt, ids, scale, pos),
+                         [table], g, [grad]),
+        _value_and_grads(chain, [table], g, [grad]))
+
+
+def test_scaled_embedding_rejects_out_of_range_ids():
+    table = Tensor(np.zeros((3, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="out of range"):
+        T.scaled_embedding(table, np.array([[0, 3]]), 1.0, np.zeros((2, 2), np.float32))
 
 
 @settings(max_examples=60, deadline=None)
