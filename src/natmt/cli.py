@@ -37,6 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+# configuration keys with a dedicated flag (`batch_size` is `--batch-size`)
+_CONFIG_FLAGS = (("steps", int), ("batch_size", int), ("seed", int),
+                 ("warmup", int), ("lam", float), ("d_model", int),
+                 ("n_layer", int), ("max_fertility", int), ("log_every", int))
 
 
 def _coerce(key: str, value: str):
@@ -80,11 +84,10 @@ def gather_config(args) -> dict:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         cfg[key] = _coerce(key.strip(), value.strip())
-    for flag in ("steps", "batch_size", "seed", "warmup", "lam", "d_model",
-                 "n_layer", "max_fertility", "log_every"):
-        v = getattr(args, flag, None)
+    for key, _ in _CONFIG_FLAGS:
+        v = getattr(args, key, None)
         if v is not None:
-            cfg[flag] = v
+            cfg[key] = v
     return cfg
 
 
@@ -102,15 +105,8 @@ def _add_config_flags(sp):
     sp.add_argument("--config", help="key=value file, one setting per line")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override one configuration key")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--warmup", type=int)
-    sp.add_argument("--lam", type=float)
-    sp.add_argument("--d-model", dest="d_model", type=int)
-    sp.add_argument("--n-layer", dest="n_layer", type=int)
-    sp.add_argument("--max-fertility", dest="max_fertility", type=int)
-    sp.add_argument("--log-every", dest="log_every", type=int)
+    for key, typ in _CONFIG_FLAGS:
+        sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ)
     sp.add_argument("--log", help="JSONL training log path")
 
 
@@ -147,27 +143,6 @@ def _check_lengths(pairs, cfg: ModelConfig) -> None:
             "raise max_len in the configuration")
 
 
-def read_fertility_file(path: str | Path, max_fertility: int) -> list[list[int]]:
-    """One row of integers per line, each a fertility class of a parallel
-    model with `max_fertility` classes (0 to max_fertility - 1)."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"fertility file not found: {p}")
-    out = []
-    for ln, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise DataError(f"{p}:{ln}: fertility lines must be integers") from None
-        for f in row:
-            if not 0 <= f < max_fertility:
-                raise DataError(f"{p}:{ln}: fertility {f} is not a class of the "
-                                f"parallel model (0 to {max_fertility - 1}, "
-                                f"max_fertility {max_fertility})")
-        out.append(row)
-    return out
-
-
 def _load_kind(path, kind: str):
     model, sv, tv, ckpt = P.load_model(path)
     if model.kind != kind:
@@ -184,12 +159,48 @@ def _check_same_vocabs(teacher_path, teacher_vocabs, nat_path, nat_vocabs) -> No
                         "different vocabularies")
 
 
-def _paired_fertilities(pairs, fert_path, max_fertility: int):
-    ferts = read_fertility_file(fert_path, max_fertility)
-    if len(ferts) != len(pairs):
-        raise DataError(f"fertility file has {len(ferts)} lines for "
+def _paired_fertilities(prefix, pairs, path, max_fertility: int) -> list[list[int]]:
+    """Read the fertility file paired with corpus PREFIX. Each line is a row
+    of integers, each a class of a parallel model with `max_fertility`
+    classes (0 to max_fertility - 1), one per token of the source line,
+    summing to the length of the target line, which must not be empty. A
+    bad row raises a `DataError` naming FILE:LINE."""
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"fertility file not found: {p}")
+    lines = p.read_text(encoding="utf-8").splitlines()
+    if len(lines) != len(pairs):
+        raise DataError(f"fertility file {p} has {len(lines)} lines for "
                         f"{len(pairs)} sentence pairs")
-    return ferts
+    out = []
+    for ln, (line, (src, tgt)) in enumerate(zip(lines, pairs), 1):
+        try:
+            row = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise DataError(f"{p}:{ln}: fertility lines must be integers") from None
+        for f in row:
+            if not 0 <= f < max_fertility:
+                raise DataError(f"{p}:{ln}: fertility {f} is not a class of the "
+                                f"parallel model (0 to {max_fertility - 1}, "
+                                f"max_fertility {max_fertility})")
+        if len(row) != len(src):
+            raise DataError(f"{p}:{ln}: {len(row)} fertilities for a source "
+                            f"line of {len(src)} tokens")
+        if not tgt:
+            raise DataError(f"{prefix}.tgt:{ln}: empty target line (a parallel "
+                            "model emits at least one token)")
+        if sum(row) != len(tgt):
+            raise DataError(f"{p}:{ln}: fertilities sum to {sum(row)}, but the "
+                            f"target line has {len(tgt)} tokens")
+        out.append(row)
+    return out
+
+
+def _save_trained(args, model, sv, tv, log, done: str) -> None:
+    """Save a trained model to --out and report `done` with the last loss."""
+    P.save_model(args.out, model, sv, tv)
+    last = log.records[-1]["loss"] if log.records else float("nan")
+    print(f"{done}, final loss {last:.4f}, saved to {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +217,8 @@ def cmd_train_teacher(args) -> None:
     _check_lengths(pairs, mcfg)
     log = P.TrainingLog(args.log)
     model = P.train_teacher(pairs, mcfg, tcfg, log)
-    P.save_model(args.out, model, sv, tv)
-    last = log.records[-1]["loss"] if log.records else float("nan")
-    print(f"trained teacher for {tcfg.steps} steps, final loss {last:.4f}, "
-          f"saved to {args.out}")
+    _save_trained(args, model, sv, tv, log,
+                  f"trained teacher for {tcfg.steps} steps")
 
 
 def cmd_distill(args) -> None:
@@ -231,6 +240,12 @@ def cmd_align(args) -> None:
     if args.max_fertility < 2:
         raise DataError(f"--max-fertility must be at least 2 (fertility classes "
                         f"0 and 1), got {args.max_fertility}")
+    for flag, n in (("--iters-m1", args.iters_m1), ("--iters-m2", args.iters_m2)):
+        if n < 0:
+            raise DataError(f"{flag} must be at least 0, got {n}")
+    if not args.iters_m1 and not args.iters_m2:
+        raise DataError("--iters-m1 and --iters-m2 are both 0; at least one "
+                        "EM iteration must run")
     pairs_tok = _load_training_corpus(args.corpus)
     model = AL.em_train(pairs_tok, args.iters_m1, args.iters_m2)
     alignments = AL.corpus_alignments(pairs_tok, model)
@@ -243,8 +258,9 @@ def cmd_align(args) -> None:
                  for (src, _), align in zip(pairs_tok, alignments)]
         text = "\n".join(" ".join(str(f) for f in row) for row in ferts)
         Path(args.fertilities_out).write_text(text + "\n", encoding="utf-8")
+    last_phase = "m2" if args.iters_m2 else "m1"
     print(f"aligned {len(pairs_tok)} pairs; final log-likelihood "
-          f"{model.ll_history['m2'][-1]:.4f}")
+          f"{model.ll_history[last_phase][-1]:.4f}")
 
 
 def cmd_train_nat(args) -> None:
@@ -263,15 +279,14 @@ def cmd_train_nat(args) -> None:
         tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)
         forced = {"src_vocab": len(sv), "tgt_vocab": len(tv)}
     mcfg, tcfg = split_config(gather_config(args), **forced)
-    ferts = _paired_fertilities(pairs_tok, args.fertilities, mcfg.max_fertility)
+    ferts = _paired_fertilities(args.corpus, pairs_tok, args.fertilities,
+                                mcfg.max_fertility)
     pairs = encode_corpus(pairs_tok, sv, tv)
     _check_lengths(pairs, mcfg)
     log = P.TrainingLog(args.log)
     model = P.train_nat(pairs, ferts, mcfg, tcfg, log, init_from=exported)
-    P.save_model(args.out, model, sv, tv)
-    last = log.records[-1]["loss"] if log.records else float("nan")
-    print(f"trained parallel model for {tcfg.steps} steps, final loss "
-          f"{last:.4f}, saved to {args.out}")
+    _save_trained(args, model, sv, tv, log,
+                  f"trained parallel model for {tcfg.steps} steps")
 
 
 def cmd_finetune(args) -> None:
@@ -279,7 +294,7 @@ def cmd_finetune(args) -> None:
     teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
     _check_same_vocabs(args.teacher, (tsv, ttv), args.nat, (sv, tv))
     pairs_tok = _load_training_corpus(args.corpus)
-    ferts = _paired_fertilities(pairs_tok, args.fertilities,
+    ferts = _paired_fertilities(args.corpus, pairs_tok, args.fertilities,
                                 model.cfg.max_fertility)
     _, tcfg = split_config(gather_config(args),
                            src_vocab=model.cfg.src_vocab,
@@ -288,10 +303,8 @@ def cmd_finetune(args) -> None:
     _check_lengths(pairs, model.cfg)
     log = P.TrainingLog(args.log)
     P.finetune(model, teacher_model, pairs, ferts, tcfg, log)
-    P.save_model(args.out, model, sv, tv)
-    last = log.records[-1]["loss"] if log.records else float("nan")
-    print(f"fine-tuned for {tcfg.steps} steps (lambda {tcfg.lam}), final "
-          f"loss {last:.4f}, saved to {args.out}")
+    _save_trained(args, model, sv, tv, log,
+                  f"fine-tuned for {tcfg.steps} steps (lambda {tcfg.lam})")
 
 
 def _check_input_lines(path, sents, max_len: int) -> None:
@@ -387,6 +400,9 @@ def cmd_bench(args) -> None:
 
 
 def cmd_gen_synth(args) -> None:
+    if args.kind != "multimodal" and not 1 <= args.min_len <= args.max_len:
+        raise DataError(f"--min-len must be at least 1 and at most --max-len, "
+                        f"got --min-len {args.min_len} and --max-len {args.max_len}")
     if args.kind == "copy":
         pairs = SY.gen_copy_corpus(args.size, args.seed, vocab=args.vocab,
                                    min_len=args.min_len, max_len=args.max_len)
@@ -395,9 +411,8 @@ def cmd_gen_synth(args) -> None:
             args.size, args.seed, vocab=args.vocab,
             min_len=args.min_len, max_len=args.max_len)
         if args.links_out:
-            text = "\n".join(" ".join(f"{j + 1}-{i}" for j, i in enumerate(row))
-                             for row in links)
-            Path(args.links_out).write_text(text + "\n", encoding="utf-8")
+            Path(args.links_out).write_text(
+                "\n".join(AL.dump_alignments(links)) + "\n", encoding="utf-8")
     else:
         pairs, _ = SY.gen_synth_multimodal(
             args.size, args.seed, n_modes=args.modes,
@@ -523,16 +538,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:   # a DataError is a ValueError
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

@@ -403,6 +403,8 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
 # ---------------------------------------------------------------------------
 
 def _batch_stream(pairs, tcfg: TrainConfig, fertilities=None):
+    if not pairs:
+        raise DataError("no sentence pairs to train on")
     rng = np.random.default_rng(tcfg.seed)
     while True:
         for b in make_batches(pairs, tcfg.batch_size, rng=rng,
@@ -444,26 +446,13 @@ def train_teacher(pairs, cfg: ModelConfig, tcfg: TrainConfig,
     return model
 
 
-def attach_fertilities(pairs, fertilities):
-    """Pair corpus entries with aligner fertilities, dropping (and counting)
-    any pair whose fertility total disagrees with its target length."""
-    kept_pairs, kept_fert, dropped = [], [], 0
-    for (src, tgt), f in zip(pairs, fertilities):
-        if sum(f) != len(tgt) or len(f) != len(src):
-            dropped += 1
-            continue
-        kept_pairs.append((src, tgt))
-        kept_fert.append(f)
-    if dropped:
-        warnings.warn(f"dropped {dropped} pair(s) with inconsistent fertilities")
-    return kept_pairs, kept_fert, dropped
-
-
 def train_nat(pairs, fertilities, cfg: ModelConfig, tcfg: TrainConfig,
               log: TrainingLog | None = None,
               init_from: Sequence[tuple[str, np.ndarray]] | None = None
               ) -> NAT.NatModel:
-    pairs, fertilities, _ = attach_fertilities(pairs, fertilities)
+    """Train a parallel model on `pairs` with one fertility row per pair:
+    one entry per source token, summing to the target length (the aligner's
+    guarantee, and what `cli` checks of a fertility file)."""
     model = NAT.NatModel(cfg, np.random.default_rng(tcfg.seed))
     if init_from is not None:
         init_encoder_from_teacher(model, init_from)
@@ -480,7 +469,6 @@ def train_nat(pairs, fertilities, cfg: ModelConfig, tcfg: TrainConfig,
 def finetune(model: NAT.NatModel, teacher_model: AR.TeacherModel,
              pairs, fertilities, tcfg: TrainConfig,
              log: TrainingLog | None = None) -> NAT.NatModel:
-    pairs, fertilities, _ = attach_fertilities(pairs, fertilities)
     rng = np.random.default_rng(tcfg.seed + 1)
 
     def step(batch, opt):

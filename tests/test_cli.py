@@ -1,12 +1,17 @@
 """Command-line behaviour: exit codes, file plumbing, reproducibility."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import natmt
+import natmt.aligner as AL
 import natmt.bench as B
 import natmt.pipeline as P
 from natmt import nat as N
@@ -688,6 +693,161 @@ def test_align_max_fertility_below_two_exits_2_naming_flag(workdir, capsys, valu
     assert code == 2
     assert (f"data error: --max-fertility must be at least 2 (fertility classes "
             f"0 and 1), got {value}") in err
+
+
+def _fertility_command(workdir, command, prefix, ferts, out):
+    models = (["--nat", workdir["nat"], "--teacher", workdir["teacher"]]
+              if command == "finetune" else ["--max-fertility", "4"])
+    return [command, "--corpus", prefix, "--fertilities", ferts, "--out", out,
+            *models]
+
+
+@pytest.mark.parametrize("command", ["train-nat", "finetune"])
+@pytest.mark.parametrize("case", ["extra entry", "missing entry", "sum"])
+def test_misaligned_fertility_row_exits_2_naming_file_line(
+        workdir, tmp_path, capsys, command, case):
+    src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]   # a copy pair
+    n = len(src_tok)
+    prefix = str(tmp_path / "mis")
+    (tmp_path / "mis.src").write_text((" ".join(src_tok) + "\n") * 3)
+    (tmp_path / "mis.tgt").write_text((" ".join(tgt_tok) + "\n") * 3)
+    bad, message = {
+        "extra entry": (["1"] * n + ["0"],
+                        f"{n + 1} fertilities for a source line of {n} tokens"),
+        "missing entry": (["1"] * (n - 1),
+                          f"{n - 1} fertilities for a source line of {n} tokens"),
+        "sum": (["2"] + ["1"] * (n - 1),
+                f"fertilities sum to {n + 1}, but the target line has {n} tokens"),
+    }[case]
+    (tmp_path / "mis.fert").write_text(
+        "\n".join(" ".join(row) for row in (["1"] * n, bad, ["1"] * n)) + "\n")
+    out = str(tmp_path / "mis.out")
+    code, _, err = run(capsys, *_fertility_command(workdir, command, prefix,
+                                                   prefix + ".fert", out))
+    assert code == 2
+    assert f"data error: {prefix}.fert:2: {message}" in err
+    assert "Traceback" not in err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("command", ["train-nat", "finetune"])
+def test_raw_corpus_fertilities_on_the_distilled_corpus_exit_2(
+        workdir, tmp_path, capsys, command):
+    raw = str(tmp_path / "raw.fert")
+    assert main(["align", "--corpus", workdir["corpus"], "--fertilities-out", raw,
+                 "--max-fertility", "4"]) == 0
+    rows = [[int(f) for f in line.split()]
+            for line in Path(raw).read_text().splitlines()]
+    dist = load_corpus(workdir["distilled"])
+    mismatched = [ln for ln, (row, (_, tgt)) in enumerate(zip(rows, dist), 1)
+                  if sum(row) != len(tgt)]
+    assert mismatched, "the teacher distilled every target unchanged"
+    out = str(tmp_path / "raw.out")
+    code, _, err = run(capsys, *_fertility_command(workdir, command,
+                                                   workdir["distilled"], raw, out))
+    assert code == 2
+    assert f"data error: {raw}:{mismatched[0]}: fertilities sum to" in err
+    assert not Path(out).exists()
+
+
+def test_empty_target_line_exits_2_naming_file_line(workdir, tmp_path, capsys):
+    src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
+    prefix = str(tmp_path / "short")
+    (tmp_path / "short.src").write_text((" ".join(src_tok) + "\n") * 2)
+    (tmp_path / "short.tgt").write_text(" ".join(tgt_tok) + "\n\n")
+    (tmp_path / "short.fert").write_text(
+        " ".join(["1"] * len(src_tok)) + "\n" + " ".join(["0"] * len(src_tok)) + "\n")
+    out = str(tmp_path / "short.out")
+    code, _, err = run(capsys, *_fertility_command(workdir, "train-nat", prefix,
+                                                   prefix + ".fert", out))
+    assert code == 2
+    assert (f"data error: {prefix}.tgt:2: empty target line (a parallel model "
+            "emits at least one token)") in err
+    assert "zero total fertility" not in err
+    assert not Path(out).exists()
+
+
+def test_fertility_file_line_count_mismatch_names_the_file(workdir, tmp_path,
+                                                           capsys):
+    ferts = tmp_path / "few.fert"
+    ferts.write_text(Path(workdir["ferts"]).read_text().splitlines()[0] + "\n")
+    code, _, err = run(capsys, *_fertility_command(
+        workdir, "train-nat", workdir["distilled"], str(ferts),
+        str(tmp_path / "few.out")))
+    assert code == 2
+    assert f"data error: fertility file {ferts} has 1 lines for 20 sentence pairs" in err
+
+
+@pytest.mark.parametrize("command", ["train-nat", "finetune"])
+def test_all_rows_misaligned_exits_2_in_a_child_process(workdir, tmp_path, command):
+    # every row carries one entry too many; a child process with a timeout
+    # turns a training loop left with no batch into a failure, not a stall
+    ferts = tmp_path / "wide.fert"
+    ferts.write_text("".join(line + " 0\n" for line in
+                             Path(workdir["ferts"]).read_text().splitlines()))
+    out = tmp_path / "wide.out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(natmt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "natmt.cli",
+         *_fertility_command(workdir, command, workdir["distilled"], str(ferts),
+                             str(out))],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert f"data error: {ferts}:1: " in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m1, m2, phase", [("3", "0", "m1"), ("0", "2", "m2")])
+def test_align_with_one_em_phase_reports_its_log_likelihood(
+        workdir, capsys, m1, m2, phase):
+    code, out, err = run(capsys, "align", "--corpus", workdir["corpus"],
+                         "--iters-m1", m1, "--iters-m2", m2)
+    assert (code, err) == (0, "")
+    model = AL.em_train(load_corpus(workdir["corpus"]), int(m1), int(m2))
+    assert out == (f"aligned 20 pairs; final log-likelihood "
+                   f"{model.ll_history[phase][-1]:.4f}\n")
+
+
+@pytest.mark.parametrize("m1, m2, message", [
+    ("-1", "5", "--iters-m1 must be at least 0, got -1"),
+    ("5", "-2", "--iters-m2 must be at least 0, got -2"),
+    ("0", "0", "--iters-m1 and --iters-m2 are both 0; at least one EM "
+               "iteration must run")])
+def test_align_bad_iteration_counts_exit_2_naming_flag(workdir, capsys, m1, m2,
+                                                       message):
+    code, _, err = run(capsys, "align", "--corpus", workdir["corpus"],
+                       "--iters-m1", m1, "--iters-m2", m2)
+    assert code == 2
+    assert f"data error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["copy", "dictionary"])
+@pytest.mark.parametrize("lengths", [("5", "2"), ("0", "4"), ("-1", "4")])
+def test_gen_synth_bad_length_range_exits_2_naming_both_flags(tmp_path, capsys,
+                                                              kind, lengths):
+    prefix = tmp_path / "bad"
+    code, _, err = run(capsys, "gen-synth", "--kind", kind, "--size", "3",
+                       "--out-prefix", str(prefix), "--min-len", lengths[0],
+                       "--max-len", lengths[1])
+    assert code == 2
+    assert ("data error: --min-len must be at least 1 and at most --max-len, "
+            f"got --min-len {lengths[0]} and --max-len {lengths[1]}") in err
+    assert "low >= high" not in err
+    assert not (tmp_path / "bad.src").exists()
+
+
+def test_gen_synth_links_name_the_source_position_of_each_target_token(
+        tmp_path, capsys):
+    # the planted dictionary reverses word order: target j+1 comes from n-j
+    prefix = str(tmp_path / "dic")
+    links = tmp_path / "links.txt"
+    assert run(capsys, "gen-synth", "--kind", "dictionary", "--size", "6",
+               "--out-prefix", prefix, "--links-out", str(links))[0] == 0
+    want = [" ".join(f"{j + 1}-{len(src) - j}" for j in range(len(src)))
+            for src, _ in load_corpus(prefix)]
+    assert links.read_text() == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize("strategies, code, message", [

@@ -447,14 +447,12 @@ def test_batched_finetune_matches_per_sentence_reference(teacher, monkeypatch,
 # loops, logging, persistence
 # ---------------------------------------------------------------------------
 
-def test_attach_fertilities_drops_mismatches():
-    pairs = [([4, 5], [7, 8]), ([6, 4], [9, 10, 11])]
-    ferts = [[1, 1], [1, 1]]
-    with pytest.warns(UserWarning, match="dropped 1"):
-        kept, kf, dropped = P.attach_fertilities(pairs, ferts)
-    assert kept == [([4, 5], [7, 8])]
-    assert kf == [[1, 1]]
-    assert dropped == 1
+def test_training_on_no_pairs_raises_instead_of_spinning():
+    tcfg = TrainConfig(steps=3, batch_size=2, warmup=10)
+    with pytest.raises(DataError, match="no sentence pairs to train on"):
+        P.train_teacher([], tiny_cfg(), tcfg)
+    with pytest.raises(DataError, match="no sentence pairs to train on"):
+        P.train_nat([], [], tiny_cfg(), tcfg)
 
 
 def test_training_loops_log_jsonl(tmp_path):
