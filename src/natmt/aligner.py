@@ -4,17 +4,20 @@ IBM Model 1 EM initializes a lexical table; IBM Model 2 EM then fits exact
 positional tables a(i | j, T, T') bucketed by length pair, with source index
 0 reserved for the NULL word. Viterbi alignment picks, independently per
 target position, the source index maximizing lexical x positional probability,
-breaking exact ties toward the diagonal. Both run on whole arrays per length
-bucket, in blocks of at most BLOCK_CELLS cells, so their working arrays do not
-grow with the corpus. Fertilities are per-source-token alignment counts after
-NULL-aligned targets are reattached to their nearest aligned neighbor's
-source, so they always sum to the target length.
+breaking exact ties toward the diagonal. Each corpus is encoded once into flat
+token-id arrays with per-sentence lengths and starts; EM, Viterbi and
+fertility counting then run on whole arrays per length bucket, in blocks of at
+most BLOCK_CELLS cells, so their working arrays do not grow with the corpus.
+Fertilities are per-source-token alignment counts after NULL-aligned targets
+are reattached to their nearest aligned neighbor's source, so they always sum
+to the target length.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -36,14 +39,50 @@ class AlignmentModel:
     ll_history: dict = field(default_factory=lambda: {"m1": [], "m2": []})
 
 
+@dataclass
+class _Flat:
+    """Sequences as one integer array: sequence r is
+    ids[starts[r]:starts[r] + lens[r]]."""
+    ids: np.ndarray
+    lens: np.ndarray
+    starts: np.ndarray
+
+    def rows(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """[len(rows), width]: the given sequences, all of length `width`."""
+        return self.ids[self.starts[rows][:, None] + np.arange(width)]
+
+
+def _encode(seqs: Sequence[Sequence], index: dict | None = None,
+            unseen: int = 0, null: bool = False) -> _Flat:
+    """Flatten `seqs`, looking every token up in `index` (`unseen` when it is
+    missing) or taking it as an integer without one; with `null`, every
+    sequence starts with NULL."""
+    lens = np.fromiter(map(len, seqs), np.intp, len(seqs))
+    starts = np.zeros_like(lens)
+    np.cumsum(lens[:-1], out=starts[1:])
+    toks = chain.from_iterable(seqs)
+    if index is not None:
+        toks = map(index.get, toks, repeat(unseen))
+    ids = np.fromiter(toks, np.intp, int(lens.sum()))
+    if null:
+        ids = np.insert(ids, starts, NULL)
+        starts += np.arange(len(seqs))
+        lens += 1
+    return _Flat(ids, lens, starts)
+
+
+def _buckets(t: np.ndarray, tp: np.ndarray) -> list:
+    """((T, T'), indices r with (t[r], tp[r]) == (T, T') in increasing order)
+    for every length pair present."""
+    keys = t * (int(tp.max(initial=0)) + 1) + tp
+    order = np.argsort(keys, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    return [((int(t[g[0]]), int(tp[g[0]])), g) for g in groups if len(g)]
+
+
 def _clean_corpus(corpus: Sequence[Pair]) -> list[Pair]:
-    kept = []
-    skipped = 0
-    for src, tgt in corpus:
-        if len(src) == 0 or len(tgt) == 0:
-            skipped += 1
-            continue
-        kept.append((src, tgt))
+    kept = [(src, tgt) for src, tgt in corpus if len(src) and len(tgt)]
+    skipped = len(corpus) - len(kept)
     if skipped:
         warnings.warn(f"skipped {skipped} empty sentence pair(s)")
     if not kept:
@@ -51,33 +90,28 @@ def _clean_corpus(corpus: Sequence[Pair]) -> list[Pair]:
     return kept
 
 
-def _buckets(lengths: Sequence[tuple[int, int]]) -> dict:
-    """Indices into `lengths` grouped by their (T, T') pair, in order."""
-    rows: dict = {}
-    for r, key in enumerate(lengths):
-        rows.setdefault(key, []).append(r)
-    return rows
-
-
-def _em_blocks(enc: list, n_tgt: int) -> list:
-    """Cut the encoded corpus into blocks of consecutive pairs holding at most
-    BLOCK_CELLS (i, j) cells (at least one pair each). A block is the flat
-    lexical index of its cells in corpus order (pair, then i, then j) and,
-    per length bucket, (bucket, corpus rows, offset of each row's cells)."""
-    sizes = [len(xs) * len(ys) for xs, ys in enc]
+def _em_blocks(src: _Flat, tgt: _Flat, n_tgt: int) -> list:
+    """Cut the encoded corpus (`src` with NULL first) into blocks of
+    consecutive pairs holding at most BLOCK_CELLS (i, j) cells (at least one
+    pair each). A block is the flat lexical index of its cells in corpus
+    order (pair, then i, then j) and, per length bucket, (bucket, corpus
+    rows, offset of each row's cells)."""
+    sizes = src.lens * tgt.lens
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
     blocks = []
     start = 0
-    while start < len(enc):
-        stop, cells = start + 1, sizes[start]
-        while stop < len(enc) and cells + sizes[stop] <= BLOCK_CELLS:
-            cells += sizes[stop]
-            stop += 1
-        offsets = np.cumsum([0] + sizes[start:stop - 1])
-        flat = np.concatenate([(np.array(xs)[:, None] * n_tgt + ys).ravel()
-                               for xs, ys in enc[start:stop]])
-        lengths = [(len(ys), len(xs) - 1) for xs, ys in enc[start:stop]]
-        groups = [(key, np.array(local) + start, offsets[local])
-                  for key, local in _buckets(lengths).items()]
+    while start < len(ends):
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, firsts[start] + BLOCK_CELLS, "right")))
+        flat = np.empty(ends[stop - 1] - firsts[start], np.intp)
+        groups = []
+        for (t, tp), local in _buckets(tgt.lens[start:stop], src.lens[start:stop] - 1):
+            rows = local + start
+            offsets = firsts[rows] - firsts[start]
+            cells = src.rows(rows, tp + 1)[:, :, None] * n_tgt + tgt.rows(rows, t)[:, None, :]
+            flat[offsets[:, None] + np.arange((tp + 1) * t)] = cells.reshape(len(rows), -1)
+            groups.append(((t, tp), rows, offsets))
         blocks.append((flat, groups))
         start = stop
     return blocks
@@ -91,25 +125,20 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
     adds every float in the order of a loop over pairs: lexical counts go
     through one `np.add.at` per block in corpus order, positional counts
     through `np.add.accumulate` seeded with the running table, and per-pair
-    log-likelihoods are summed in corpus order."""
+    log-likelihoods are accumulated in corpus order."""
     pairs = _clean_corpus(corpus)
-    src_index = {}
-    tgt_index = {}
-    for src, tgt in pairs:
-        for tok in src:
-            src_index.setdefault(tok, len(src_index) + 1)
-        for tok in tgt:
-            tgt_index.setdefault(tok, len(tgt_index))
+    srcs, tgts = [s for s, _ in pairs], [t for _, t in pairs]
+    # first-occurrence order; source rows start at 1, after NULL
+    src_index = dict(zip(dict.fromkeys(chain.from_iterable(srcs)), count(1)))
+    tgt_index = dict(zip(dict.fromkeys(chain.from_iterable(tgts)), count()))
     n_src, n_tgt = len(src_index) + 1, len(tgt_index)
 
-    # integer views of the corpus; source side gets NULL prepended
-    enc = [([NULL] + [src_index[t] for t in src], [tgt_index[t] for t in tgt])
-           for src, tgt in pairs]
-    blocks = _em_blocks(enc, n_tgt)
-    ll_pairs = np.empty(len(enc))
+    src, tgt = _encode(srcs, src_index, null=True), _encode(tgts, tgt_index)
+    blocks = _em_blocks(src, tgt, n_tgt)
+    ll_pairs = np.empty(len(pairs))
 
     lex = np.full((n_src, n_tgt), 1.0 / n_tgt)
-    buckets = sorted({(len(ys), len(xs) - 1) for xs, ys in enc})
+    buckets = sorted(set(zip(tgt.lens.tolist(), (src.lens - 1).tolist())))
     pos = {(t, tp): np.full((t, tp + 1), 1.0 / (tp + 1)) for t, tp in buckets}
     model = AlignmentModel(src_index, tgt_index, lex, pos)
 
@@ -137,9 +166,8 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
                     seeded = np.concatenate([pos_counts[(t, tp)][None], scores])
                     pos_counts[(t, tp)] = np.add.accumulate(seeded, axis=0)[-1]
             np.add.at(flat_counts, flat, gammas)
-        ll = 0.0
-        for v in ll_pairs.tolist():                      # corpus order
-            ll += v
+        # accumulate adds one pair at a time, in corpus order
+        ll = float(np.add.accumulate(ll_pairs)[-1])
         lex = lex_counts / lex_counts.sum(axis=1, keepdims=True)
         model.lex = lex
         if model2:
@@ -188,17 +216,16 @@ def corpus_alignments(corpus: Sequence[Pair], model: AlignmentModel) -> list[lis
     n_src, n_tgt = model.lex.shape
     lexf = np.full((n_src + 1, n_tgt + 1), FLOOR)   # last row/column: unseen
     lexf[:n_src, :n_tgt] = np.maximum(model.lex, FLOOR)
+    src = _encode([s for s, _ in corpus], model.src_index, n_src, null=True)
+    tgt = _encode([t for _, t in corpus], model.tgt_index, n_tgt)
     out: list[list[int]] = [[] for _ in corpus]
-    for (t, tp), rows in _buckets([(len(tgt), len(src)) for src, tgt in corpus]).items():
+    for (t, tp), rows in _buckets(tgt.lens, src.lens - 1):
         step = max(1, BLOCK_CELLS // max(1, t * (tp + 1)))
         for k in range(0, len(rows), step):
             chunk = rows[k:k + step]
-            xs = np.array([[NULL] + [model.src_index.get(tok, n_src) for tok in corpus[r][0]]
-                           for r in chunk], dtype=np.intp)
-            ys = np.array([[model.tgt_index.get(tok, n_tgt) for tok in corpus[r][1]]
-                           for r in chunk], dtype=np.intp).reshape(len(chunk), t)
-            best = _viterbi(xs, ys, lexf, model.pos.get((t, tp)))
-            for r, align in zip(chunk, best.tolist()):
+            best = _viterbi(src.rows(chunk, tp + 1), tgt.rows(chunk, t), lexf,
+                            model.pos.get((t, tp)))
+            for r, align in zip(chunk.tolist(), best.tolist()):
                 out[r] = align
     return out
 
@@ -254,14 +281,56 @@ def extract_fertilities(alignment: Sequence[int], src_len: int,
     return fert
 
 
+def _bucket_fertilities(align: np.ndarray, tp: int, cap: int) -> tuple:
+    """`extract_fertilities` of n alignments [n, T] to T' = `tp` source
+    tokens, as [n, T'], with a mask of the rows it holds: entries in range
+    and no count over `cap`. The other rows need `extract_fertilities`."""
+    n, t = align.shape
+    if not tp:
+        return np.zeros((n, 0), np.intp), np.zeros(n, bool)
+    ok = ((align >= 0) & (align <= tp)).all(axis=1)
+    align = np.where(ok[:, None], align, 1)
+    j = np.arange(t)
+    aligned = align != NULL
+    left = np.maximum.accumulate(np.where(aligned, j, -1), axis=1)
+    right = np.minimum.accumulate(np.where(aligned, j, t)[:, ::-1], axis=1)[:, ::-1]
+    # nearest aligned neighbor, left first; an aligned position is its own
+    use_left = (left >= 0) & ((right == t) | (j - left <= right - j))
+    near = np.where(use_left, left, np.minimum(right, t - 1))
+    resolved = np.take_along_axis(align, near, axis=1)
+    resolved[resolved == NULL] = 1                # whole row NULL-aligned
+    fert = np.bincount((np.arange(n)[:, None] * tp + resolved - 1).ravel(),
+                       minlength=n * tp).reshape(n, tp)
+    return fert, ok & (fert.max(axis=1) <= cap)
+
+
+def alignment_fertilities(alignments: Sequence[Sequence[int]], src_lens: Sequence[int],
+                          max_fertility: int = 50) -> list[list[int]]:
+    """`extract_fertilities` of every alignment, counted per (T, T') bucket on
+    whole arrays. Rows with an entry out of range or a count over the cap go
+    through `extract_fertilities` itself, in corpus order, so it raises on
+    the same row with the same message as a loop over pairs would."""
+    flat = _encode(alignments)
+    out: list = [None] * len(alignments)
+    rest = []
+    for (t, tp), rows in _buckets(flat.lens, np.asarray(src_lens, np.intp)):
+        fert, ok = _bucket_fertilities(flat.rows(rows, t), tp, max_fertility - 1)
+        for r, f in zip(rows[ok].tolist(), fert[ok].tolist()):
+            out[r] = f
+        rest.extend(rows[~ok].tolist())
+    for r in sorted(rest):
+        out[r] = extract_fertilities(alignments[r], src_lens[r], max_fertility)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # corpus-level helpers
 # ---------------------------------------------------------------------------
 
 def corpus_fertilities(corpus: Sequence[Pair], model: AlignmentModel,
                        max_fertility: int = 50) -> list[list[int]]:
-    return [extract_fertilities(align, len(p[0]), max_fertility)
-            for p, align in zip(corpus, corpus_alignments(corpus, model))]
+    return alignment_fertilities(corpus_alignments(corpus, model),
+                                 [len(src) for src, _ in corpus], max_fertility)
 
 
 def dump_alignments(alignments: Sequence[Sequence[int]]) -> list[str]:

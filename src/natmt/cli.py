@@ -254,8 +254,8 @@ def cmd_align(args) -> None:
         Path(args.alignments_out).write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
     if args.fertilities_out:
-        ferts = [AL.extract_fertilities(align, len(src), args.max_fertility)
-                 for (src, _), align in zip(pairs_tok, alignments)]
+        ferts = AL.alignment_fertilities(alignments, [len(s) for s, _ in pairs_tok],
+                                         args.max_fertility)
         text = "\n".join(" ".join(str(f) for f in row) for row in ferts)
         Path(args.fertilities_out).write_text(text + "\n", encoding="utf-8")
     last_phase = "m2" if args.iters_m2 else "m1"
@@ -400,6 +400,18 @@ def cmd_bench(args) -> None:
 
 
 def cmd_gen_synth(args) -> None:
+    # the least value of each count that the generator can work with
+    floors = [("--size", args.size, 1)]
+    if args.kind == "multimodal":
+        floors += [("--modes", args.modes, 2), ("--phrases-per-sent", args.phrases_per_sent, 1)]
+    else:
+        floors.append(("--vocab", args.vocab, 1))
+    for flag, value, least in floors:
+        if value < least:
+            raise DataError(f"{flag} must be at least {least}, got {value}")
+    if args.kind == "multimodal" and args.phrases < args.phrases_per_sent:
+        raise DataError(f"--phrases must be at least --phrases-per-sent "
+                        f"({args.phrases_per_sent}), got {args.phrases}")
     if args.kind != "multimodal" and not 1 <= args.min_len <= args.max_len:
         raise DataError(f"--min-len must be at least 1 and at most --max-len, "
                         f"got --min-len {args.min_len} and --max-len {args.max_len}")

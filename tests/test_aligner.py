@@ -101,6 +101,18 @@ def _mixed_corpus(seed, size=150):
     return pairs
 
 
+def _int_str_corpus(seed, size=120):
+    """Tokens 0..5 as ints and as strings on both sides: 3 and "3" are two
+    different words."""
+    rng = np.random.default_rng(seed)
+
+    def side(n):
+        return [int(i) if i < 6 else str(int(i) - 6) for i in rng.integers(0, 12, n)]
+
+    return [(side(n_src), side(n_tgt))
+            for n_src, n_tgt in rng.integers(1, 11, size=(size, 2)).tolist()]
+
+
 EQUIVALENCE_CORPORA = {
     "planted_8_20": lambda: gen_planted_dictionary(90, seed=5, vocab=15,
                                                    min_len=8, max_len=20)[0],
@@ -108,6 +120,7 @@ EQUIVALENCE_CORPORA = {
     "multimodal_2": lambda: gen_synth_multimodal(80, seed=7, phrases_per_sent=2)[0],
     "multimodal_4": lambda: gen_synth_multimodal(80, seed=8, phrases_per_sent=4)[0],
     "mixed_lengths": lambda: _mixed_corpus(9),
+    "mixed_int_str_tokens": lambda: _int_str_corpus(12),
 }
 
 
@@ -307,6 +320,57 @@ def test_fertility_sums_to_target_length(src_len, data):
     assert sum(fert) == len(align)
     assert all(0 <= f < 50 for f in fert)
     assert len(fert) == src_len
+
+
+def _alignment_row(src_len):
+    entry = st.integers(0, src_len)
+    return st.tuples(st.just(src_len), st.one_of(
+        st.lists(entry, max_size=12),
+        st.lists(st.one_of(st.just(AL.NULL), entry), max_size=12),     # NULL-heavy
+        st.lists(st.just(AL.NULL), min_size=1, max_size=12)))          # all NULL
+
+
+ALIGNMENT_ROWS = st.lists(st.integers(1, 6).flatmap(_alignment_row), min_size=1,
+                          max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ALIGNMENT_ROWS, st.integers(2, 8))
+def test_alignment_fertilities_equal_per_pair_extraction(rows, max_fertility):
+    """Whole buckets at a time, the result equals the per-pair loop's, also
+    for rows over the cap; when a row cannot fit under the cap, both raise
+    the same error."""
+    aligns, src_lens = [a for _, a in rows], [n for n, _ in rows]
+    try:
+        want = [AL.extract_fertilities(a, n, max_fertility)
+                for a, n in zip(aligns, src_lens)]
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            AL.alignment_fertilities(aligns, src_lens, max_fertility)
+        assert str(got.value) == str(e)
+    else:
+        assert AL.alignment_fertilities(aligns, src_lens, max_fertility) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(ALIGNMENT_ROWS, st.data())
+def test_alignment_fertilities_name_the_first_out_of_range_row(rows, data):
+    """Entries outside [0, T'] raise the per-pair loop's error, for the first
+    bad row in corpus order whatever its length bucket."""
+    bad = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1, max_size=3))
+    aligns, src_lens = [], []
+    for r, (n, align) in enumerate(rows):
+        if r in bad:
+            at = data.draw(st.integers(0, len(align)))
+            align = align[:at] + [data.draw(st.sampled_from([-1 - r, n + 1 + r]))] + align[at:]
+        aligns.append(align)
+        src_lens.append(n)
+    first = min(bad)
+    with pytest.raises(ValueError) as want:
+        AL.extract_fertilities(aligns[first], src_lens[first])
+    with pytest.raises(ValueError) as got:
+        AL.alignment_fertilities(aligns, src_lens)
+    assert str(got.value) == str(want.value)
 
 
 def test_corpus_fertility_sums_exact():

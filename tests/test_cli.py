@@ -838,6 +838,26 @@ def test_gen_synth_bad_length_range_exits_2_naming_both_flags(tmp_path, capsys,
     assert not (tmp_path / "bad.src").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "copy", "--size", "-2"), "--size must be at least 1, got -2"),
+    (("--kind", "copy", "--size", "3", "--vocab", "0"),
+     "--vocab must be at least 1, got 0"),
+    (("--kind", "multimodal", "--size", "3", "--modes", "1"),
+     "--modes must be at least 2, got 1"),
+    (("--kind", "multimodal", "--size", "3", "--phrases", "1"),
+     "--phrases must be at least --phrases-per-sent (2), got 1"),
+    (("--kind", "multimodal", "--size", "3", "--phrases-per-sent", "0"),
+     "--phrases-per-sent must be at least 1, got 0")])
+def test_gen_synth_count_below_what_the_generator_needs_exits_2_naming_it(
+        tmp_path, capsys, argv, message):
+    prefix = tmp_path / "bad"
+    code, _, err = run(capsys, "gen-synth", *argv, "--out-prefix", str(prefix))
+    assert code == 2
+    assert f"data error: {message}" in err
+    assert "high <= 0" not in err
+    assert not (tmp_path / "bad.src").exists()
+
+
 def test_gen_synth_links_name_the_source_position_of_each_target_token(
         tmp_path, capsys):
     # the planted dictionary reverses word order: target j+1 comes from n-j

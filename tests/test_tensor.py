@@ -64,7 +64,12 @@ def check_grad(op_builder, ref_scalar, arg_shapes, seed, tol=1e-4):
     function written directly in numpy float64.
     """
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(0, 1, s).astype(np.float32) for s in arg_shapes]
+    check_grad_at(op_builder, ref_scalar,
+                  [rng.normal(0, 1, s).astype(np.float32) for s in arg_shapes], tol)
+
+
+def check_grad_at(op_builder, ref_scalar, arrays, tol=1e-4):
+    """`check_grad` at the given float32 arrays."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     loss = op_builder(*tensors)
     T.backward(loss)
@@ -238,6 +243,87 @@ def test_grad_embedding(seed):
         lambda table: T.tsum(T.mul(T.embedding(table, ids),
                                    Tensor(w.astype(np.float32)))),
         ref, [(7, 3)], seed)
+
+
+# fused ops: each against its float64 formula, not only against the primitive
+# chain it replaces
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_grad_linear_split_heads(seed):
+    rng = np.random.default_rng(seed + 9600)
+    w = rng.normal(0, 1, (2, 2, 3, 2))             # [B, H, T, d/H]
+    check_grad(
+        lambda x, wt, b: T.tsum(T.mul(T.linear_split_heads(x, wt, b, 2),
+                                      Tensor(w.astype(np.float32)))),
+        lambda x, wt, b: ((x @ wt + b).reshape(2, 3, 2, 2).transpose(0, 2, 1, 3)
+                          * w).sum(),
+        [(2, 3, 5), (5, 4), (4,)], seed)
+
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_grad_merge_heads_linear(seed):
+    rng = np.random.default_rng(seed + 9650)
+    w = rng.normal(0, 1, (2, 3, 5))                # [B, T, d_out]
+    check_grad(
+        lambda a, wt, b: T.tsum(T.mul(T.merge_heads_linear(a, wt, b),
+                                      Tensor(w.astype(np.float32)))),
+        lambda a, wt, b: ((a.transpose(0, 2, 1, 3).reshape(2, 3, 4) @ wt + b)
+                          * w).sum(),
+        [(2, 2, 3, 2), (4, 5), (5,)], seed)
+
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_grad_ffn(seed):
+    rng = np.random.default_rng(seed + 9700)
+    w = rng.normal(0, 1, (2, 3, 5))
+    shapes = [(2, 3, 4), (4, 6), (6,), (6, 5), (5,)]
+    while True:   # hidden pre-activations away from the ReLU kink
+        arrays = [rng.normal(0, 1, s).astype(np.float32) for s in shapes]
+        if np.abs(arrays[0] @ arrays[1] + arrays[2]).min() > 0.05:
+            break
+    check_grad_at(
+        lambda x, w1, b1, w2, b2: T.tsum(T.mul(T.ffn(x, w1, b1, w2, b2),
+                                               Tensor(w.astype(np.float32)))),
+        lambda x, w1, b1, w2, b2: ((np.maximum(x @ w1 + b1, 0) @ w2 + b2)
+                                   * w).sum(),
+        arrays)
+
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_grad_scaled_embedding(seed):
+    rng = np.random.default_rng(seed + 9800)
+    ids = rng.integers(0, 5, size=(2, 4))          # repeated ids add up
+    pos = rng.normal(0, 1, (4, 3)).astype(np.float32)
+    w = rng.normal(0, 1, (2, 4, 3))
+    check_grad(
+        lambda table: T.tsum(T.mul(T.scaled_embedding(table, ids, 1.5, pos),
+                                   Tensor(w.astype(np.float32)))),
+        lambda table: ((table[ids] * 1.5 + pos) * w).sum(),
+        [(5, 3)], seed)
+
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_grad_attention_softmax(seed):
+    rng = np.random.default_rng(seed + 9900)
+    bias = np.where(rng.random((2, 1, 3, 5)) < 0.3, -1e9, 0.0).astype(np.float32)
+    bias[..., 0] = 0.0                             # every row keeps a key
+    w = rng.normal(0, 1, (2, 2, 3, 5))
+    check_grad(
+        lambda a: T.tsum(T.mul(T.attention_softmax(a, 0.5, bias),
+                               Tensor(w.astype(np.float32)))),
+        lambda a: (ref_softmax(a * 0.5 + bias) * w).sum(),
+        [(2, 2, 3, 5)], seed)
+
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_grad_layer_norm_residual(seed):
+    rng = np.random.default_rng(seed + 9950)
+    w = rng.normal(0, 1, (4, 6))
+    check_grad(
+        lambda x, r, g, b: T.tsum(T.mul(T.layer_norm(x, g, b, residual=r),
+                                        Tensor(w.astype(np.float32)))),
+        lambda x, r, g, b: (ref_layer_norm(r + x, g, b) * w).sum(),
+        [(4, 6), (4, 6), (6,), (6,)], seed)
 
 
 # ---------------------------------------------------------------------------
