@@ -243,6 +243,9 @@ def extract_fertilities(alignment: Sequence[int], src_len: int,
     clamp to max_fertility - 1 with the excess pushed to the nearest
     unclamped position, keeping the sum equal to the target length exactly."""
     t = len(alignment)
+    if t and not src_len:
+        raise ValueError("the source is empty but the target is not: no source "
+                         "position to attach the target tokens to")
     for a in alignment:
         if not 0 <= a <= src_len:
             raise ValueError(f"alignment entry {a} outside [0, {src_len}]")

@@ -113,15 +113,21 @@ class Embedding(Module):
         self.weight = Tensor(_uniform_init(rng, (vocab, d), d), requires_grad=True)
 
 
+def position_rows(pos: np.ndarray, start: int, t: int) -> np.ndarray:
+    """Rows start .. start+t-1 of the positional table `pos`, which has one
+    row per position up to max_len; raises past max_len."""
+    if start + t > len(pos):
+        raise ValueError(f"length {start + t} exceeds max_len {len(pos)}")
+    return pos[start:start + t]
+
+
 def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
                     scale: float, start: int = 0) -> Tensor:
     """Token embeddings times `scale` plus the positional encodings `pos` of
     positions start, start+1, ...; the one embedding path of every encoder
-    and decoder input. `pos` has one row per position up to max_len."""
-    _, t = ids.shape
-    if start + t > len(pos):
-        raise ValueError(f"length {start + t} exceeds max_len {len(pos)}")
-    return T.scaled_embedding(embed.weight, ids, scale, pos[start:start + t])
+    and decoder input."""
+    return T.scaled_embedding(embed.weight, ids, scale,
+                              position_rows(pos, start, ids.shape[1]))
 
 
 class LayerNorm(Module):
@@ -148,28 +154,28 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
 
 
 class KVCache:
-    """Per-head keys and values [B, H, t, d_head] of one attention, kept
-    between incremental decoding steps (no gradients flow through them).
+    """Per-head key and value arrays [B, H, t, d_head] of one attention, kept
+    between incremental decoding steps.
 
     A growing cache (self-attention) gains each step's new positions; a fixed
     one holds keys and values projected once, from the encoder memory.
     """
 
-    def __init__(self, k: Tensor | None = None, v: Tensor | None = None):
+    def __init__(self, k: np.ndarray | None = None, v: np.ndarray | None = None):
         self.grow = k is None
         self.k, self.v = k, v
 
-    def append(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+    def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.k is not None:
-            k = Tensor(np.concatenate([self.k.data, k.data], axis=2))
-            v = Tensor(np.concatenate([self.v.data, v.data], axis=2))
+            k = np.concatenate([self.k, k], axis=2)
+            v = np.concatenate([self.v, v], axis=2)
         self.k, self.v = k, v
         return k, v
 
     def select(self, rows: np.ndarray) -> None:
         """Keep the given batch rows, in the given order (repeats allowed)."""
         if self.k is not None:
-            self.k, self.v = Tensor(self.k.data[rows]), Tensor(self.v.data[rows])
+            self.k, self.v = self.k[rows], self.v[rows]
 
 
 class MultiHeadAttention(Module):
@@ -186,28 +192,39 @@ class MultiHeadAttention(Module):
         self.scale = cfg.attn_scale
         self.last_weights: np.ndarray | None = None
 
-    def project_kv(self, k_in: Tensor, v_in: Tensor) -> tuple[Tensor, Tensor]:
-        """Per-head keys and values [B, H, T, d_head] of the given inputs."""
-        return (self._split(self.wk, k_in), self._split(self.wv, v_in))
-
-    def _split(self, proj: Linear, x: Tensor) -> Tensor:
-        return T.linear_split_heads(x, proj.weight, proj.bias, self.n_head)
-
-    def __call__(self, q_in: Tensor, k_in: Tensor | None, v_in: Tensor | None,
-                 bias: np.ndarray | None, cache: "KVCache | None" = None) -> Tensor:
-        """Attend from `q_in` to `k_in`/`v_in`. A growing `cache` appends the
-        new keys and values to those of earlier steps; a fixed one supplies
-        them instead, and `k_in`/`v_in` are not read."""
-        q = self._split(self.wq, q_in)
-        if cache is not None and not cache.grow:
-            k, v = cache.k, cache.v
-        else:
-            k, v = self.project_kv(k_in, v_in)
-            if cache is not None:
-                k, v = cache.append(k, v)
+    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor,
+                 bias: np.ndarray | None) -> Tensor:
+        """Attend from `q_in` to `k_in`/`v_in`."""
+        n = self.n_head
+        q = T.linear_split_heads(q_in, self.wq.weight, self.wq.bias, n)
+        k = T.linear_split_heads(k_in, self.wk.weight, self.wk.bias, n)
+        v = T.linear_split_heads(v_in, self.wv.weight, self.wv.bias, n)
         ctx, weights = attention_core(q, k, v, bias, self.scale)
         self.last_weights = weights.numpy()
         return T.merge_heads_linear(ctx, self.wo.weight, self.wo.bias)
+
+    def heads(self, proj: Linear, x: np.ndarray) -> np.ndarray:
+        """The per-head projection [B, H, T, d_head] of the array [B, T, d]
+        `x` by `proj`, one of wq, wk and wv."""
+        return T.linear_split_heads_fwd(x, proj.weight.data, proj.bias.data,
+                                        self.n_head)
+
+    def step(self, x: np.ndarray, bias: np.ndarray | None,
+             cache: KVCache) -> np.ndarray:
+        """`__call__` on arrays, with the same numpy calls, for one
+        incremental decoding step from the queries `x` [B, 1, d]. A growing
+        `cache` gains the keys and values of `x`; a fixed one supplies its
+        own."""
+        q = self.heads(self.wq, x)
+        if cache.grow:
+            k, v = cache.append(self.heads(self.wk, x), self.heads(self.wv, x))
+        else:
+            k, v = cache.k, cache.v
+        logits = np.matmul(q, k.transpose(0, 1, 3, 2))
+        weights = T.attention_softmax_fwd(logits, self.scale, bias).astype(DTYPE)
+        self.last_weights = weights
+        return T.merge_heads_linear_fwd(np.matmul(weights, v), self.wo.weight.data,
+                                        self.wo.bias.data)[0]
 
 
 class FFNBlock(Module):

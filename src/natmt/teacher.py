@@ -10,8 +10,11 @@ Greedy and beam search decode incrementally (Vaswani et al. 2017): a
 `DecoderCache` keeps every layer's self-attention keys and values, one
 position more per step, and the cross-attention keys and values projected
 from the memory once, so each step decodes only the newest token of every
-row. `greedy_decode_batch` decodes many sources in one such loop, dropping
-rows from the cache as they finish.
+row. That step records no gradients, so it runs on plain arrays: the
+forward kernels of the fused tensor ops, in the order the teacher-forced pass
+calls the ops, with no graph bookkeeping per token. `greedy_decode_batch`
+decodes many sources in one such loop, dropping rows from the cache as they
+finish.
 """
 
 from __future__ import annotations
@@ -25,8 +28,13 @@ from .config import ModelConfig
 from .data import BOS, EOS, PAD, Batch, pad_block
 from .layers import (Embedding, Encoder, FFNBlock, KVCache, LayerNorm, Linear,
                      Module, MultiHeadAttention, attention_bias, causal_mask,
-                     embed_positions)
+                     embed_positions, position_rows)
 from .tensor import Tensor
+
+
+def _norm(norm: LayerNorm, x: np.ndarray,
+          residual: np.ndarray | None = None) -> np.ndarray:
+    return T.layer_norm_fwd(x, norm.gain.data, norm.bias.data, residual)[0]
 
 
 class DecoderLayer(Module):
@@ -40,13 +48,25 @@ class DecoderLayer(Module):
         self.ffn = FFNBlock(cfg, rng)
         self.norm_ffn = LayerNorm(cfg.d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor | None,
-                 self_bias: np.ndarray | None, cross_bias: np.ndarray,
-                 cache: tuple[KVCache, KVCache] | None = None) -> Tensor:
-        self_kv, cross_kv = cache if cache is not None else (None, None)
-        x = self.norm_self(self.self_attn(x, x, x, self_bias, self_kv), x)
-        x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias, cross_kv), x)
+    def __call__(self, x: Tensor, memory: Tensor, self_bias: np.ndarray,
+                 cross_bias: np.ndarray) -> Tensor:
+        x = self.norm_self(self.self_attn(x, x, x, self_bias), x)
+        x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias), x)
         return self.norm_ffn(self.ffn(x), x)
+
+    def step(self, x: np.ndarray, cross_bias: np.ndarray,
+             cache: tuple[KVCache, KVCache]) -> np.ndarray:
+        """`__call__` on arrays for one incremental decoding step of `x` [B,
+        1, d], against the layer's (self, cross) attention caches; every
+        cached self-attention key is an earlier position of the same row, so
+        that attention takes no bias."""
+        self_kv, cross_kv = cache
+        x = _norm(self.norm_self, self.self_attn.step(x, None, self_kv), x)
+        x = _norm(self.norm_cross, self.cross_attn.step(x, cross_bias, cross_kv), x)
+        f = self.ffn
+        h = T.ffn_fwd(x, f.inner.weight.data, f.inner.bias.data,
+                      f.outer.weight.data, f.outer.bias.data)[0]
+        return _norm(self.norm_ffn, h, x)
 
 
 class DecoderCache:
@@ -58,8 +78,10 @@ class DecoderCache:
     def __init__(self, model: "TeacherModel", memory: Tensor, src_len: np.ndarray):
         self.length = 0
         self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
-        self.layers = [(KVCache(), KVCache(*layer.cross_attn.project_kv(memory, memory)))
-                       for layer in model.layers]
+        attns = [layer.cross_attn for layer in model.layers]
+        self.layers = [(KVCache(), KVCache(a.heads(a.wk, memory.data),
+                                           a.heads(a.wv, memory.data)))
+                       for a in attns]
 
     def select(self, rows) -> None:
         """Keep the given rows, in the given order (beam parents may repeat)."""
@@ -93,31 +115,37 @@ class TeacherModel(Module):
                       cache: DecoderCache | None = None) -> Tensor:
         """Output logits [B, T, V]. Without a cache this is the teacher-forced
         pass over the padded inputs. With one, `tgt_in` is the [B, 1] block of
-        each row's next token, decoded against the cached positions, and
+        each row's next token, decoded on arrays against the cached positions
+        (the logits come back wrapped in a Tensor that records no graph), and
         `memory`, `src_len` and `tgt_in_len` are not read."""
         b, t = tgt_in.shape
         self.decoder_passes += b
-        if cache is None:
-            self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
-            cross_bias = attention_bias(None, src_len, t, memory.shape[1])
-            start = 0
-            layer_caches = [None] * len(self.layers)
-        else:
-            if t != 1:
-                raise ValueError(f"cached decoding takes one token per row, got {t}")
-            if T.grad_enabled():
-                raise RuntimeError("cached decoding records no gradients; "
-                                   "run it under no_grad")
-            # every cached key is an earlier position of the same row
-            self_bias, cross_bias = None, cache.cross_bias
-            start = cache.length
-            cache.length += 1
-            layer_caches = cache.layers
+        if cache is not None:
+            return Tensor(self._step(tgt_in, cache))
+        self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
+        cross_bias = attention_bias(None, src_len, t, memory.shape[1])
         x = self.norm_in(embed_positions(self.embed, tgt_in, self.encoder.pos,
-                                         self.encoder.embed_scale, start))
-        for layer, layer_cache in zip(self.layers, layer_caches):
-            x = layer(x, memory, self_bias, cross_bias, layer_cache)
+                                         self.encoder.embed_scale))
+        for layer in self.layers:
+            x = layer(x, memory, self_bias, cross_bias)
         return self.proj(x)
+
+    def _step(self, tgt_in: np.ndarray, cache: DecoderCache) -> np.ndarray:
+        t = tgt_in.shape[1]
+        if t != 1:
+            raise ValueError(f"cached decoding takes one token per row, got {t}")
+        if T.grad_enabled():
+            raise RuntimeError("cached decoding records no gradients; "
+                               "run it under no_grad")
+        start = cache.length
+        cache.length += 1
+        enc = self.encoder
+        x = T.scaled_embedding_fwd(self.embed.weight.data, tgt_in, enc.embed_scale,
+                                   position_rows(enc.pos, start, t))
+        x = _norm(self.norm_in, x)
+        for layer, layer_cache in zip(self.layers, cache.layers):
+            x = layer.step(x, cache.cross_bias, layer_cache)
+        return T.linear_fwd(x, self.proj.weight.data, self.proj.bias.data)
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +200,13 @@ def _log_probs(logits: Tensor) -> np.ndarray:
     return T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
 
 
-def _step_logprobs(model: TeacherModel, memory: Tensor, src_len: np.ndarray,
-                   prefixes: list[list[int]],
-                   cache: DecoderCache | None = None) -> np.ndarray:
+def _step_logprobs(model: TeacherModel, prefixes: list[list[int]],
+                   cache: DecoderCache) -> np.ndarray:
     """Next-token log-probs [n, V] for bos-prefixed contexts, one decoder pass
-    counted per prefix. Without a cache the whole prefixes are decoded over
-    `memory`; with one, row i of which holds prefix i up to its last token,
-    only the last tokens are decoded."""
-    if cache is not None:
-        last = np.array([[p[-1]] for p in prefixes], dtype=np.int64)
-        return _log_probs(model.decode_logits(None, None, last, None, cache))[:, 0]
-    arr, lens = pad_block(prefixes)
-    mem = memory
-    slen = src_len
-    if arr.shape[0] > 1:
-        reps = arr.shape[0]
-        mem = T.Tensor(np.repeat(memory.data, reps, axis=0))
-        slen = np.repeat(src_len, reps)
-    logits = model.decode_logits(mem, slen, arr, lens)
-    return _log_probs(logits)[np.arange(len(prefixes)), lens - 1]
+    counted per prefix; row i of `cache` holds prefix i up to its last token,
+    so only the last tokens are decoded."""
+    last = np.array([[p[-1]] for p in prefixes], dtype=np.int64)
+    return _log_probs(model.decode_logits(None, None, last, None, cache))[:, 0]
 
 
 def greedy_decode_batch(srcs: Sequence[Sequence[int]], model: TeacherModel,
@@ -301,7 +317,7 @@ def beam_decode(src_ids: Sequence[int], model: TeacherModel, b: int,
                 cache.select([rows[tuple(p[:-1])] for p in prefixes])
             rows.clear()
             rows.update((tuple(p), i) for i, p in enumerate(prefixes))
-            return _step_logprobs(model, memory, src_len, prefixes, cache)
+            return _step_logprobs(model, prefixes, cache)
 
         return beam_core(step, b, max_len)
 

@@ -19,6 +19,13 @@ the numpy calls of the chain it replaces, in the same order, forward and
 backward, and takes the chain's inputs in the chain's order, so values,
 gradients and the order in which backward sums them are bit-identical to the
 chain.
+
+The forward arithmetic of each fused op is an array kernel of its own
+(``linear_fwd``, ``linear_split_heads_fwd``, ``merge_heads_linear_fwd``,
+``ffn_fwd``, ``attention_softmax_fwd``, ``layer_norm_fwd``,
+``scaled_embedding_fwd``). The op calls it and records the graph; the
+teacher's cached decoding step, which records no gradients, calls it on plain
+arrays, so both paths run the same numpy calls in the same order.
 """
 
 from __future__ import annotations
@@ -183,6 +190,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
+def _affine(flat: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.matmul(flat, w)
+    out += b
+    return out
+
+
+def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forward kernel of `linear`."""
+    return _affine(x.reshape(-1, x.shape[-1]), w, b).reshape(*x.shape[:-1], w.shape[1])
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of ``x``, for any rank: one 2-D matmul on
     the rows of ``x`` and one 2-D bias add. Keeping the add 2-D makes the
@@ -192,18 +210,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
     if sx[-1] != sw[0] or sb != sw[1:]:
         raise ValueError(f"linear shape mismatch: {sx} @ {sw} + {sb}")
-    flat = x.data.reshape(-1, sx[-1])
-    out = np.matmul(flat, w.data)
-    out += b.data
 
     def vjp(g):
         g2 = g.reshape(-1, sw[1])
         gx = np.matmul(g2, w.data.T).reshape(sx) if x.requires_grad else None
-        gw = np.matmul(flat.T, g2) if w.requires_grad else None
+        gw = np.matmul(x.data.reshape(-1, sx[-1]).T, g2) if w.requires_grad else None
         gb = _unbroadcast(g2, sb) if b.requires_grad else None
         return gx, gw, gb
 
-    return _make(out.reshape(*sx[:-1], sw[1]), (x, w, b), vjp)
+    return _make(linear_fwd(x.data, w.data, b.data), (x, w, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -248,6 +263,15 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(out, (a,), vjp)
 
 
+def linear_split_heads_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                           n_head: int) -> np.ndarray:
+    """The forward kernel of `linear_split_heads`: [B, T, d] in, [B, H, T,
+    d/H] out."""
+    bsz, t, d_in = x.shape
+    out = _affine(x.reshape(-1, d_in), w, b)
+    return out.reshape(bsz, t, n_head, w.shape[1] // n_head).transpose(0, 2, 1, 3)
+
+
 def linear_split_heads(x: Tensor, w: Tensor, b: Tensor, n_head: int) -> Tensor:
     """`linear` then the split of its [B, T, d] output into [B, H, T, d/H]
     heads (reshape + transpose) as one op, for a query, key or value
@@ -256,20 +280,25 @@ def linear_split_heads(x: Tensor, w: Tensor, b: Tensor, n_head: int) -> Tensor:
     sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
     if len(sx) != 3 or sx[-1] != sw[0] or sb != sw[1:]:
         raise ValueError(f"linear_split_heads shape mismatch: {sx} @ {sw} + {sb}")
-    d = sw[1]
-    flat = x.data.reshape(-1, sx[-1])
-    out = np.matmul(flat, w.data)
-    out += b.data
-    heads = out.reshape(sx[0], sx[1], n_head, d // n_head).transpose(0, 2, 1, 3)
+    heads = linear_split_heads_fwd(x.data, w.data, b.data, n_head)
 
     def vjp(g):
-        g2 = g.transpose(0, 2, 1, 3).reshape(-1, d)
+        g2 = g.transpose(0, 2, 1, 3).reshape(-1, sw[1])
         gx = np.matmul(g2, w.data.T).reshape(sx) if x.requires_grad else None
-        gw = np.matmul(flat.T, g2) if w.requires_grad else None
+        gw = np.matmul(x.data.reshape(-1, sx[-1]).T, g2) if w.requires_grad else None
         gb = _unbroadcast(g2, sb) if b.requires_grad else None
         return gx, gw, gb
 
     return _make(heads, (x, w, b), vjp)
+
+
+def merge_heads_linear_fwd(a: np.ndarray, w: np.ndarray,
+                           b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward kernel of `merge_heads_linear`: [B, H, T, dh] in, [B, T,
+    d] out, returned with the merged [B*T, H*dh] rows its gradient reads."""
+    bsz, h, t, dh = a.shape
+    flat = a.transpose(0, 2, 1, 3).reshape(bsz * t, h * dh)
+    return _affine(flat, w, b).reshape(bsz, t, w.shape[1]), flat
 
 
 def merge_heads_linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -280,9 +309,7 @@ def merge_heads_linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if len(sa) != 4 or sa[1] * sa[3] != sw[0] or sb != sw[1:]:
         raise ValueError(f"merge_heads_linear shape mismatch: {sa} @ {sw} + {sb}")
     bsz, h, t, dh = sa
-    flat = a.data.transpose(0, 2, 1, 3).reshape(bsz * t, h * dh)
-    out = np.matmul(flat, w.data)
-    out += b.data
+    out, flat = merge_heads_linear_fwd(a.data, w.data, b.data)
 
     def vjp(g):
         g2 = g.reshape(-1, sw[1])
@@ -292,7 +319,16 @@ def merge_heads_linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(g2, sb) if b.requires_grad else None
         return ga, gw, gb
 
-    return _make(out.reshape(bsz, t, sw[1]), (a, w, b), vjp)
+    return _make(out, (a, w, b), vjp)
+
+
+def ffn_fwd(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+            b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward kernel of `ffn`, returned with the hidden ReLU outputs
+    its gradient reads."""
+    r = _affine(x.reshape(-1, x.shape[-1]), w1, b1)
+    np.maximum(r, 0.0, out=r)
+    return _affine(r, w2, b2).reshape(*x.shape[:-1], w2.shape[1]), r
 
 
 def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -306,12 +342,7 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     sb1, sb2 = b1.data.shape, b2.data.shape
     if sx[-1] != s1[0] or sb1 != s1[1:] or s1[1] != s2[0] or sb2 != s2[1:]:
         raise ValueError(f"ffn shape mismatch: {sx} @ {s1} + {sb1} @ {s2} + {sb2}")
-    flat = x.data.reshape(-1, sx[-1])
-    r = np.matmul(flat, w1.data)
-    r += b1.data
-    np.maximum(r, 0.0, out=r)
-    out = np.matmul(r, w2.data)
-    out += b2.data
+    out, r = ffn_fwd(x.data, w1.data, b1.data, w2.data, b2.data)
 
     def vjp(g):
         g2 = g.reshape(-1, s2[1])
@@ -322,11 +353,11 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         gw2 = np.matmul(r.T, g2) if w2.requires_grad else None
         gb2 = _unbroadcast(g2, sb2) if b2.requires_grad else None
         gx = np.matmul(gr, w1.data.T).reshape(sx) if x.requires_grad else None
-        gw1 = np.matmul(flat.T, gr) if w1.requires_grad else None
+        gw1 = np.matmul(x.data.reshape(-1, sx[-1]).T, gr) if w1.requires_grad else None
         gb1 = _unbroadcast(gr, sb1) if b1.requires_grad else None
         return gx, gw1, gb1, gw2, gb2
 
-    return _make(out.reshape(*sx[:-1], s2[1]), (x, w1, b1, w2, b2), vjp)
+    return _make(out, (x, w1, b1, w2, b2), vjp)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -396,17 +427,24 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return _make(y64.astype(DTYPE), (logits,), vjp)
 
 
+def attention_softmax_fwd(logits: np.ndarray, scale: float,
+                          bias: np.ndarray | None) -> np.ndarray:
+    """The forward kernel of `attention_softmax`, in float64; raises
+    NumericError on non-finite logits."""
+    z = logits * DTYPE(scale)
+    if bias is not None:
+        z += np.asarray(bias, dtype=DTYPE)
+    return _softmax64(z, -1, "attention_softmax")
+
+
 def attention_softmax(logits: Tensor, scale: float,
                       bias: np.ndarray | None) -> Tensor:
     """softmax(logits * scale + bias) over the last axis as one op, with the
     float32 multiply and add of `mul` and `add`. `bias` is a constant that
     broadcasts to the logits, or None."""
     logits = _as_tensor(logits)
+    y64 = attention_softmax_fwd(logits.data, scale, bias)
     scale = DTYPE(scale)
-    z = logits.data * scale
-    if bias is not None:
-        z += np.asarray(bias, dtype=DTYPE)
-    y64 = _softmax64(z, -1, "attention_softmax")
 
     def vjp(g):
         return (_softmax64_vjp(g, y64, -1) * scale,)
@@ -434,19 +472,11 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (logits,), vjp)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               residual: Tensor | None = None) -> Tensor:
-    """Normalize over the last axis, then scale and shift. With `residual`,
-    normalize ``residual + x`` (the float32 sum `add` makes) in the same op."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if residual is None:
-        s, parents = x.data, (x, gain, bias)
-    else:
-        residual = _as_tensor(residual)
-        if residual.data.shape != x.data.shape:
-            raise ValueError(f"layer_norm residual shape {residual.data.shape} "
-                             f"!= input shape {x.data.shape}")
-        s, parents = residual.data + x.data, (residual, x, gain, bias)
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                   residual: np.ndarray | None = None) -> tuple:
+    """The forward kernel of `layer_norm`: the output, returned with the
+    normalized float64 input and the inverse deviations its gradient reads."""
+    s = x if residual is None else residual + x
     # np.mean/np.var spelled as the ufunc calls they make, in the same order,
     # without their per-call argument handling; full-size float64 temporaries
     # are updated in place once their old values are no longer read.
@@ -456,9 +486,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     var = np.add.reduce(np.square(xhat), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
-    y64 = xhat * gain.data
-    y64 += bias.data
-    out = y64.astype(DTYPE)
+    y64 = xhat * gain
+    y64 += bias
+    return y64.astype(DTYPE), xhat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
+               residual: Tensor | None = None) -> Tensor:
+    """Normalize over the last axis, then scale and shift. With `residual`,
+    normalize ``residual + x`` (the float32 sum `add` makes) in the same op."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if residual is None:
+        parents = (x, gain, bias)
+    else:
+        residual = _as_tensor(residual)
+        if residual.data.shape != x.data.shape:
+            raise ValueError(f"layer_norm residual shape {residual.data.shape} "
+                             f"!= input shape {x.data.shape}")
+        parents = (residual, x, gain, bias)
+    out, xhat, inv = layer_norm_fwd(x.data, gain.data, bias.data,
+                                    None if residual is None else residual.data)
+    d = x.data.shape[-1]
 
     def vjp(g):
         g64 = g.astype(np.float64)
@@ -480,7 +528,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return _make(out, parents, vjp)
 
 
-def _check_ids(weight: Tensor, ids: np.ndarray) -> None:
+def _check_ids(weight: Tensor | np.ndarray, ids: np.ndarray) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise ValueError(
             f"embedding id out of range: ids in [{ids.min()}, {ids.max()}], "
@@ -501,17 +549,25 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     return _make(out, (weight,), vjp)
 
 
+def scaled_embedding_fwd(weight: np.ndarray, ids: np.ndarray, scale: float,
+                         pos: np.ndarray) -> np.ndarray:
+    """The forward kernel of `scaled_embedding`; raises ValueError on an id
+    outside the table."""
+    _check_ids(weight, ids)
+    out = weight[ids]
+    out *= DTYPE(scale)
+    out += pos
+    return out
+
+
 def scaled_embedding(weight: Tensor, ids: np.ndarray, scale: float,
                      pos: np.ndarray) -> Tensor:
     """``embedding(weight, ids) * scale + pos`` as one op, with the float32
     multiply and add of `mul` and `add`; `pos` is a constant that
     broadcasts to the [..., d] rows."""
     ids = np.asarray(ids)
-    _check_ids(weight, ids)
+    out = scaled_embedding_fwd(weight.data, ids, scale, pos)
     scale = DTYPE(scale)
-    out = weight.data[ids]
-    out *= scale
-    out += pos
 
     def vjp(g):
         gw = np.zeros_like(weight.data)

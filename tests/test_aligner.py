@@ -382,6 +382,13 @@ def test_corpus_fertility_sums_exact():
         assert len(f) == len(src)
 
 
+def test_corpus_fertilities_reject_an_empty_source_with_a_target():
+    model = AL.em_train([(["a"], ["x"])])
+    with pytest.raises(ValueError, match="source is empty but the target is not"):
+        AL.corpus_fertilities([([], ["x"])], model)
+    assert AL.corpus_fertilities([([], [])], model) == [[]]
+
+
 def test_dump_format():
     model = hand_model([[0.01, 0.01], [0.9, 0.02], [0.02, 0.9]])
     corpus = [(["a", "b"], ["x", "y"]), (["a"], ["y", "y"])]

@@ -74,9 +74,9 @@ def test_decoder_refuses_missing_model(models, spec, teacher, nat, missing):
 
 def test_tensor_ops_per_decode_are_pinned(monkeypatch):
     """Graph ops are the per-call overhead of batch-size-one decoding. With
-    2-layer models, a cached teacher step (decoder pass plus log-softmax)
-    runs 40 ops, an `argmax` decode 88 and an `npd:10` decode 156, whatever
-    the length."""
+    2-layer models, a cached teacher step runs one op (the log-softmax; the
+    decoder pass runs on arrays), an `argmax` decode 88 and an `npd:10`
+    decode 156, whatever the length."""
     cfg = dataclasses.replace(tiny_cfg(), n_layer=2)
     teacher = AR.TeacherModel(cfg, np.random.default_rng(3))
     nat = N.NatModel(cfg, np.random.default_rng(4))
@@ -91,10 +91,10 @@ def test_tensor_ops_per_decode_are_pinned(monkeypatch):
     with T.no_grad():
         memory = teacher.encode(np.array([src]), np.array([len(src)]))
         cache = AR.DecoderCache(teacher, memory, np.array([len(src)]))
-        AR._step_logprobs(teacher, None, None, [[BOS]], cache)
+        AR._step_logprobs(teacher, [[BOS]], cache)
         monkeypatch.setattr(T, "_make", counting_make)
-        AR._step_logprobs(teacher, None, None, [[BOS, 9]], cache)
-    assert ops[0] == 40
+        AR._step_logprobs(teacher, [[BOS, 9]], cache)
+    assert ops[0] == 1
     ops[0] = 0
     N.decode_argmax(src, nat)
     assert ops[0] == 88

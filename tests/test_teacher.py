@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from natmt import layers as L
 from natmt import pipeline as P
 from natmt import teacher as AR
 from natmt import tensor as T
 from natmt.config import ModelConfig, TrainConfig
-from natmt.data import BOS, EOS, PAD, Batch, make_batches
+from natmt.data import BOS, EOS, PAD, Batch, make_batches, pad_block
 from natmt.optim import AdamWarmup
 
 
@@ -23,6 +24,19 @@ def cfg(**kw):
 
 def new_model(seed=0, **kw):
     return AR.TeacherModel(cfg(**kw), np.random.default_rng(seed))
+
+
+def uncached_step_logprobs(model, memory, src_len, prefixes):
+    """Next-token log-probs [n, V] of bos-prefixed contexts, each decoded
+    whole over `memory` in one teacher-forced pass: the reference for the
+    cached step."""
+    arr, lens = pad_block(prefixes)
+    mem, slen = memory, src_len
+    if arr.shape[0] > 1:
+        mem = T.Tensor(np.repeat(memory.data, arr.shape[0], axis=0))
+        slen = np.repeat(src_len, arr.shape[0])
+    logits = model.decode_logits(mem, slen, arr, lens)
+    return AR._log_probs(logits)[np.arange(len(prefixes)), lens - 1]
 
 
 def toy_batch():
@@ -129,7 +143,7 @@ def test_score_matches_stepwise_loop():
         slow = 0.0
         chain = list(cand) + [EOS]
         for t, tok in enumerate(chain):
-            logp = AR._step_logprobs(model, memory, slen, [[BOS] + cand[:t]])[0]
+            logp = uncached_step_logprobs(model, memory, slen, [[BOS] + cand[:t]])[0]
             slow += float(logp[tok])
     assert fast == pytest.approx(slow, abs=1e-5)
 
@@ -150,7 +164,7 @@ def test_score_empty_candidate_is_eos_logprob():
     arr = np.asarray([4, 5, 6])[None, :]
     with T.no_grad():
         memory = model.encode(arr, np.array([3]))
-        logp = AR._step_logprobs(model, memory, np.array([3]), [[BOS]])[0]
+        logp = uncached_step_logprobs(model, memory, np.array([3]), [[BOS]])[0]
     assert got == pytest.approx(float(logp[EOS]), abs=1e-6)
 
 
@@ -315,8 +329,58 @@ def test_cached_beam_matches_uncached_search():
                 memory = model.encode(np.array([src]), slen)
                 for b in (2, 4):
                     want = AR.beam_core(
-                        lambda p: AR._step_logprobs(model, memory, slen, p), b, 8)
+                        lambda p: uncached_step_logprobs(model, memory, slen, p), b, 8)
                     assert AR.beam_decode(src, model, b, 8) == want
+
+
+def _attend(attn, x, k, v, bias):
+    q = T.linear_split_heads(x, attn.wq.weight, attn.wq.bias, attn.n_head)
+    ctx, _ = L.attention_core(q, T.Tensor(k), T.Tensor(v), bias, attn.scale)
+    return T.merge_heads_linear(ctx, attn.wo.weight, attn.wo.bias)
+
+
+def tensor_op_step_logits(model, cache, tok):
+    """One cached step of the tokens `tok` [B, 1] rebuilt from the Tensor
+    ops the array step replaces, fed from the cache's arrays; the cache is
+    left as it was."""
+    enc = model.encoder
+    x = model.norm_in(L.embed_positions(model.embed, tok, enc.pos, enc.embed_scale,
+                                        cache.length))
+    for layer, (self_kv, cross_kv) in zip(model.layers, cache.layers):
+        sa = layer.self_attn
+        k, v = (T.linear_split_heads(x, p.weight, p.bias, sa.n_head).numpy()
+                for p in (sa.wk, sa.wv))
+        if self_kv.k is not None:
+            k = np.concatenate([self_kv.k, k], axis=2)
+            v = np.concatenate([self_kv.v, v], axis=2)
+        x = layer.norm_self(_attend(sa, x, k, v, None), x)
+        x = layer.norm_cross(_attend(layer.cross_attn, x, cross_kv.k, cross_kv.v,
+                                     cache.cross_bias), x)
+        x = layer.norm_ffn(layer.ffn(x), x)
+    return model.proj(x).numpy()
+
+
+@pytest.mark.parametrize("n_layer", [2, 3])
+def test_cached_step_is_bit_equal_to_its_tensor_op_chain(n_layer):
+    model = new_model(seed=13, n_layer=n_layer)
+    rng = np.random.default_rng(n_layer)
+    src_len = np.array([3, 7, 1, 5])
+    src = np.full((4, 7), PAD)
+    for i, n in enumerate(src_len):
+        src[i, :n] = rng.integers(3, 12, size=n)
+    rows = [3, 0, 0, 2, 1]
+    with T.no_grad():
+        cache = AR.DecoderCache(model, model.encode(src, src_len), src_len)
+        tok = np.full((4, 1), BOS)
+        for step in range(5):
+            if step == 2:
+                cache.select(rows)
+                tok = tok[rows]
+            want = tensor_op_step_logits(model, cache, tok)
+            got = model.decode_logits(None, None, tok, None, cache).numpy()
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got, want)
+            tok = rng.integers(3, 14, size=(len(tok), 1))
 
 
 def test_cached_decoding_needs_no_grad():

@@ -612,6 +612,47 @@ def test_attention_softmax_equals_mul_add_softmax(b, h, tq, tk, bias_kind,
         _value_and_grads(chain, [logits], g))
 
 
+@pytest.mark.parametrize("b, t", [(1, 1), (2, 3), (3, 5)])   # (1, 1): a cached step
+def test_fused_ops_output_their_forward_kernels(b, t):
+    rng = np.random.default_rng(b * 10 + t)
+    h, dh, d_hidden, vocab = 2, 3, 8, 7
+    d = h * dh
+
+    def arr(*shape):
+        return rng.normal(0, 1, shape).astype(np.float32)
+
+    x, res, heads, logits = arr(b, t, d), arr(b, t, d), arr(b, h, t, dh), arr(b, h, t, t)
+    w, bias, gain, shift = arr(d, d), arr(d), arr(d), arr(d)
+    w1, b1, w2, b2 = arr(d, d_hidden), arr(d_hidden), arr(d_hidden, d), arr(d)
+    mask = np.where(rng.random((b, 1, 1, t)) < 0.3, np.float32(-1e9), np.float32(0.0))
+    mask[..., 0] = 0.0
+    table, pos, ids = arr(vocab, d), arr(t, d), rng.integers(0, vocab, (b, t))
+
+    def op(fn, *arrays, **kw):
+        return fn(*(Tensor(a, requires_grad=True) for a in arrays), **kw).numpy()
+
+    pairs = [
+        (op(T.linear, x, w, bias), T.linear_fwd(x, w, bias)),
+        (op(T.linear_split_heads, x, w, bias, n_head=h),
+         T.linear_split_heads_fwd(x, w, bias, h)),
+        (op(T.merge_heads_linear, heads, w, bias),
+         T.merge_heads_linear_fwd(heads, w, bias)[0]),
+        (op(T.ffn, x, w1, b1, w2, b2), T.ffn_fwd(x, w1, b1, w2, b2)[0]),
+        (op(T.attention_softmax, logits, scale=0.4, bias=mask),
+         T.attention_softmax_fwd(logits, 0.4, mask).astype(np.float32)),
+        (op(T.attention_softmax, logits, scale=0.4, bias=None),
+         T.attention_softmax_fwd(logits, 0.4, None).astype(np.float32)),
+        (op(T.layer_norm, x, gain, shift), T.layer_norm_fwd(x, gain, shift)[0]),
+        (op(T.layer_norm, x, gain, shift, residual=Tensor(res)),
+         T.layer_norm_fwd(x, gain, shift, res)[0]),
+        (op(T.scaled_embedding, table, ids=ids, scale=2.5, pos=pos),
+         T.scaled_embedding_fwd(table, ids, 2.5, pos)),
+    ]
+    for got, want in pairs:
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_attention_softmax_rejects_non_finite(bad):
     logits = np.zeros((1, 1, 2, 3), dtype=np.float32)
