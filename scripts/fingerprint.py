@@ -13,6 +13,8 @@ Prints one SHA-256 per stage:
   SHAPE.finetune   parameters after fine-tuning
   SHAPE.STRATEGY   outputs and fertilities of `greedy`, `beam:2`, `argmax`,
                    `average` and `npd:5`
+  SHAPE.score      teacher scores (`score_candidates`) of a ragged list of
+                   candidates, the empty one included, for a few sources
 
 Two runs of the same code on the same machine print the same hashes; a
 change that keeps every output bit-identical keeps every hash. The hashes
@@ -119,6 +121,10 @@ def fingerprint(shape: dict) -> dict:
         decode = decoder(spec, teacher, nat, seed=0)
         results = [decode(src) for src in sources]
         out[spec] = digest([(r.output, r.fertility) for r in results])
+
+    candidates = [tgt for _, tgt in enc[:8]] + [[]]
+    out["score"] = digest([AR.score_candidates(src, candidates, teacher)
+                           for src in sources])
     return out
 
 

@@ -5,6 +5,14 @@ autoregressive teacher and the parallel decoder.
 Every model input, source or target, goes through `embed_positions` (scaled
 token embeddings plus positional encodings), and every attention bias, with
 padding, causal or self-exclusion masking, comes from `attention_bias`.
+
+Modules have two forwards. `__call__` records the autograd graph on
+Tensors; `fwd` runs the same tensor kernels on plain arrays, for decoder
+passes that record no gradients. An array forward works on the real token
+rows [N, d] of a padded [B, t] block, which `TokenRows` gathers and
+scatters; attention sees the padded grid, where padded keys get zero
+weight, so every real row equals its value in the graph forward (see
+`TokenRows` for the products that must keep the whole block).
 """
 
 from __future__ import annotations
@@ -107,6 +115,9 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.weight, self.bias)
 
+    def fwd(self, x: np.ndarray) -> np.ndarray:
+        return T.linear_fwd(x, self.weight.data, self.bias.data)
+
 
 class Embedding(Module):
     def __init__(self, vocab: int, d: int, rng: np.random.Generator):
@@ -130,6 +141,79 @@ def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
                               position_rows(pos, start, ids.shape[1]))
 
 
+def embed_positions_fwd(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
+                        scale: float, start: int = 0) -> np.ndarray:
+    """`embed_positions` on arrays."""
+    return T.scaled_embedding_fwd(embed.weight.data, ids, scale,
+                                  position_rows(pos, start, ids.shape[1]))
+
+
+def packs_rows(cfg: ModelConfig) -> bool:
+    """Whether a decoder pass may run its products on the real rows only:
+    when d_model and d_hidden are multiples of 16 (see `TokenRows`)."""
+    return cfg.d_model % 16 == 0 and cfg.d_hidden % 16 == 0
+
+
+class TokenRows:
+    """The real positions of a padded [B, t] block of token rows, from each
+    row's length; `gather` packs a [B, t, ...] array into its real rows [N,
+    ...] and `scatter` puts [N, k] rows back into a zero-filled [B, t, k]
+    block.
+
+    Packing changes the row count of every product, which must not change
+    the rounding of any row. On OpenBLAS (measured on 0.3.31) it does in
+    two cases, so a block that would meet one stays whole (`gather` and
+    `scatter` are then reshapes, as without padding or lengths):
+    - a one-row product is a gemv, which rounds unlike a row of a gemm, so
+      a block with a single real row stays whole;
+    - products under 1e6 multiply-adds take a small-matrix kernel that, at
+      some widths (8, 24 or 40, say), rounds unlike the blocked kernel, so
+      only products whose widths are multiples of 16 pack (`pack`), and
+      callers run the vocabulary projection over the whole block.
+    `zero_padding` zeroes the padded positions of a whole block.
+    """
+
+    def __init__(self, lengths: np.ndarray | None, t: int, pack: bool = True):
+        self.t = t
+        self.index = self.pad = None
+        if lengths is not None:
+            real = np.arange(t) < np.asarray(lengths)[:, None]
+            n = np.count_nonzero(real)
+            if n < real.size:
+                self.pad = np.flatnonzero(~real)
+                if pack and n > 1:
+                    self.index = np.flatnonzero(real)
+                    self.size = real.size
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(x.shape[0] * x.shape[1], -1)
+        return flat if self.index is None else flat[self.index]
+
+    def _block(self, rows: np.ndarray) -> np.ndarray:
+        block = np.zeros((self.size, rows.shape[-1]), dtype=rows.dtype)
+        block[self.index] = rows
+        return block
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        if self.index is not None:
+            rows = self._block(rows)
+        return rows.reshape(-1, self.t, rows.shape[-1])
+
+    def split_heads(self, rows: np.ndarray, n_head: int) -> np.ndarray:
+        """`scatter` as per-head [B, H, t, k/H] arrays, the layout of
+        `tensor.linear_split_heads_fwd`."""
+        if self.index is not None:
+            rows = self._block(rows)
+        k = rows.shape[-1]
+        return rows.reshape(-1, self.t, n_head, k // n_head).transpose(0, 2, 1, 3)
+
+    def zero_padding(self, block: np.ndarray) -> np.ndarray:
+        """`block` [B, t, k] with its padded positions set to zero."""
+        if self.pad is not None:
+            block.reshape(-1, block.shape[-1])[self.pad] = 0
+        return block
+
+
 class LayerNorm(Module):
     def __init__(self, d: int):
         self.gain = Tensor(np.ones(d, dtype=DTYPE), requires_grad=True)
@@ -139,6 +223,9 @@ class LayerNorm(Module):
         """Normalized `x`, or normalized ``residual + x`` for a post-norm
         sublayer with output `x`."""
         return T.layer_norm(x, self.gain, self.bias, residual)
+
+    def fwd(self, x: np.ndarray, residual: np.ndarray | None = None) -> np.ndarray:
+        return T.layer_norm_fwd(x, self.gain.data, self.bias.data, residual)[0]
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
@@ -157,12 +244,12 @@ class KVCache:
     """Per-head key and value arrays [B, H, t, d_head] of one attention, kept
     between incremental decoding steps.
 
-    A growing cache (self-attention) gains each step's new positions; a fixed
-    one holds keys and values projected once, from the encoder memory.
+    A growing cache (self-attention) starts empty and gains each step's new
+    positions; a fixed one holds keys and values projected once, from the
+    encoder memory.
     """
 
     def __init__(self, k: np.ndarray | None = None, v: np.ndarray | None = None):
-        self.grow = k is None
         self.k, self.v = k, v
 
     def append(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,28 +290,26 @@ class MultiHeadAttention(Module):
         self.last_weights = weights.numpy()
         return T.merge_heads_linear(ctx, self.wo.weight, self.wo.bias)
 
-    def heads(self, proj: Linear, x: np.ndarray) -> np.ndarray:
-        """The per-head projection [B, H, T, d_head] of the array [B, T, d]
-        `x` by `proj`, one of wq, wk and wv."""
-        return T.linear_split_heads_fwd(x, proj.weight.data, proj.bias.data,
-                                        self.n_head)
+    def heads(self, proj: Linear, x: np.ndarray,
+              rows: TokenRows | None = None) -> np.ndarray:
+        """The per-head projection [B, H, t, d_head] by `proj`, one of wq, wk
+        and wv, of the array [B, t, d] `x`, or of the real rows [N, d] `x`
+        of such a block (zero at its padded positions)."""
+        w, b = proj.weight.data, proj.bias.data
+        if rows is None:
+            return T.linear_split_heads_fwd(x, w, b, self.n_head)
+        return rows.split_heads(T.linear_fwd(x, w, b), self.n_head)
 
-    def step(self, x: np.ndarray, bias: np.ndarray | None,
-             cache: KVCache) -> np.ndarray:
-        """`__call__` on arrays, with the same numpy calls, for one
-        incremental decoding step from the queries `x` [B, 1, d]. A growing
-        `cache` gains the keys and values of `x`; a fixed one supplies its
-        own."""
-        q = self.heads(self.wq, x)
-        if cache.grow:
-            k, v = cache.append(self.heads(self.wk, x), self.heads(self.wv, x))
-        else:
-            k, v = cache.k, cache.v
+    def fwd(self, x: np.ndarray, k: np.ndarray, v: np.ndarray,
+            bias: np.ndarray | None, rows: TokenRows) -> np.ndarray:
+        """`__call__` on arrays: attend from the real query rows `x` [N, d]
+        to the per-head keys `k` and values `v` [B, H, tk, d_head]."""
+        q = self.heads(self.wq, x, rows)
         logits = np.matmul(q, k.transpose(0, 1, 3, 2))
         weights = T.attention_softmax_fwd(logits, self.scale, bias).astype(DTYPE)
         self.last_weights = weights
-        return T.merge_heads_linear_fwd(np.matmul(weights, v), self.wo.weight.data,
-                                        self.wo.bias.data)[0]
+        ctx = np.matmul(weights, v).transpose(0, 2, 1, 3)
+        return self.wo.fwd(rows.gather(ctx))
 
 
 class FFNBlock(Module):
@@ -237,6 +322,10 @@ class FFNBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return T.ffn(x, self.inner.weight, self.inner.bias,
                      self.outer.weight, self.outer.bias)
+
+    def fwd(self, x: np.ndarray) -> np.ndarray:
+        return T.ffn_fwd(x, self.inner.weight.data, self.inner.bias.data,
+                         self.outer.weight.data, self.outer.bias.data)[0]
 
 
 class EncoderLayer(Module):

@@ -7,6 +7,9 @@ self-attention masked only at the query's own position, positional attention
 (positional encodings as query and key, decoder states as value),
 encoder-decoder attention, and an FFN. A one-layer softmax head over the
 last encoder layer predicts per-source-token fertility classes 0..L-1.
+With gradients on, the decoder records the autograd graph; without them
+(every decode, and fine-tuning's sampled translations) it runs the array
+forward of its layers on the real output slots only.
 
 Decoding has one core. A strategy proposes fertility sequences from the
 distribution of a source encoded once; the core fits each (an all-zero one
@@ -32,7 +35,8 @@ from . import teacher as AR
 from .config import ModelConfig
 from .data import PAD, pad_block
 from .layers import (Encoder, FFNBlock, LayerNorm, Linear, Module,
-                     MultiHeadAttention, attention_bias, embed_positions)
+                     MultiHeadAttention, TokenRows, attention_bias,
+                     embed_positions, embed_positions_fwd, packs_rows)
 from .tensor import Tensor
 
 
@@ -84,6 +88,20 @@ class NatDecoderLayer(Module):
         x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias), x)
         return self.norm_ffn(self.ffn(x), x)
 
+    def fwd(self, x: np.ndarray, rows: TokenRows, memory: np.ndarray,
+            pos_q: np.ndarray, self_bias: np.ndarray, pad_bias: np.ndarray,
+            cross_bias: np.ndarray) -> np.ndarray:
+        """`__call__` on the real rows `x` and `pos_q` [N, d] of the output
+        slots, over the [B, T', d] encoder memory."""
+        a, p, c = self.self_attn, self.pos_attn, self.cross_attn
+        x = self.norm_self.fwd(a.fwd(x, a.heads(a.wk, x, rows), a.heads(a.wv, x, rows),
+                                     self_bias, rows), x)
+        x = self.norm_pos.fwd(p.fwd(pos_q, p.heads(p.wk, pos_q, rows),
+                                    p.heads(p.wv, x, rows), pad_bias, rows), x)
+        x = self.norm_cross.fwd(c.fwd(x, c.heads(c.wk, memory), c.heads(c.wv, memory),
+                                      cross_bias, rows), x)
+        return self.norm_ffn.fwd(self.ffn.fwd(x), x)
+
 
 class NatModel(Module):
     kind = "nat"
@@ -110,7 +128,9 @@ class NatModel(Module):
     def decode_logits(self, memory: Tensor, src_len: np.ndarray,
                       dec_ids: np.ndarray, dec_len: np.ndarray) -> Tensor:
         """One parallel pass over all output slots; counts one decoder pass
-        per sequence in the batch."""
+        per sequence in the batch. With gradients off it runs on arrays, its
+        padded slots come back zero, and the logits come back wrapped in a
+        Tensor that records no graph."""
         b, t = dec_ids.shape
         self.decoder_passes += b
         self_bias = attention_bias(None, dec_len, t, t, exclude_self=True)
@@ -118,11 +138,21 @@ class NatModel(Module):
         cross_bias = attention_bias(None, src_len, t, memory.shape[1])
         enc = self.encoder
         # copied source tokens in the source embedding, fresh output positions
-        x = self.norm_in(embed_positions(enc.embed, dec_ids, enc.pos, enc.embed_scale))
-        pos_q = Tensor(np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model)).copy())
+        if T.grad_enabled():
+            x = self.norm_in(embed_positions(enc.embed, dec_ids, enc.pos,
+                                             enc.embed_scale))
+            pos_q = Tensor(np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model)).copy())
+            for layer in self.layers:
+                x = layer(x, memory, pos_q, self_bias, pad_bias, cross_bias)
+            return self.proj(x)
+        rows = TokenRows(dec_len, t, packs_rows(self.cfg))
+        x = self.norm_in.fwd(rows.gather(embed_positions_fwd(
+            enc.embed, dec_ids, enc.pos, enc.embed_scale)))
+        pos_q = rows.gather(np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model)))
         for layer in self.layers:
-            x = layer(x, memory, pos_q, self_bias, pad_bias, cross_bias)
-        return self.proj(x)
+            x = layer.fwd(x, rows, memory.data, pos_q, self_bias, pad_bias, cross_bias)
+        # the vocabulary projection runs over every slot (see `TokenRows`)
+        return Tensor(rows.zero_padding(self.proj.fwd(rows.scatter(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +177,44 @@ def predict_fertility(src_ids: Sequence[int], model: NatModel) -> np.ndarray:
 
 
 def average_fertility(probs: np.ndarray) -> np.ndarray:
-    """Rounded expected fertility per position of a [T', L] distribution."""
-    return round_half_away((probs * np.arange(probs.shape[1])[None, :]).sum(axis=-1))
+    """Rounded expected fertility per position of a [..., T', L] distribution."""
+    return round_half_away((probs * np.arange(probs.shape[-1])).sum(axis=-1))
 
 
-def floor_fertility(fert: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def floor_fertility(fert: np.ndarray, probs: np.ndarray,
+                    lengths: np.ndarray | None = None) -> np.ndarray:
     """Degenerate all-zero predictions emit one token from the position most
-    confident about fertility 1."""
-    fert = np.asarray(fert, dtype=np.int64).copy()
-    if fert.sum() == 0:
-        fert[int(np.argmax(probs[:, 1]))] = 1
+    confident about fertility 1.
+
+    Takes one sequence [T'] with its [T', L] distribution, or a block of
+    rows [R, T'] with distributions that broadcast to [R, T', L]. With
+    `lengths`, row r covers its first lengths[r] positions and comes back
+    zero past them.
+    """
+    fert = np.array(fert, dtype=np.int64)
+    probs = np.asarray(probs)
+    if fert.shape[-1] != probs.shape[-2]:
+        raise ValueError(f"fertility length {fert.shape[-1]} != source length "
+                         f"{probs.shape[-2]}")
+    rows = fert.reshape(-1, fert.shape[-1])
+    p1 = np.broadcast_to(probs[..., 1], fert.shape).reshape(rows.shape)
+    if lengths is not None:
+        real = np.arange(rows.shape[1]) < np.asarray(lengths)[:, None]
+        rows[~real] = 0
+        p1 = np.where(real, p1, -1.0)
+    empty = np.flatnonzero(rows.sum(axis=1) == 0)
+    rows[empty, p1[empty].argmax(axis=1)] = 1
     return fert
 
 
-def fit_fertility(fert: np.ndarray, probs: np.ndarray, max_len: int) -> np.ndarray:
-    """The fertility sequence a decode translates: `floor_fertility`, then
-    cut from the last source position backwards until the total fits
-    `max_len` output slots."""
-    fert = floor_fertility(fert, probs)
-    room = max_len - (np.cumsum(fert) - fert)   # slots left for each position
+def fit_fertility(fert: np.ndarray, probs: np.ndarray, max_len: int,
+                  lengths: np.ndarray | None = None) -> np.ndarray:
+    """The fertility sequences a decode translates: `floor_fertility` (one
+    sequence or a block of rows, the same arguments), then each cut from
+    its last source position backwards until its total fits `max_len`
+    output slots."""
+    fert = floor_fertility(fert, probs, lengths)
+    room = max_len - (np.cumsum(fert, axis=-1) - fert)   # slots left per position
     return np.minimum(fert, np.maximum(room, 0))
 
 
@@ -230,8 +279,8 @@ def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
     one padded pass and, with a teacher, keep the first highest-scoring one
     (without one there is a single candidate). Returns the result and the
     teacher scores of all candidates."""
-    max_len = max_output_len(model, teacher_model)
-    ferts = [fit_fertility(f, probs, max_len) for f in fert_list]
+    ferts = fit_fertility(np.array(fert_list), probs,
+                          max_output_len(model, teacher_model))
     translated = _translate(src_ids, ferts, model, memory)
     scores, win = [], 0
     if teacher_model is not None:
@@ -267,6 +316,9 @@ def npd_over_candidates(src_ids: Sequence[int], fert_list: Sequence[Sequence[int
     """Translate and teacher-score every fertility candidate; the first
     highest-scoring candidate wins. `encoded` is the source's encoder memory
     and fertility distribution if the caller has them already."""
+    if len(fert_list) == 0:
+        raise ValueError("npd got an empty candidate list; it needs at least "
+                         "one fertility sequence")
     memory, probs = _encode_source(src_ids, model) if encoded is None else encoded
     return _decode(src_ids, fert_list, model, memory, probs, "npd", teacher_model)
 

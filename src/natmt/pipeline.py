@@ -324,7 +324,8 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
     like a decode's candidates (`nat.fit_fertility`). One
     teacher encode and one forced teacher decode score every bp, reward and
     baseline output. A step thus makes two encoder calls, one per model.
-    Fertility samples are drawn sentence by sentence, one draw each.
+    Fertility samples are drawn in one call over every real source position,
+    in batch order, as sentence-by-sentence draws would come.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"interpolation weight {lam} outside [0, 1]")
@@ -355,20 +356,21 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
         groups.append((logits, batch.tgt_len, np.arange(b)))
     if use_rl:
         probs = NAT.fertility_dist_batch(batch.src, batch.src_len, model, memory)
+        real = np.arange(batch.src.shape[1])[None, :] < batch.src_len[:, None]
+        # one draw per real position, sentence by sentence, as the uniforms
+        # of per-sentence draws would come
         sampled = np.zeros(batch.src.shape, dtype=np.int64)
-        floored, averaged = [], []
-        max_len = NAT.max_output_len(model, teacher_model)
-        for i, n in enumerate(batch.src_len):
-            p = probs[i, :n]
-            # score function keeps the raw draw; only the translation
-            # input is fitted, so the estimator stays unbiased
-            sampled[i, :n] = NAT.sample_fertilities(p, 1, rng)[0]
-            floored.append(NAT.fit_fertility(sampled[i, :n], p, max_len))
-            averaged.append(NAT.fit_fertility(NAT.average_fertility(p), p, max_len))
+        sampled[real] = NAT.sample_fertilities(probs[real], 1, rng)[0]
+        # score function keeps the raw draw; only the translation input is
+        # fitted, so the estimator stays unbiased
         rows = np.tile(np.arange(b), 2)
-        dec_ids, dec_len = pad_block(
-            [NAT.copy_fertility(list(batch.src[i, : batch.src_len[i]]), list(f))
-             for i, f in zip(rows, floored + averaged)])
+        ferts = NAT.fit_fertility(
+            np.concatenate([sampled, NAT.average_fertility(probs)]), probs[rows],
+            NAT.max_output_len(model, teacher_model), batch.src_len[rows])
+        dec_len = ferts.sum(axis=1)
+        dec_ids = np.full((2 * b, dec_len.max()), PAD, dtype=np.int64)
+        dec_ids[np.arange(dec_ids.shape[1]) < dec_len[:, None]] = np.repeat(
+            batch.src[rows].ravel(), ferts.ravel())
         with T.no_grad():
             rl_logits = model.decode_logits(Tensor(memory.data[rows]),
                                             batch.src_len[rows], dec_ids, dec_len)

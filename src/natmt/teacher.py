@@ -10,11 +10,13 @@ Greedy and beam search decode incrementally (Vaswani et al. 2017): a
 `DecoderCache` keeps every layer's self-attention keys and values, one
 position more per step, and the cross-attention keys and values projected
 from the memory once, so each step decodes only the newest token of every
-row. That step records no gradients, so it runs on plain arrays: the
-forward kernels of the fused tensor ops, in the order the teacher-forced pass
-calls the ops, with no graph bookkeeping per token. `greedy_decode_batch`
-decodes many sources in one such loop, dropping rows from the cache as they
-finish.
+row. `greedy_decode_batch` decodes many sources in one such loop, dropping
+rows from the cache as they finish.
+
+With gradients on, the decoder records the autograd graph. Without them
+(scoring, decoding) it runs the array forward of its layers on the real
+token rows only; a cached step is the pass of one token per row, with no
+padding, against the cached positions.
 """
 
 from __future__ import annotations
@@ -27,14 +29,10 @@ from . import tensor as T
 from .config import ModelConfig
 from .data import BOS, EOS, PAD, Batch, pad_block
 from .layers import (Embedding, Encoder, FFNBlock, KVCache, LayerNorm, Linear,
-                     Module, MultiHeadAttention, attention_bias, causal_mask,
-                     embed_positions, position_rows)
+                     Module, MultiHeadAttention, TokenRows, attention_bias,
+                     causal_mask, embed_positions, embed_positions_fwd,
+                     packs_rows)
 from .tensor import Tensor
-
-
-def _norm(norm: LayerNorm, x: np.ndarray,
-          residual: np.ndarray | None = None) -> np.ndarray:
-    return T.layer_norm_fwd(x, norm.gain.data, norm.bias.data, residual)[0]
 
 
 class DecoderLayer(Module):
@@ -54,34 +52,40 @@ class DecoderLayer(Module):
         x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias), x)
         return self.norm_ffn(self.ffn(x), x)
 
-    def step(self, x: np.ndarray, cross_bias: np.ndarray,
-             cache: tuple[KVCache, KVCache]) -> np.ndarray:
-        """`__call__` on arrays for one incremental decoding step of `x` [B,
-        1, d], against the layer's (self, cross) attention caches; every
-        cached self-attention key is an earlier position of the same row, so
-        that attention takes no bias."""
+    def fwd(self, x: np.ndarray, rows: TokenRows, cache: tuple[KVCache, KVCache],
+            self_bias: np.ndarray | None, cross_bias: np.ndarray) -> np.ndarray:
+        """`__call__` on the real rows `x` [N, d] against the layer's (self,
+        cross) attention caches; the self-attention cache gains the keys
+        and values of `x`."""
         self_kv, cross_kv = cache
-        x = _norm(self.norm_self, self.self_attn.step(x, None, self_kv), x)
-        x = _norm(self.norm_cross, self.cross_attn.step(x, cross_bias, cross_kv), x)
-        f = self.ffn
-        h = T.ffn_fwd(x, f.inner.weight.data, f.inner.bias.data,
-                      f.outer.weight.data, f.outer.bias.data)[0]
-        return _norm(self.norm_ffn, h, x)
+        a = self.self_attn
+        k, v = self_kv.append(a.heads(a.wk, x, rows), a.heads(a.wv, x, rows))
+        x = self.norm_self.fwd(a.fwd(x, k, v, self_bias, rows), x)
+        c = self.cross_attn
+        x = self.norm_cross.fwd(c.fwd(x, cross_kv.k, cross_kv.v, cross_bias, rows), x)
+        return self.norm_ffn.fwd(self.ffn.fwd(x), x)
+
+
+def _layer_caches(model: "TeacherModel", memory: Tensor):
+    """Per decoder layer, made as the layers are reached: an empty
+    self-attention cache and a cross-attention cache projected from
+    `memory`."""
+    for layer in model.layers:
+        a = layer.cross_attn
+        yield KVCache(), KVCache(a.heads(a.wk, memory.data), a.heads(a.wv, memory.data))
 
 
 class DecoderCache:
     """Incremental decoding state of a `TeacherModel` for a batch of rows:
     per layer a growing self-attention cache and a fixed cross-attention
-    cache projected from `memory` here, plus the cross-attention bias and
-    the number of positions decoded so far."""
+    cache projected from `memory` here, plus the cross-attention bias, the
+    number of positions decoded so far and the rows of a one-token step."""
 
     def __init__(self, model: "TeacherModel", memory: Tensor, src_len: np.ndarray):
         self.length = 0
+        self.step_rows = TokenRows(None, 1)
         self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
-        attns = [layer.cross_attn for layer in model.layers]
-        self.layers = [(KVCache(), KVCache(a.heads(a.wk, memory.data),
-                                           a.heads(a.wv, memory.data)))
-                       for a in attns]
+        self.layers = list(_layer_caches(model, memory))
 
     def select(self, rows) -> None:
         """Keep the given rows, in the given order (beam parents may repeat)."""
@@ -114,38 +118,44 @@ class TeacherModel(Module):
                       tgt_in: np.ndarray, tgt_in_len: np.ndarray | None,
                       cache: DecoderCache | None = None) -> Tensor:
         """Output logits [B, T, V]. Without a cache this is the teacher-forced
-        pass over the padded inputs. With one, `tgt_in` is the [B, 1] block of
-        each row's next token, decoded on arrays against the cached positions
-        (the logits come back wrapped in a Tensor that records no graph), and
-        `memory`, `src_len` and `tgt_in_len` are not read."""
+        pass over the padded inputs; with gradients off it runs on arrays and
+        its padded positions come back zero. With a cache, `tgt_in` is the
+        [B, 1] block of each row's next token, decoded on arrays against the
+        cached positions, and `memory`, `src_len` and `tgt_in_len` are not
+        read. Array logits come back wrapped in a Tensor that records no
+        graph."""
         b, t = tgt_in.shape
         self.decoder_passes += b
-        if cache is not None:
-            return Tensor(self._step(tgt_in, cache))
-        self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
-        cross_bias = attention_bias(None, src_len, t, memory.shape[1])
-        x = self.norm_in(embed_positions(self.embed, tgt_in, self.encoder.pos,
-                                         self.encoder.embed_scale))
-        for layer in self.layers:
-            x = layer(x, memory, self_bias, cross_bias)
-        return self.proj(x)
-
-    def _step(self, tgt_in: np.ndarray, cache: DecoderCache) -> np.ndarray:
-        t = tgt_in.shape[1]
-        if t != 1:
-            raise ValueError(f"cached decoding takes one token per row, got {t}")
-        if T.grad_enabled():
-            raise RuntimeError("cached decoding records no gradients; "
-                               "run it under no_grad")
-        start = cache.length
-        cache.length += 1
         enc = self.encoder
-        x = T.scaled_embedding_fwd(self.embed.weight.data, tgt_in, enc.embed_scale,
-                                   position_rows(enc.pos, start, t))
-        x = _norm(self.norm_in, x)
-        for layer, layer_cache in zip(self.layers, cache.layers):
-            x = layer.step(x, cache.cross_bias, layer_cache)
-        return T.linear_fwd(x, self.proj.weight.data, self.proj.bias.data)
+        if cache is None:
+            self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
+            cross_bias = attention_bias(None, src_len, t, memory.shape[1])
+            if T.grad_enabled():
+                x = self.norm_in(embed_positions(self.embed, tgt_in, enc.pos,
+                                                 enc.embed_scale))
+                for layer in self.layers:
+                    x = layer(x, memory, self_bias, cross_bias)
+                return self.proj(x)
+            rows = TokenRows(tgt_in_len, t, packs_rows(self.cfg))
+            # a layer's keys and values are made when it is reached, as in the
+            # graph forward
+            start, layer_caches = 0, _layer_caches(self, memory)
+        else:
+            if t != 1:
+                raise ValueError(f"cached decoding takes one token per row, got {t}")
+            if T.grad_enabled():
+                raise RuntimeError("cached decoding records no gradients; "
+                                   "run it under no_grad")
+            # every cached key is an earlier position of the query's own row
+            self_bias, cross_bias, rows = None, cache.cross_bias, cache.step_rows
+            start, layer_caches = cache.length, cache.layers
+            cache.length += 1
+        x = embed_positions_fwd(self.embed, tgt_in, enc.pos, enc.embed_scale, start)
+        x = self.norm_in.fwd(rows.gather(x))
+        for layer, layer_cache in zip(self.layers, layer_caches):
+            x = layer.fwd(x, rows, layer_cache, self_bias, cross_bias)
+        # the vocabulary projection runs over every slot (see `TokenRows`)
+        return Tensor(rows.zero_padding(self.proj.fwd(rows.scatter(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +345,12 @@ def score_parallel(src_ids: Sequence[int], candidate: Sequence[int],
 
 def score_candidates(src_ids: Sequence[int], candidates: Sequence[Sequence[int]],
                      model: TeacherModel) -> list[float]:
+    """`score_parallel` of every candidate, all in one batched pass."""
     for cand in candidates:
         if PAD in cand:
             raise ValueError("candidate contains pad tokens")
+    if not candidates:
+        return []
     src = np.asarray(src_ids, dtype=np.int64)[None, :]
     src_len = np.array([len(src_ids)])
     dec_in, lens = pad_block([[BOS] + list(c) for c in candidates])

@@ -23,9 +23,10 @@ chain.
 The forward arithmetic of each fused op is an array kernel of its own
 (``linear_fwd``, ``linear_split_heads_fwd``, ``merge_heads_linear_fwd``,
 ``ffn_fwd``, ``attention_softmax_fwd``, ``layer_norm_fwd``,
-``scaled_embedding_fwd``). The op calls it and records the graph; the
-teacher's cached decoding step, which records no gradients, calls it on plain
-arrays, so both paths run the same numpy calls in the same order.
+``scaled_embedding_fwd``). The op calls it and records the graph; every
+decoder pass that records no gradients (scoring, decoding, cached steps)
+calls the kernels on plain arrays instead, so both paths run the same numpy
+arithmetic on every real token row.
 """
 
 from __future__ import annotations
@@ -198,6 +199,8 @@ def _affine(flat: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The forward kernel of `linear`."""
+    if x.ndim == 2:
+        return _affine(x, w, b)
     return _affine(x.reshape(-1, x.shape[-1]), w, b).reshape(*x.shape[:-1], w.shape[1])
 
 

@@ -74,9 +74,11 @@ def test_decoder_refuses_missing_model(models, spec, teacher, nat, missing):
 
 def test_tensor_ops_per_decode_are_pinned(monkeypatch):
     """Graph ops are the per-call overhead of batch-size-one decoding. With
-    2-layer models, a cached teacher step runs one op (the log-softmax; the
-    decoder pass runs on arrays), an `argmax` decode 88 and an `npd:10`
-    decode 156, whatever the length."""
+    2-layer models, where each encoder runs 24 ops and every decoder pass
+    runs on arrays, a cached teacher step runs one op (the log-softmax), an
+    `argmax` decode 27 (the encoder, the fertility head and its softmax, the
+    log-softmax) and an `npd:10` decode 52 (both encoders, the fertility
+    head and its softmax, two log-softmaxes), whatever the length."""
     cfg = dataclasses.replace(tiny_cfg(), n_layer=2)
     teacher = AR.TeacherModel(cfg, np.random.default_rng(3))
     nat = N.NatModel(cfg, np.random.default_rng(4))
@@ -97,10 +99,10 @@ def test_tensor_ops_per_decode_are_pinned(monkeypatch):
     assert ops[0] == 1
     ops[0] = 0
     N.decode_argmax(src, nat)
-    assert ops[0] == 88
+    assert ops[0] == 27
     ops[0] = 0
     N.decode_npd(src, nat, teacher, 10)
-    assert ops[0] == 156
+    assert ops[0] == 52
 
 
 def test_bench_counts_passes_per_contract(models):

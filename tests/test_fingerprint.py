@@ -11,7 +11,7 @@ import natmt
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
 STAGES = ("teacher", "distill", "align", "nat", "finetune",
-          "greedy", "beam:2", "argmax", "average", "npd:5")
+          "greedy", "beam:2", "argmax", "average", "npd:5", "score")
 
 
 def _fingerprint(hash_seed: str) -> list[str]:

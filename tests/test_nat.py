@@ -14,7 +14,7 @@ from natmt import teacher as AR
 from natmt import tensor as T
 from natmt.config import ModelConfig
 from natmt.data import PAD
-from natmt.layers import Encoder
+from natmt.layers import Encoder, MultiHeadAttention
 
 
 def cfg(**kw):
@@ -214,6 +214,8 @@ def test_npd_rejects_zero_samples():
     model = new_model()
     with pytest.raises(ValueError):
         N.decode_npd([4], model, teacher_for(model.cfg), samples=0)
+    with pytest.raises(ValueError, match="empty candidate list"):
+        N.npd_over_candidates([4, 5], [], model, teacher_for(model.cfg))
 
 
 def test_npd_score_monotone_in_samples():
@@ -328,6 +330,20 @@ def test_fit_fertility_cuts_from_the_end():
     np.testing.assert_array_equal(N.fit_fertility([0, 0, 0], probs, 1), [1, 0, 0])
 
 
+def test_fit_fertility_block_equals_its_rows():
+    rng = np.random.default_rng(5)
+    lengths = np.array([3, 1, 4, 2, 4])
+    probs = rng.dirichlet(np.ones(4), size=(5, 4))
+    fert = rng.integers(0, 4, size=(5, 4))
+    fert[1] = fert[3, :2] = 0            # all-zero rows get floored
+    fert[1, 1:] = 3                      # past the length: never read
+    got = N.fit_fertility(fert, probs, 5, lengths)
+    for i, n in enumerate(lengths):
+        np.testing.assert_array_equal(got[i, :n],
+                                      N.fit_fertility(fert[i, :n], probs[i, :n], 5))
+        assert not got[i, n:].any()
+
+
 def _is_cut_from_end(fert, raw, limit):
     """`fert` is `raw` cut from the last position backwards to fit `limit`."""
     fert, raw = np.asarray(fert), np.asarray(raw)
@@ -421,3 +437,67 @@ def test_decode_average_matches_explicit_reference():
         toks = _reference_translate(src, N.copy_fertility(src, fert), model)
         assert N.decode_average(src, model) == N.DecodeResult(
             toks, [int(f) for f in fert], "average")
+
+
+# ---------------------------------------------------------------------------
+# array forward of no-grad decoder passes
+# ---------------------------------------------------------------------------
+
+def _attentions(model):
+    return [a for layer in model.layers for a in vars(layer).values()
+            if isinstance(a, MultiHeadAttention)]
+
+
+@pytest.mark.parametrize("d_model, lengths, t", [
+    (64, [1], 1), (64, [1, 2], 2), (64, [3, 3, 3], 3), (64, [4, 1, 6, 2, 6], 6),
+    (64, [1], 3), (64, [40] + [30] * 9, 40), (40, [40] + [30] * 15, 40)])
+def test_no_grad_decoder_passes_equal_the_graph_forward(d_model, lengths, t):
+    """Teacher-forced and parallel passes without gradients run on arrays,
+    over the real positions only; each real position equals the graph
+    forward bit for bit, and padded positions come back zero.
+
+    The rows of a product must round alike at any row count. On OpenBLAS,
+    a one-row product (the [1] block of width 3) is a gemv, and products
+    under 1e6 multiply-adds at width 40 round unlike larger ones: the
+    40-wide blocks hold over that size in all their slots, under it in
+    their real ones, for the vocabulary projection (40 words) and, at
+    d_model 40, for every projection."""
+    lengths = np.array(lengths)
+    b = len(lengths)
+    rng = np.random.default_rng(b)
+    src_len = rng.integers(1, 6, size=b)
+    src = np.full((b, 5), PAD)
+    ids = np.full((b, t), PAD)
+    for i in range(b):
+        src[i, :src_len[i]] = rng.integers(3, 12, size=src_len[i])
+        ids[i, :lengths[i]] = rng.integers(3, 12, size=lengths[i])
+    real = np.arange(t)[None, :] < lengths[:, None]
+    wide = cfg(d_model=d_model, d_hidden=2 * d_model, tgt_vocab=40, max_len=48)
+    for model in (N.NatModel(wide, np.random.default_rng(20)), teacher_for(wide, seed=21)):
+        graph = model.decode_logits(model.encode(src, src_len), src_len, ids, lengths)
+        assert graph.requires_grad
+        with T.no_grad():
+            arrays = model.decode_logits(model.encode(src, src_len), src_len, ids,
+                                         lengths).numpy()
+        assert arrays.dtype == np.float32
+        assert np.array_equal(arrays[real], graph.numpy()[real])
+        assert not arrays[~real].any()
+        for attn in _attentions(model):
+            np.testing.assert_allclose(attn.last_weights.sum(axis=-1), 1.0,
+                                       rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["nat", "teacher"])
+def test_no_grad_decoder_passes_keep_their_checks(kind):
+    model = new_model(seed=22) if kind == "nat" else teacher_for(cfg(), seed=23)
+    src, src_len = np.array([[4, 5, 6]]), np.array([3])
+    with T.no_grad():
+        memory = model.encode(src, src_len)
+        over = np.full((1, model.cfg.max_len + 1), 4)
+        with pytest.raises(ValueError, match="exceeds max_len"):
+            model.decode_logits(memory, src_len, over, np.array([over.shape[1]]))
+        with pytest.raises(ValueError, match="embedding id out of range"):
+            model.decode_logits(memory, src_len, np.array([[4, 99]]), np.array([2]))
+        model.layers[0].self_attn.wq.weight.data[0, 0] = np.nan
+        with pytest.raises(T.NumericError):
+            model.decode_logits(memory, src_len, np.array([[4, 5]]), np.array([2]))

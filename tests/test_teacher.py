@@ -156,6 +156,9 @@ def test_score_is_one_pass_per_candidate():
     model.reset_passes()
     AR.score_candidates([4, 5], [[6], [7, 8], [9, 10, 11]], model)
     assert model.decoder_passes == 3
+    model.reset_passes()
+    assert AR.score_candidates([4, 5], [], model) == []
+    assert model.decoder_passes == 0
 
 
 def test_score_empty_candidate_is_eos_logprob():
