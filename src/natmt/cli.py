@@ -17,8 +17,9 @@ from . import synth as SY
 from . import teacher as AR
 from .bleu import bleu
 from .config import ModelConfig, TrainConfig
-from .data import (PAD, RESERVED, UNK, DataError, Vocab, encode_corpus,
-                   load_corpus, read_sentences, save_corpus)
+from .data import (DataError, Vocab, at_least, check_corpus, check_lines, coerce,
+                   encode_corpus, load_corpus, read_config, read_fertilities,
+                   read_parallel, read_sentences, save_corpus)
 from .tensor import NumericError
 
 
@@ -43,62 +44,25 @@ _CONFIG_FLAGS = (("steps", int), ("batch_size", int), ("seed", int),
                  ("n_layer", int), ("max_fertility", int), ("log_every", int))
 
 
-def _coerce(key: str, value: str):
-    typ = _MODEL_FIELDS.get(key) or _TRAIN_FIELDS.get(key)
-    if typ is None:
-        raise DataError(f"unknown configuration key {key!r}")
-    text = str(typ)
-    try:
-        if "tuple" in text:
-            return tuple(v for v in value.split(",") if v)
-        if "float" in text:
-            return None if value.lower() == "none" else float(value)
-        return int(value)   # every other field is an int
-    except ValueError:
-        raise DataError(f"bad value {value!r} for configuration key {key!r}") from None
-
-
-def read_config_file(path: str | Path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {p}")
-    out = {}
-    for ln, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{p}:{ln}: expected key=value, got {line!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        out[key] = _coerce(key, value)
-    return out
-
-
 def gather_config(args) -> dict:
     """File values first, then --set pairs, then dedicated flags."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(read_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    types = {**_MODEL_FIELDS, **_TRAIN_FIELDS}
+    cfg = read_config(args.config, types) if args.config else {}
+    for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        cfg[key] = _coerce(key.strip(), value.strip())
+        cfg[key] = coerce(key.strip(), value.strip(), types)
     for key, _ in _CONFIG_FLAGS:
-        v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = v
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
 def split_config(cfg: dict, **forced) -> tuple[ModelConfig, TrainConfig]:
     cfg = dict(cfg, **forced)
-    m = {k: v for k, v in cfg.items() if k in _MODEL_FIELDS}
-    t = {k: v for k, v in cfg.items() if k in _TRAIN_FIELDS}
-    try:
-        return ModelConfig(**m), TrainConfig(**t)
-    except ValueError as e:
-        raise DataError(str(e)) from None
+    return (ModelConfig(**{k: v for k, v in cfg.items() if k in _MODEL_FIELDS}),
+            TrainConfig(**{k: v for k, v in cfg.items() if k in _TRAIN_FIELDS}))
 
 
 def _add_config_flags(sp):
@@ -108,39 +72,6 @@ def _add_config_flags(sp):
     for key, typ in _CONFIG_FLAGS:
         sp.add_argument("--" + key.replace("_", "-"), dest=key, type=typ)
     sp.add_argument("--log", help="JSONL training log path")
-
-
-# reserved tokens input text may not hold; `<unk>` already means "unknown word"
-_MARKERS = frozenset(RESERVED) - {RESERVED[UNK]}
-
-
-def _refuse_markers(path, ln: int, sent) -> None:
-    for tok in sent:
-        if tok in _MARKERS:
-            raise DataError(f"{path}:{ln}: line holds the reserved token {tok}")
-
-
-def _load_training_corpus(prefix):
-    """`load_corpus`, refusing a corpus without one pair of non-empty sides,
-    an empty source line or a reserved token other than `<unk>` on either
-    side, naming PREFIX.src:LINE or PREFIX.tgt:LINE."""
-    pairs = load_corpus(prefix)
-    if not any(s and t for s, t in pairs):
-        raise DataError(f"corpus {prefix} has no non-empty sentence pairs")
-    for ln, (src, tgt) in enumerate(pairs, 1):
-        if not src:
-            raise DataError(f"{prefix}.src:{ln}: empty source line")
-        _refuse_markers(f"{prefix}.src", ln, src)
-        _refuse_markers(f"{prefix}.tgt", ln, tgt)
-    return pairs
-
-
-def _check_lengths(pairs, cfg: ModelConfig) -> None:
-    longest = max(max(len(s), len(t) + 1) for s, t in pairs)
-    if longest > cfg.max_len:
-        raise DataError(
-            f"sentence of length {longest} exceeds max_len {cfg.max_len}; "
-            "raise max_len in the configuration")
 
 
 def _load_kind(path, kind: str):
@@ -159,43 +90,6 @@ def _check_same_vocabs(teacher_path, teacher_vocabs, nat_path, nat_vocabs) -> No
                         "different vocabularies")
 
 
-def _paired_fertilities(prefix, pairs, path, max_fertility: int) -> list[list[int]]:
-    """Read the fertility file paired with corpus PREFIX. Each line is a row
-    of integers, each a class of a parallel model with `max_fertility`
-    classes (0 to max_fertility - 1), one per token of the source line,
-    summing to the length of the target line, which must not be empty. A
-    bad row raises a `DataError` naming FILE:LINE."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"fertility file not found: {p}")
-    lines = p.read_text(encoding="utf-8").splitlines()
-    if len(lines) != len(pairs):
-        raise DataError(f"fertility file {p} has {len(lines)} lines for "
-                        f"{len(pairs)} sentence pairs")
-    out = []
-    for ln, (line, (src, tgt)) in enumerate(zip(lines, pairs), 1):
-        try:
-            row = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise DataError(f"{p}:{ln}: fertility lines must be integers") from None
-        for f in row:
-            if not 0 <= f < max_fertility:
-                raise DataError(f"{p}:{ln}: fertility {f} is not a class of the "
-                                f"parallel model (0 to {max_fertility - 1}, "
-                                f"max_fertility {max_fertility})")
-        if len(row) != len(src):
-            raise DataError(f"{p}:{ln}: {len(row)} fertilities for a source "
-                            f"line of {len(src)} tokens")
-        if not tgt:
-            raise DataError(f"{prefix}.tgt:{ln}: empty target line (a parallel "
-                            "model emits at least one token)")
-        if sum(row) != len(tgt):
-            raise DataError(f"{p}:{ln}: fertilities sum to {sum(row)}, but the "
-                            f"target line has {len(tgt)} tokens")
-        out.append(row)
-    return out
-
-
 def _save_trained(args, model, sv, tv, log, done: str) -> None:
     """Save a trained model to --out and report `done` with the last loss."""
     P.save_model(args.out, model, sv, tv)
@@ -208,24 +102,24 @@ def _save_trained(args, model, sv, tv, log, done: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_train_teacher(args) -> None:
-    pairs_tok = _load_training_corpus(args.corpus)
+    pairs_tok = load_corpus(args.corpus)
     sv = Vocab.build((s for s, _ in pairs_tok), args.min_freq)
     tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)
     mcfg, tcfg = split_config(gather_config(args),
                               src_vocab=len(sv), tgt_vocab=len(tv))
-    pairs = encode_corpus(pairs_tok, sv, tv)
-    _check_lengths(pairs, mcfg)
+    check_corpus(args.corpus, pairs_tok, mcfg.max_len)
     log = P.TrainingLog(args.log)
-    model = P.train_teacher(pairs, mcfg, tcfg, log)
+    model = P.train_teacher(encode_corpus(pairs_tok, sv, tv), mcfg, tcfg, log)
     _save_trained(args, model, sv, tv, log,
                   f"trained teacher for {tcfg.steps} steps")
 
 
 def cmd_distill(args) -> None:
     model, sv, tv, _ = _load_kind(args.teacher, "teacher")
+    if args.mode == "beam":
+        at_least("--beam", args.beam, 1)
     pairs_tok = load_corpus(args.corpus)
-    _check_input_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok],
-                       model.cfg.max_len)
+    check_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok], model.cfg.max_len)
     enc = encode_corpus(pairs_tok, sv, tv)
     out = P.build_distill_corpus(enc, model, mode=args.mode,
                                  beam_width=args.beam)
@@ -237,16 +131,21 @@ def cmd_distill(args) -> None:
 
 
 def cmd_align(args) -> None:
-    if args.max_fertility < 2:
-        raise DataError(f"--max-fertility must be at least 2 (fertility classes "
-                        f"0 and 1), got {args.max_fertility}")
-    for flag, n in (("--iters-m1", args.iters_m1), ("--iters-m2", args.iters_m2)):
-        if n < 0:
-            raise DataError(f"{flag} must be at least 0, got {n}")
+    at_least("--max-fertility", args.max_fertility, 2, " (fertility classes 0 and 1)")
+    at_least("--iters-m1", args.iters_m1, 0)
+    at_least("--iters-m2", args.iters_m2, 0)
     if not args.iters_m1 and not args.iters_m2:
         raise DataError("--iters-m1 and --iters-m2 are both 0; at least one "
                         "EM iteration must run")
-    pairs_tok = _load_training_corpus(args.corpus)
+    pairs_tok = load_corpus(args.corpus)
+    check_corpus(args.corpus, pairs_tok)
+    if args.fertilities_out:   # some fertility row must cover each target line
+        cap = args.max_fertility - 1
+        for ln, (src, tgt) in enumerate(pairs_tok, 1):
+            if len(tgt) > cap * len(src):
+                raise DataError(f"{args.corpus}.tgt:{ln}: {len(tgt)} target tokens "
+                                f"do not fit {len(src)} source tokens of fertility "
+                                f"at most {cap} (--max-fertility {args.max_fertility})")
     model = AL.em_train(pairs_tok, args.iters_m1, args.iters_m2)
     alignments = AL.corpus_alignments(pairs_tok, model)
     if args.alignments_out:
@@ -264,7 +163,7 @@ def cmd_align(args) -> None:
 
 
 def cmd_train_nat(args) -> None:
-    pairs_tok = _load_training_corpus(args.corpus)
+    pairs_tok = load_corpus(args.corpus)
     exported = None
     if args.init_encoder:
         teacher_model, sv, tv, _ = _load_kind(args.init_encoder, "teacher")
@@ -279,12 +178,11 @@ def cmd_train_nat(args) -> None:
         tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)
         forced = {"src_vocab": len(sv), "tgt_vocab": len(tv)}
     mcfg, tcfg = split_config(gather_config(args), **forced)
-    ferts = _paired_fertilities(args.corpus, pairs_tok, args.fertilities,
-                                mcfg.max_fertility)
-    pairs = encode_corpus(pairs_tok, sv, tv)
-    _check_lengths(pairs, mcfg)
+    check_corpus(args.corpus, pairs_tok, mcfg.max_len, parallel=True)
+    ferts = read_fertilities(args.fertilities, pairs_tok, mcfg.max_fertility)
     log = P.TrainingLog(args.log)
-    model = P.train_nat(pairs, ferts, mcfg, tcfg, log, init_from=exported)
+    model = P.train_nat(encode_corpus(pairs_tok, sv, tv), ferts, mcfg, tcfg, log,
+                        init_from=exported)
     _save_trained(args, model, sv, tv, log,
                   f"trained parallel model for {tcfg.steps} steps")
 
@@ -293,33 +191,19 @@ def cmd_finetune(args) -> None:
     model, sv, tv, _ = _load_kind(args.nat, "nat")
     teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
     _check_same_vocabs(args.teacher, (tsv, ttv), args.nat, (sv, tv))
-    pairs_tok = _load_training_corpus(args.corpus)
-    ferts = _paired_fertilities(args.corpus, pairs_tok, args.fertilities,
-                                model.cfg.max_fertility)
-    _, tcfg = split_config(gather_config(args),
-                           src_vocab=model.cfg.src_vocab,
-                           tgt_vocab=model.cfg.tgt_vocab)
-    pairs = encode_corpus(pairs_tok, sv, tv)
-    _check_lengths(pairs, model.cfg)
+    pairs_tok = load_corpus(args.corpus)
+    check_corpus(args.corpus, pairs_tok, model.cfg.max_len, parallel=True)
+    ferts = read_fertilities(args.fertilities, pairs_tok, model.cfg.max_fertility)
+    _, tcfg = split_config(gather_config(args))
     log = P.TrainingLog(args.log)
-    P.finetune(model, teacher_model, pairs, ferts, tcfg, log)
+    P.finetune(model, teacher_model, encode_corpus(pairs_tok, sv, tv), ferts,
+               tcfg, log)
     _save_trained(args, model, sv, tv, log,
                   f"fine-tuned for {tcfg.steps} steps (lambda {tcfg.lam})")
 
 
-def _check_input_lines(path, sents, max_len: int) -> None:
-    """Reject an empty or over-long input line, or one holding a reserved
-    token other than `<unk>`, naming FILE:LINE, before anything is decoded."""
-    for ln, sent in enumerate(sents, 1):
-        if not sent:
-            raise DataError(f"{path}:{ln}: empty input line")
-        if len(sent) > max_len:
-            raise DataError(f"{path}:{ln}: line of {len(sent)} tokens "
-                            f"exceeds max_len {max_len}")
-        _refuse_markers(path, ln, sent)
-
-
 def cmd_translate(args) -> None:
+    at_least("--seed", args.seed, 0)
     model, sv, tv, _ = P.load_model(args.model)
     sents = read_sentences(args.input)
     models = {model.kind: model}
@@ -332,8 +216,7 @@ def cmd_translate(args) -> None:
     spec = {"beam": f"beam:{args.beam}",
             "npd": f"npd:{args.samples}"}.get(args.strategy, args.strategy)
     decode = B.decoder(spec, models.get("teacher"), models.get("nat"), args.seed)
-    _check_input_lines(args.input, sents,
-                       min(m.cfg.max_len for m in models.values()))
+    check_lines(args.input, sents, min(m.cfg.max_len for m in models.values()))
     outputs = [tv.decode(decode(sv.encode(sent)).output) for sent in sents]
     text = "\n".join(" ".join(toks) for toks in outputs)
     if args.output:
@@ -345,33 +228,29 @@ def cmd_translate(args) -> None:
 
 def cmd_score(args) -> None:
     model, sv, tv, _ = _load_kind(args.teacher, "teacher")
-    srcs = read_sentences(args.source)
-    cands = read_sentences(args.candidates)
-    if len(srcs) != len(cands):
-        raise DataError(f"line counts differ: {len(srcs)} sources vs "
-                        f"{len(cands)} candidates")
-    _check_input_lines(args.source, srcs, model.cfg.max_len)
-    limit = model.cfg.max_len - 1   # the teacher reads bos + candidate
-    for ln, cand in enumerate(cands, 1):
-        if len(cand) > limit:
-            raise DataError(f"{args.candidates}:{ln}: candidate of {len(cand)} "
-                            f"tokens exceeds max_len {model.cfg.max_len} less "
-                            "the start marker")
-        if PAD in tv.encode(cand):
-            raise DataError(f"{args.candidates}:{ln}: candidate holds the "
-                            "padding token")
+    srcs, cands = read_parallel(args.source, args.candidates)
+    check_lines(args.source, srcs, model.cfg.max_len)
+    # an empty candidate scores the end marker alone
+    check_lines(args.candidates, cands, model.cfg.max_len, target=True,
+                noun="candidate", empty=None)
     for src, cand in zip(srcs, cands):
         score = AR.score_parallel(sv.encode(src), tv.encode(cand), model)
         print(f"{score:.4f}")
 
 
 def cmd_bleu(args) -> None:
-    hyps = read_sentences(args.hypotheses)
-    refs = read_sentences(args.references)
+    hyps, refs = read_parallel(args.hypotheses, args.references)
+    if not refs:
+        raise DataError(f"{args.references}: empty reference file")
+    for ln, ref in enumerate(refs, 1):
+        if not ref:
+            raise DataError(f"{args.references}:{ln}: empty reference line")
     print(f"BLEU = {bleu(hyps, refs):.2f}")
 
 
 def cmd_bench(args) -> None:
+    at_least("--repeats", args.repeats, 1)
+    at_least("--seed", args.seed, 0)
     teacher = _load_kind(args.teacher, "teacher") if args.teacher else None
     nat = _load_kind(args.nat, "nat") if args.nat else None
     if teacher is None and nat is None:
@@ -382,15 +261,14 @@ def cmd_bench(args) -> None:
     sents = read_sentences(args.testset)
     if not sents:
         raise DataError(f"{args.testset}: empty testset")
-    _check_input_lines(args.testset, sents,
-                       min(m[0].cfg.max_len for m in (teacher, nat) if m))
+    check_lines(args.testset, sents,
+                min(m[0].cfg.max_len for m in (teacher, nat) if m))
     testset = [sv.encode(s) for s in sents]
     strategies = [s for s in args.strategies.split(",") if s]
     if not strategies:
         raise UsageError("bench: --strategies names no strategy")
     report = B.bench_latency(testset, teacher and teacher[0], nat and nat[0],
-                             strategies, repeats=args.repeats,
-                             seed=args.seed or 0)
+                             strategies, repeats=args.repeats, seed=args.seed)
     if args.out:
         B.write_latency_tsv(report, args.out)
     for spec in strategies:
@@ -400,21 +278,19 @@ def cmd_bench(args) -> None:
 
 
 def cmd_gen_synth(args) -> None:
-    # the least value of each count that the generator can work with
-    floors = [("--size", args.size, 1)]
+    at_least("--size", args.size, 1)
+    at_least("--seed", args.seed, 0)
     if args.kind == "multimodal":
-        floors += [("--modes", args.modes, 2), ("--phrases-per-sent", args.phrases_per_sent, 1)]
+        at_least("--modes", args.modes, 2)
+        at_least("--phrases-per-sent", args.phrases_per_sent, 1)
+        if args.phrases < args.phrases_per_sent:
+            raise DataError(f"--phrases must be at least --phrases-per-sent "
+                            f"({args.phrases_per_sent}), got {args.phrases}")
     else:
-        floors.append(("--vocab", args.vocab, 1))
-    for flag, value, least in floors:
-        if value < least:
-            raise DataError(f"{flag} must be at least {least}, got {value}")
-    if args.kind == "multimodal" and args.phrases < args.phrases_per_sent:
-        raise DataError(f"--phrases must be at least --phrases-per-sent "
-                        f"({args.phrases_per_sent}), got {args.phrases}")
-    if args.kind != "multimodal" and not 1 <= args.min_len <= args.max_len:
-        raise DataError(f"--min-len must be at least 1 and at most --max-len, "
-                        f"got --min-len {args.min_len} and --max-len {args.max_len}")
+        at_least("--vocab", args.vocab, 1)
+        if not 1 <= args.min_len <= args.max_len:
+            raise DataError(f"--min-len must be at least 1 and at most --max-len, "
+                            f"got --min-len {args.min_len} and --max-len {args.max_len}")
     if args.kind == "copy":
         pairs = SY.gen_copy_corpus(args.size, args.seed, vocab=args.vocab,
                                    min_len=args.min_len, max_len=args.max_len)
@@ -553,7 +429,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as e:   # a DataError is a ValueError
+    except (DataError, OSError) as e:   # any other exception is a bug
         print(f"data error: {e}", file=sys.stderr)
         return 2
 

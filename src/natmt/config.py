@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 
+from .data import DataError, at_least
+
 
 @dataclass
 class ModelConfig:
@@ -26,13 +28,13 @@ class ModelConfig:
     max_fertility: int = 50
 
     def __post_init__(self):
-        if self.n_head < 1:
-            raise ValueError(f"n_head must be at least 1, got {self.n_head}")
+        # n_layer 0 is an embedding-only model; fertility classes 0 and 1 at least
+        for key, least in dict(d_model=1, d_hidden=1, n_layer=0, n_head=1,
+                               max_len=1, max_fertility=2).items():
+            at_least(key, getattr(self, key), least)
         if self.d_model % self.n_head != 0:
-            raise ValueError(
+            raise DataError(
                 f"d_model={self.d_model} must be divisible by n_head={self.n_head}")
-        if self.max_fertility < 2:
-            raise ValueError("need at least fertility classes 0 and 1")
 
     @property
     def d_head(self) -> int:
@@ -47,15 +49,18 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Raises ValueError unless `d` holds exactly the config's keys, each
-        with an integer value (every field is an int; a bool is not one)."""
+        """Raises DataError unless `d` is a dict holding exactly the config's
+        keys, each with an integer value (every field is an int; a bool is
+        not one)."""
+        if not isinstance(d, dict):
+            raise DataError(f"config is not an object: {d!r}")
         names = {f.name for f in fields(cls)}
         unknown, missing = sorted(set(d) - names), sorted(names - set(d))
         if unknown or missing:
-            raise ValueError(f"config keys unknown {unknown}, missing {missing}")
+            raise DataError(f"config keys unknown {unknown}, missing {missing}")
         for key, value in d.items():
             if type(value) is not int:
-                raise ValueError(f"config key {key} must be an integer, got {value!r}")
+                raise DataError(f"config key {key} must be an integer, got {value!r}")
         return cls(**d)
 
 
@@ -73,15 +78,14 @@ class TrainConfig:
     log_every: int = 25
 
     def __post_init__(self):
-        for key in ("steps", "batch_size", "warmup", "log_every"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
+        for key, least in dict(steps=1, batch_size=1, warmup=1, seed=0,
+                               log_every=1).items():
+            at_least(key, getattr(self, key), least)
         if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
+            raise DataError(f"lam must lie in [0, 1], got {self.lam}")
         bad = set(self.finetune_terms) - {"rl", "bp", "kd"}
         if bad:
-            raise ValueError(f"unknown fine-tuning terms: {sorted(bad)}")
+            raise DataError(f"finetune_terms holds unknown terms {sorted(bad)}")
 
     def scale_for(self, cfg: ModelConfig) -> float:
         return self.lr_scale if self.lr_scale is not None else cfg.d_model ** -0.5

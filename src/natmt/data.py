@@ -19,7 +19,14 @@ RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
 class DataError(ValueError):
-    """Malformed or missing input artifacts (corpora, vocabs, checkpoints)."""
+    """Malformed or missing input: a file (corpus, fertility, config or
+    checkpoint file), a configuration value or a flag."""
+
+
+def at_least(name: str, value, least, why: str = "") -> None:
+    """Refuse a count, flag or configuration value NAME below LEAST."""
+    if value < least:
+        raise DataError(f"{name} must be at least {least}{why}, got {value}")
 
 
 class Vocab:
@@ -60,26 +67,134 @@ class Vocab:
 
 
 # ---------------------------------------------------------------------------
-# corpus files
+# text input files: one reader and one line check; a fault names FILE:LINE
 # ---------------------------------------------------------------------------
 
+# reserved tokens input text may not hold; `<unk>` already means "unknown word"
+MARKERS = frozenset(RESERVED) - {RESERVED[UNK]}
+
+
 def read_sentences(path: str | Path) -> list[list[str]]:
+    """The whitespace tokens of each line of a UTF-8 text file. A missing
+    file or bytes that are not UTF-8 raise a DataError naming the file."""
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"corpus file not found: {p}")
-    text = p.read_text(encoding="utf-8")
-    return [line.split() for line in text.splitlines()]
+    try:
+        raw = p.read_bytes()
+        return [line.split() for line in raw.decode("utf-8").splitlines()]
+    except FileNotFoundError:
+        raise DataError(f"{p}: file not found") from None
+    except UnicodeDecodeError as e:
+        ln = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{p}:{ln}: line is not UTF-8 text") from None
+
+
+def read_parallel(*paths) -> list[list[list[str]]]:
+    """`read_sentences` of files whose lines pair up, refusing unequal counts."""
+    sides = [read_sentences(p) for p in paths]
+    if len({len(side) for side in sides}) > 1:
+        raise DataError("line counts differ: " + ", ".join(
+            f"{p} has {len(side)}" for p, side in zip(paths, sides)))
+    return sides
+
+
+def check_lines(path, sents, max_len: int | None = None, *, target: bool = False,
+                noun: str = "line", empty: str | None = "empty input line") -> None:
+    """Refuse, naming PATH:LINE, an empty line with the message `empty`
+    unless that is None, a line longer than `max_len` tokens (`max_len - 1`
+    for a `target` line, which the teacher reads after a start marker), and
+    a line holding a reserved token other than `<unk>`."""
+    less = " less the start marker" if target else ""
+    for ln, sent in enumerate(sents, 1):
+        if not sent and empty:
+            raise DataError(f"{path}:{ln}: {empty}")
+        if max_len is not None and len(sent) > max_len - target:
+            raise DataError(f"{path}:{ln}: {noun} of {len(sent)} tokens exceeds "
+                            f"max_len {max_len}{less}")
+        marker = next((tok for tok in sent if tok in MARKERS), None)
+        if marker == RESERVED[PAD] and noun == "candidate":
+            raise DataError(f"{path}:{ln}: candidate holds the padding token")
+        if marker:
+            raise DataError(f"{path}:{ln}: {noun} holds the reserved token {marker}")
 
 
 def load_corpus(prefix: str | Path) -> list[tuple[list[str], list[str]]]:
     """Read `<prefix>.src` / `<prefix>.tgt` as a parallel corpus."""
-    src = read_sentences(str(prefix) + ".src")
-    tgt = read_sentences(str(prefix) + ".tgt")
-    if len(src) != len(tgt):
-        raise DataError(
-            f"parallel corpus line counts differ: {len(src)} source lines "
-            f"vs {len(tgt)} target lines for prefix {prefix}")
-    return list(zip(src, tgt))
+    return list(zip(*read_parallel(f"{prefix}.src", f"{prefix}.tgt")))
+
+
+def check_corpus(prefix, pairs, max_len: int | None = None,
+                 parallel: bool = False) -> None:
+    """Refuse a training corpus without one pair of non-empty sides, or with
+    a line `check_lines` refuses. A source line must not be empty, nor must
+    a target line for a `parallel` model, which emits at least one token."""
+    if not any(s and t for s, t in pairs):
+        raise DataError(f"corpus {prefix} has no non-empty sentence pairs")
+    check_lines(f"{prefix}.src", [s for s, _ in pairs], max_len,
+                empty="empty source line")
+    check_lines(f"{prefix}.tgt", [t for _, t in pairs], max_len, target=True,
+                empty="empty target line (a parallel model emits at least one "
+                      "token)" if parallel else None)
+
+
+def read_fertilities(path, pairs, max_fertility: int) -> list[list[int]]:
+    """Read the fertility file paired with a checked corpus. Each line is a
+    row of integers, each a class of a parallel model with `max_fertility`
+    classes (0 to max_fertility - 1), one per token of the source line,
+    summing to the length of the target line."""
+    rows = read_sentences(path)
+    if len(rows) != len(pairs):
+        raise DataError(f"fertility file {path} has {len(rows)} lines for "
+                        f"{len(pairs)} sentence pairs")
+    out = []
+    for ln, (toks, (src, tgt)) in enumerate(zip(rows, pairs), 1):
+        try:
+            row = [int(tok) for tok in toks]
+        except ValueError:
+            raise DataError(f"{path}:{ln}: fertility lines must be integers") from None
+        for f in row:
+            if not 0 <= f < max_fertility:
+                raise DataError(f"{path}:{ln}: fertility {f} is not a class of the "
+                                f"parallel model (0 to {max_fertility - 1}, "
+                                f"max_fertility {max_fertility})")
+        if len(row) != len(src):
+            raise DataError(f"{path}:{ln}: {len(row)} fertilities for a source "
+                            f"line of {len(src)} tokens")
+        if sum(row) != len(tgt):
+            raise DataError(f"{path}:{ln}: fertilities sum to {sum(row)}, but the "
+                            f"target line has {len(tgt)} tokens")
+        out.append(row)
+    return out
+
+
+def coerce(key: str, value: str, types: dict[str, str], where: str = ""):
+    """VALUE as the type of configuration key KEY in `types` (field name to
+    annotation, as in the config dataclasses); a fault names `where`."""
+    typ = types.get(key)
+    if typ is None:
+        raise DataError(f"{where}unknown configuration key {key!r}")
+    try:
+        if "tuple" in typ:
+            return tuple(v for v in value.split(",") if v)
+        if "float" in typ:
+            return None if value.lower() == "none" else float(value)
+        return int(value)   # every other field is an int
+    except ValueError:
+        raise DataError(f"{where}bad value {value!r} for configuration key "
+                        f"{key!r}") from None
+
+
+def read_config(path, types: dict[str, str]) -> dict:
+    """`key=value` lines with `#` comments, each value `coerce`d."""
+    out = {}
+    for ln, toks in enumerate(read_sentences(path), 1):
+        line = " ".join(toks).split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{ln}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        out[key] = coerce(key, value, types, f"{path}:{ln}: ")
+    return out
 
 
 def save_corpus(prefix: str | Path, pairs: Sequence[tuple[Sequence[str], Sequence[str]]]) -> None:

@@ -500,8 +500,12 @@ def load_model(path):
     ckpt = load_checkpoint(path)
     try:
         cfg = ModelConfig.from_dict(ckpt.config)
-    except ValueError as e:
+    except DataError as e:
         raise DataError(f"{e}: {path}") from None
+    if len(ckpt.src_vocab) > cfg.src_vocab or len(ckpt.tgt_vocab) > cfg.tgt_vocab:
+        # a token id past the embedding table would index out of it
+        raise DataError(f"checkpoint vocabularies outnumber config src_vocab "
+                        f"{cfg.src_vocab} or tgt_vocab {cfg.tgt_vocab}: {path}")
     rng = np.random.default_rng(0)
     if ckpt.kind == "teacher":
         model = AR.TeacherModel(cfg, rng)

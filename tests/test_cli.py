@@ -122,8 +122,14 @@ def test_bad_config_key_and_value_exit_2(tmp_path, capsys):
     (["--warmup", "0"], "warmup"),
     (["--log-every", "0"], "log_every"),
     (["--set", "n_head=0"], "n_head"),
+    (["--d-model", "0"], "d_model"),
+    (["--set", "d_model=-2"], "d_model"),
+    (["--set", "d_hidden=0"], "d_hidden"),
+    (["--set", "d_hidden=-4"], "d_hidden"),
+    (["--set", "max_len=0"], "max_len"),
 ], ids=["steps_0", "steps_negative", "batch_size_0", "warmup_0", "log_every_0",
-        "n_head_0"])
+        "n_head_0", "d_model_0", "d_model_negative", "d_hidden_0",
+        "d_hidden_negative", "max_len_0"])
 def test_config_value_below_one_exits_2_naming_key(tmp_path, capsys, flags, key):
     (tmp_path / "c.src").write_text("a b\n")
     (tmp_path / "c.tgt").write_text("x y\n")
@@ -134,6 +140,40 @@ def test_config_value_below_one_exits_2_naming_key(tmp_path, capsys, flags, key)
     assert f"data error: {key} must be at least 1" in err
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--set", "n_layer=-1"], "n_layer"),
+    (["--seed", "-1"], "seed"),
+], ids=["n_layer_negative", "seed_negative"])
+def test_config_value_below_zero_exits_2_naming_key(tmp_path, capsys, flags, key):
+    # a zero-layer model is legal; a negative count or seed is not
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    out_path = tmp_path / "t.nat"
+    code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                         "--out", str(out_path), *flags)
+    assert (code, out) == (2, "")
+    assert f"data error: {key} must be at least 0, got -1" in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("steps=2\nfrobs=3\n", ":2: unknown configuration key 'frobs'"),
+    ("# width\nd_model=wide\n", ":2: bad value 'wide' for configuration key 'd_model'"),
+    ("steps\n", ":1: expected key=value, got 'steps'"),
+    ("steps=2\n\xaf\n", ":2: line is not UTF-8 text"),
+], ids=["unknown_key", "bad_value", "no_equals", "not_utf8"])
+def test_config_file_fault_names_file_line(tmp_path, capsys, text, message):
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text.encode("latin-1"))
+    code, _, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                       "--out", str(tmp_path / "t.nat"), "--config", str(cfg))
+    assert code == 2
+    assert f"data error: {cfg}{message}" in err
 
 
 def test_removed_rl_samples_key_is_unknown(tmp_path, capsys):
@@ -181,8 +221,9 @@ def test_removed_architecture_and_loss_keys_are_unknown(tmp_path, capsys, key):
     ("config", lambda c: dict(c, n_layer="1"), "n_layer"),
     ("config", lambda c: dict(c, n_head=True), "n_head"),
     ("config", lambda c: dict(c, n_head=0), "n_head"),
+    ("config", lambda c: dict(c, d_model=0), "d_model"),
 ], ids=["unknown_key", "missing_key", "unknown_kind", "missing_param",
-        "shape_mismatch", "str_value", "bool_value", "zero_heads"])
+        "shape_mismatch", "str_value", "bool_value", "zero_heads", "zero_width"])
 def test_translate_with_unfit_checkpoint_exits_2_naming_file(tmp_path, capsys,
                                                              field, change, named):
     cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
@@ -234,9 +275,12 @@ def _entries(edit):
     lambda m: dict(m, src_vocab=m["src_vocab"][4:]),
     lambda m: dict(m, tgt_vocab=["<pad>", "<bos>", "<unk>", "<eos>"] + m["tgt_vocab"][4:]),
     lambda m: dict(m, tgt_vocab=m["tgt_vocab"] + ["x"]),
+    lambda m: dict(m, config=5),
+    lambda m: dict(m, src_vocab=m["src_vocab"] + ["c"]),
 ], ids=["shape_str", "shape_negative", "shape_float", "no_name", "duplicate_name",
         "entry_not_object", "params_object", "src_vocab_no_reserved",
-        "tgt_vocab_reordered", "tgt_vocab_duplicate"])
+        "tgt_vocab_reordered", "tgt_vocab_duplicate", "config_not_object",
+        "src_vocab_over_config"])
 def test_translate_with_malformed_manifest_exits_2_naming_file(tmp_path, capsys,
                                                                change):
     cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
@@ -541,7 +585,7 @@ def _score(workdir, capsys, sources, candidates):
 
 
 @pytest.mark.parametrize("case", ["empty_source", "long_source", "long_candidate",
-                                  "pad_candidate", "bos_source"])
+                                  "pad_candidate", "bos_source", "eos_candidate"])
 def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
     """Every line is checked before any score is printed."""
     src_tok, tgt_tok = load_corpus(workdir["corpus"])[0]
@@ -554,6 +598,8 @@ def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
         cands[1] = " ".join([tgt_tok[0]] * 64)   # bos + 64 > max_len 64
     elif case == "bos_source":
         srcs[1] = "<bos> " + srcs[1]
+    elif case == "eos_candidate":
+        cands[1] = f"{tgt_tok[0]} <eos> {tgt_tok[0]}"
     else:
         cands[1] = "<pad> " + cands[1]
     code, out, err, src, cand = _score(workdir, capsys, srcs, cands)
@@ -563,7 +609,8 @@ def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
             "long_candidate": f"{cand}:2: candidate of 64 tokens exceeds "
                               "max_len 64 less the start marker",
             "pad_candidate": f"{cand}:2: candidate holds the padding token",
-            "bos_source": f"{src}:2: line holds the reserved token <bos>"}[case]
+            "bos_source": f"{src}:2: line holds the reserved token <bos>",
+            "eos_candidate": f"{cand}:2: candidate holds the reserved token <eos>"}[case]
     assert f"data error: {want}" in err
 
 
@@ -847,7 +894,9 @@ def test_gen_synth_bad_length_range_exits_2_naming_both_flags(tmp_path, capsys,
     (("--kind", "multimodal", "--size", "3", "--phrases", "1"),
      "--phrases must be at least --phrases-per-sent (2), got 1"),
     (("--kind", "multimodal", "--size", "3", "--phrases-per-sent", "0"),
-     "--phrases-per-sent must be at least 1, got 0")])
+     "--phrases-per-sent must be at least 1, got 0"),
+    (("--kind", "copy", "--size", "3", "--seed", "-1"),
+     "--seed must be at least 0, got -1")])
 def test_gen_synth_count_below_what_the_generator_needs_exits_2_naming_it(
         tmp_path, capsys, argv, message):
     prefix = tmp_path / "bad"
@@ -952,3 +1001,98 @@ def test_translate_caps_fertility_total_at_max_len(tmp_path, capsys, strategy):
                        "--input", str(line), "--strategy", strategy)
     assert code == 0
     assert len(out.split()) == 64
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("bench", ["--testset", "SRC", "--strategies", "greedy", "--repeats", "0"],
+     "--repeats must be at least 1, got 0"),
+    ("bench", ["--testset", "SRC", "--strategies", "greedy,npd:3", "--nat", "NAT",
+               "--seed", "-1"], "--seed must be at least 0, got -1"),
+    ("distill", ["--corpus", "CORPUS", "--out-prefix", "OUT", "--mode", "beam",
+                 "--beam", "0"], "--beam must be at least 1, got 0"),
+    ("translate", ["--model", "NAT", "--input", "SRC", "--strategy", "npd",
+                   "--samples", "3", "--seed", "-1"], "--seed must be at least 0, got -1"),
+], ids=["bench_repeats_0", "bench_seed_negative", "distill_beam_0",
+        "translate_seed_negative"])
+def test_flag_below_its_floor_exits_2_naming_it(workdir, capsys, command, argv,
+                                                message):
+    # each value would reach a library check or numpy's seeding
+    names = {"SRC": workdir["corpus"] + ".src", "CORPUS": workdir["corpus"],
+             "NAT": workdir["nat"], "OUT": str(workdir["dir"] / "floor_out")}
+    code, out, err = run(capsys, command, "--teacher", workdir["teacher"],
+                         *(names.get(a, a) for a in argv))
+    assert (code, out) == (2, "")
+    assert f"data error: {message}" in err
+    assert not (workdir["dir"] / "floor_out.src").exists()
+
+
+@pytest.mark.parametrize("case", ["counts", "empty_line", "empty_file"])
+def test_bleu_bad_files_exit_2_naming_them(tmp_path, capsys, case):
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text({"counts": "a b\nc\n", "empty_line": "a b\nc\n",
+                    "empty_file": ""}[case])
+    ref.write_text({"counts": "a b\n", "empty_line": "a b\n\n",
+                    "empty_file": ""}[case])
+    code, out, err = run(capsys, "bleu", str(hyp), str(ref))
+    assert (code, out) == (2, "")
+    want = {"counts": f"line counts differ: {hyp} has 2, {ref} has 1",
+            "empty_line": f"{ref}:2: empty reference line",
+            "empty_file": f"{ref}: empty reference file"}[case]
+    assert f"data error: {want}" in err
+
+
+@pytest.mark.parametrize("side, line, message", [
+    ("src", "w " * 5, "line of 5 tokens exceeds max_len 4"),
+    ("tgt", "w " * 4, "line of 4 tokens exceeds max_len 4 less the start marker"),
+], ids=["src", "tgt"])
+def test_training_line_over_max_len_exits_2_naming_file_line(tmp_path, capsys,
+                                                             side, line, message):
+    lines = {"src": ["a b", "a b"], "tgt": ["x y", "x y"]}
+    lines[side][1] = line.strip()
+    for ext in ("src", "tgt"):
+        (tmp_path / f"c.{ext}").write_text("\n".join(lines[ext]) + "\n")
+    out_path = tmp_path / "t.nat"
+    code, _, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                       "--out", str(out_path), "--set", "max_len=4")
+    assert code == 2
+    assert f"data error: {tmp_path / 'c'}.{side}:2: {message}" in err
+    assert not out_path.exists()
+
+
+def test_align_target_beyond_the_fertility_cap_exits_2_naming_file_line(tmp_path,
+                                                                       capsys):
+    # three classes (0-2) let one source token cover two target tokens, not three
+    (tmp_path / "c.src").write_text("a b\na\n")
+    (tmp_path / "c.tgt").write_text("x y\nx y z\n")
+    code, _, err = run(capsys, "align", "--corpus", str(tmp_path / "c"),
+                       "--fertilities-out", str(tmp_path / "f.txt"),
+                       "--max-fertility", "3")
+    assert code == 2
+    assert (f"data error: {tmp_path / 'c'}.tgt:2: 3 target tokens do not fit 1 "
+            "source tokens of fertility at most 2 (--max-fertility 3)") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "f.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["align", "translate", "bleu"])
+def test_non_utf8_input_exits_2_naming_file_line(workdir, tmp_path, capsys, command):
+    bad = tmp_path / "bad.src"
+    bad.write_bytes(b"a b\nc \xaf d\n")
+    (tmp_path / "bad.tgt").write_text("x\ny\n")
+    argv = {"align": ["--corpus", str(tmp_path / "bad")],
+            "translate": ["--model", workdir["nat"], "--input", str(bad)],
+            "bleu": [workdir["corpus"] + ".src", str(bad)]}[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 2
+    assert f"data error: {bad}:2: line is not UTF-8 text" in err
+
+
+def test_main_shows_a_bug_as_one(monkeypatch, tmp_path):
+    # only data, file, numeric and usage errors are reported; any other
+    # exception escapes with its traceback
+    def broken(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(natmt.cli, "cmd_bleu", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["bleu", str(tmp_path / "h"), str(tmp_path / "r")])
