@@ -8,6 +8,14 @@ from dataclasses import asdict, dataclass, fields
 from .data import DataError, at_least
 
 
+# the floor and ceiling of each model size: n_layer 0 is an embedding-only
+# model, and fertility classes 0 and 1 are the least; a ceiling refuses a
+# size far past any trainable model, naming its key, before numpy is asked
+# for an array of that size
+SIZE_LIMITS = dict(d_model=(1, 4096), d_hidden=(1, 16384), n_layer=(0, 64),
+                   n_head=(1, 4096), max_len=(1, 4096), max_fertility=(2, 1024))
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters shared by the teacher and the parallel decoder.
@@ -28,10 +36,11 @@ class ModelConfig:
     max_fertility: int = 50
 
     def __post_init__(self):
-        # n_layer 0 is an embedding-only model; fertility classes 0 and 1 at least
-        for key, least in dict(d_model=1, d_hidden=1, n_layer=0, n_head=1,
-                               max_len=1, max_fertility=2).items():
-            at_least(key, getattr(self, key), least)
+        for key, (least, most) in SIZE_LIMITS.items():
+            value = getattr(self, key)
+            at_least(key, value, least)
+            if value > most:
+                raise DataError(f"{key} must be at most {most}, got {value}")
         if self.d_model % self.n_head != 0:
             raise DataError(
                 f"d_model={self.d_model} must be divisible by n_head={self.n_head}")

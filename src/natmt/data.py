@@ -7,6 +7,7 @@ bos=1, eos=2, unk=3.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,17 +76,22 @@ MARKERS = frozenset(RESERVED) - {RESERVED[UNK]}
 
 
 def read_sentences(path: str | Path) -> list[list[str]]:
-    """The whitespace tokens of each line of a UTF-8 text file. A missing
-    file or bytes that are not UTF-8 raise a DataError naming the file."""
+    """The whitespace tokens of each line of a UTF-8 text file. Lines end at
+    a line feed only, so a carriage return before one, like any other
+    whitespace character, separates tokens. A missing file or bytes that
+    are not UTF-8 raise a DataError naming the file."""
     p = Path(path)
     try:
         raw = p.read_bytes()
-        return [line.split() for line in raw.decode("utf-8").splitlines()]
+        lines = raw.decode("utf-8").split("\n")
     except FileNotFoundError:
         raise DataError(f"{p}: file not found") from None
     except UnicodeDecodeError as e:
         ln = raw.count(b"\n", 0, e.start) + 1
         raise DataError(f"{p}:{ln}: line is not UTF-8 text") from None
+    if not lines[-1]:
+        lines.pop()   # the end of the last line, or an empty file
+    return [line.split() for line in lines]
 
 
 def read_parallel(*paths) -> list[list[list[str]]]:
@@ -168,19 +174,30 @@ def read_fertilities(path, pairs, max_fertility: int) -> list[list[int]]:
 
 def coerce(key: str, value: str, types: dict[str, str], where: str = ""):
     """VALUE as the type of configuration key KEY in `types` (field name to
-    annotation, as in the config dataclasses); a fault names `where`."""
+    annotation, as in the config dataclasses); a fault names `where`. An
+    integer is an optional "-" then plain ASCII digits (int() would also
+    take '1_0', '+4', ' 4' and non-ASCII digits), and a float is finite."""
     typ = types.get(key)
     if typ is None:
         raise DataError(f"{where}unknown configuration key {key!r}")
-    try:
-        if "tuple" in typ:
-            return tuple(v for v in value.split(",") if v)
-        if "float" in typ:
-            return None if value.lower() == "none" else float(value)
-        return int(value)   # every other field is an int
-    except ValueError:
-        raise DataError(f"{where}bad value {value!r} for configuration key "
-                        f"{key!r}") from None
+    if "tuple" in typ:
+        return tuple(v for v in value.split(",") if v)
+    bad = f"{where}bad value {value!r} for configuration key {key!r}"
+    if "float" in typ:
+        if value.lower() == "none":
+            return None
+        try:
+            number = float(value)
+        except ValueError:
+            raise DataError(bad) from None
+        if not math.isfinite(number):
+            raise DataError(f"{where}configuration key {key!r} must be finite, "
+                            f"got {value!r}")
+        return number
+    digits = value.removeprefix("-")   # every other field is an int
+    if not (digits.isascii() and digits.isdigit()):
+        raise DataError(bad)
+    return int(value)
 
 
 def read_config(path, types: dict[str, str]) -> dict:

@@ -6,13 +6,16 @@ Every model input, source or target, goes through `embed_positions` (scaled
 token embeddings plus positional encodings), and every attention bias, with
 padding, causal or self-exclusion masking, comes from `attention_bias`.
 
-Modules have two forwards. `__call__` records the autograd graph on
-Tensors; `fwd` runs the same tensor kernels on plain arrays, for decoder
-passes that record no gradients. An array forward works on the real token
-rows [N, d] of a padded [B, t] block, which `TokenRows` gathers and
-scatters; attention sees the padded grid, where padded keys get zero
-weight, so every real row equals its value in the graph forward (see
-`TokenRows` for the products that must keep the whole block).
+Each module has one forward, written once for two kinds of input. On
+Tensors it records the autograd graph; on plain arrays it runs the same
+tensor kernels (`tensor.*_fwd`) and records nothing, for decoder passes
+without gradients. Leaf modules (`Linear`, `LayerNorm`, `FFNBlock`, the
+projections of `MultiHeadAttention`) dispatch on their input. An array
+forward works on the real token rows [N, d] of a padded [B, t] block, which
+`TokenRows` gathers and scatters; attention sees the padded grid, where
+padded keys get zero weight, so every real row equals its value in the
+graph forward (see `TokenRows` for the products that must keep the whole
+block). A graph forward passes no `TokenRows`.
 """
 
 from __future__ import annotations
@@ -112,10 +115,9 @@ class Linear(Module):
         self.weight = Tensor(_uniform_init(rng, (d_in, d_out), d_in), requires_grad=True)
         self.bias = Tensor(_uniform_init(rng, (d_out,), d_in), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.weight, self.bias)
-
-    def fwd(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        if isinstance(x, Tensor):
+            return T.linear(x, self.weight, self.bias)
         return T.linear_fwd(x, self.weight.data, self.bias.data)
 
 
@@ -133,19 +135,17 @@ def position_rows(pos: np.ndarray, start: int, t: int) -> np.ndarray:
 
 
 def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
-                    scale: float, start: int = 0) -> Tensor:
+                    scale: float, start: int = 0,
+                    rows: TokenRows | None = None) -> Tensor | np.ndarray:
     """Token embeddings times `scale` plus the positional encodings `pos` of
     positions start, start+1, ...; the one embedding path of every encoder
-    and decoder input."""
-    return T.scaled_embedding(embed.weight, ids, scale,
-                              position_rows(pos, start, ids.shape[1]))
-
-
-def embed_positions_fwd(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
-                        scale: float, start: int = 0) -> np.ndarray:
-    """`embed_positions` on arrays."""
-    return T.scaled_embedding_fwd(embed.weight.data, ids, scale,
-                                  position_rows(pos, start, ids.shape[1]))
+    and decoder input. Without `rows` it records the op and returns a
+    Tensor [B, t, d]; with `rows` it runs on arrays and returns the real
+    rows [N, d] of the [B, t] block `ids`."""
+    pos = position_rows(pos, start, ids.shape[1])
+    if rows is None:
+        return T.scaled_embedding(embed.weight, ids, scale, pos)
+    return rows.gather(T.scaled_embedding_fwd(embed.weight.data, ids, scale, pos))
 
 
 def packs_rows(cfg: ModelConfig) -> bool:
@@ -219,12 +219,12 @@ class LayerNorm(Module):
         self.gain = Tensor(np.ones(d, dtype=DTYPE), requires_grad=True)
         self.bias = Tensor(np.zeros(d, dtype=DTYPE), requires_grad=True)
 
-    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor | np.ndarray,
+                 residual: Tensor | np.ndarray | None = None) -> Tensor | np.ndarray:
         """Normalized `x`, or normalized ``residual + x`` for a post-norm
-        sublayer with output `x`."""
-        return T.layer_norm(x, self.gain, self.bias, residual)
-
-    def fwd(self, x: np.ndarray, residual: np.ndarray | None = None) -> np.ndarray:
+        sublayer with output `x`; Tensors or arrays."""
+        if isinstance(x, Tensor):
+            return T.layer_norm(x, self.gain, self.bias, residual)
         return T.layer_norm_fwd(x, self.gain.data, self.bias.data, residual)[0]
 
 
@@ -241,12 +241,13 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray | None,
 
 
 class KVCache:
-    """Per-head key and value arrays [B, H, t, d_head] of one attention, kept
+    """Per-head keys and values [B, H, t, d_head] of one attention, kept
     between incremental decoding steps.
 
     A growing cache (self-attention) starts empty and gains each step's new
     positions; a fixed one holds keys and values projected once, from the
-    encoder memory.
+    encoder memory. A graph forward, one pass over whole sequences, keeps
+    Tensors in a fresh cache of each kind.
     """
 
     def __init__(self, k: np.ndarray | None = None, v: np.ndarray | None = None):
@@ -279,37 +280,41 @@ class MultiHeadAttention(Module):
         self.scale = cfg.attn_scale
         self.last_weights: np.ndarray | None = None
 
-    def __call__(self, q_in: Tensor, k_in: Tensor, v_in: Tensor,
-                 bias: np.ndarray | None) -> Tensor:
-        """Attend from `q_in` to `k_in`/`v_in`."""
-        n = self.n_head
-        q = T.linear_split_heads(q_in, self.wq.weight, self.wq.bias, n)
-        k = T.linear_split_heads(k_in, self.wk.weight, self.wk.bias, n)
-        v = T.linear_split_heads(v_in, self.wv.weight, self.wv.bias, n)
-        ctx, weights = attention_core(q, k, v, bias, self.scale)
-        self.last_weights = weights.numpy()
-        return T.merge_heads_linear(ctx, self.wo.weight, self.wo.bias)
-
-    def heads(self, proj: Linear, x: np.ndarray,
-              rows: TokenRows | None = None) -> np.ndarray:
+    def heads(self, proj: Linear, x, rows: TokenRows | None = None):
         """The per-head projection [B, H, t, d_head] by `proj`, one of wq, wk
-        and wv, of the array [B, t, d] `x`, or of the real rows [N, d] `x`
-        of such a block (zero at its padded positions)."""
+        and wv, of `x`: a Tensor [B, t, d] records the op; an array [B, t, d]
+        runs its kernel, as do the real rows [N, d] of the block `rows`
+        (zero at its padded positions)."""
+        if isinstance(x, Tensor):
+            return T.linear_split_heads(x, proj.weight, proj.bias, self.n_head)
         w, b = proj.weight.data, proj.bias.data
         if rows is None:
             return T.linear_split_heads_fwd(x, w, b, self.n_head)
         return rows.split_heads(T.linear_fwd(x, w, b), self.n_head)
 
-    def fwd(self, x: np.ndarray, k: np.ndarray, v: np.ndarray,
-            bias: np.ndarray | None, rows: TokenRows) -> np.ndarray:
-        """`__call__` on arrays: attend from the real query rows `x` [N, d]
-        to the per-head keys `k` and values `v` [B, H, tk, d_head]."""
+    def attend(self, x, k, v, bias: np.ndarray | None,
+               rows: TokenRows | None = None):
+        """Attend from the queries `x` to the per-head keys `k` and values
+        `v` [B, H, tk, d_head]: Tensors, with `x` [B, tq, d], record the
+        graph; arrays, with `x` the real rows [N, d] of the block `rows`,
+        return the real rows of the output."""
         q = self.heads(self.wq, x, rows)
+        if isinstance(q, Tensor):
+            ctx, weights = attention_core(q, k, v, bias, self.scale)
+            self.last_weights = weights.numpy()
+            return T.merge_heads_linear(ctx, self.wo.weight, self.wo.bias)
         logits = np.matmul(q, k.transpose(0, 1, 3, 2))
         weights = T.attention_softmax_fwd(logits, self.scale, bias).astype(DTYPE)
         self.last_weights = weights
         ctx = np.matmul(weights, v).transpose(0, 2, 1, 3)
-        return self.wo.fwd(rows.gather(ctx))
+        return self.wo(rows.gather(ctx))
+
+    def __call__(self, q_in, k_in, v_in, bias: np.ndarray | None,
+                 rows: TokenRows | None = None):
+        """Attend from `q_in` to `k_in`/`v_in`: Tensors [B, t, d], or the
+        real rows [N, d] of the block `rows`."""
+        return self.attend(q_in, self.heads(self.wk, k_in, rows),
+                           self.heads(self.wv, v_in, rows), bias, rows)
 
 
 class FFNBlock(Module):
@@ -319,11 +324,10 @@ class FFNBlock(Module):
         self.inner = Linear(cfg.d_model, cfg.d_hidden, rng)
         self.outer = Linear(cfg.d_hidden, cfg.d_model, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.ffn(x, self.inner.weight, self.inner.bias,
-                     self.outer.weight, self.outer.bias)
-
-    def fwd(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        if isinstance(x, Tensor):
+            return T.ffn(x, self.inner.weight, self.inner.bias,
+                         self.outer.weight, self.outer.bias)
         return T.ffn_fwd(x, self.inner.weight.data, self.inner.bias.data,
                          self.outer.weight.data, self.outer.bias.data)[0]
 

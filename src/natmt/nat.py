@@ -7,9 +7,9 @@ self-attention masked only at the query's own position, positional attention
 (positional encodings as query and key, decoder states as value),
 encoder-decoder attention, and an FFN. A one-layer softmax head over the
 last encoder layer predicts per-source-token fertility classes 0..L-1.
-With gradients on, the decoder records the autograd graph; without them
-(every decode, and fine-tuning's sampled translations) it runs the array
-forward of its layers on the real output slots only.
+The decoder's layers are written once: with gradients on they record the
+autograd graph; without them (every decode, and fine-tuning's sampled
+translations) they run on arrays over the real output slots only.
 
 Decoding has one core. A strategy proposes fertility sequences from the
 distribution of a source encoded once; the core fits each (an all-zero one
@@ -36,7 +36,7 @@ from .config import ModelConfig
 from .data import PAD, pad_block
 from .layers import (Encoder, FFNBlock, LayerNorm, Linear, Module,
                      MultiHeadAttention, TokenRows, attention_bias,
-                     embed_positions, embed_positions_fwd, packs_rows)
+                     embed_positions, packs_rows)
 from .tensor import Tensor
 
 
@@ -80,27 +80,17 @@ class NatDecoderLayer(Module):
         self.ffn = FFNBlock(cfg, rng)
         self.norm_ffn = LayerNorm(cfg.d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor, pos_q: Tensor,
-                 self_bias: np.ndarray, pad_bias: np.ndarray,
-                 cross_bias: np.ndarray) -> Tensor:
-        x = self.norm_self(self.self_attn(x, x, x, self_bias), x)
-        x = self.norm_pos(self.pos_attn(pos_q, pos_q, x, pad_bias), x)
-        x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias), x)
+    def __call__(self, x, rows: TokenRows | None, memory, pos_q,
+                 self_bias: np.ndarray, pad_bias: np.ndarray, cross_bias: np.ndarray):
+        """The layer over the output slots `x` and their positions `pos_q`,
+        Tensors [B, t, d] or the real rows [N, d] of the block `rows`, and
+        the [B, T', d] encoder memory, of the same kind."""
+        x = self.norm_self(self.self_attn(x, x, x, self_bias, rows), x)
+        x = self.norm_pos(self.pos_attn(pos_q, pos_q, x, pad_bias, rows), x)
+        c = self.cross_attn
+        x = self.norm_cross(c.attend(x, c.heads(c.wk, memory), c.heads(c.wv, memory),
+                                     cross_bias, rows), x)
         return self.norm_ffn(self.ffn(x), x)
-
-    def fwd(self, x: np.ndarray, rows: TokenRows, memory: np.ndarray,
-            pos_q: np.ndarray, self_bias: np.ndarray, pad_bias: np.ndarray,
-            cross_bias: np.ndarray) -> np.ndarray:
-        """`__call__` on the real rows `x` and `pos_q` [N, d] of the output
-        slots, over the [B, T', d] encoder memory."""
-        a, p, c = self.self_attn, self.pos_attn, self.cross_attn
-        x = self.norm_self.fwd(a.fwd(x, a.heads(a.wk, x, rows), a.heads(a.wv, x, rows),
-                                     self_bias, rows), x)
-        x = self.norm_pos.fwd(p.fwd(pos_q, p.heads(p.wk, pos_q, rows),
-                                    p.heads(p.wv, x, rows), pad_bias, rows), x)
-        x = self.norm_cross.fwd(c.fwd(x, c.heads(c.wk, memory), c.heads(c.wv, memory),
-                                      cross_bias, rows), x)
-        return self.norm_ffn.fwd(self.ffn.fwd(x), x)
 
 
 class NatModel(Module):
@@ -137,22 +127,21 @@ class NatModel(Module):
         pad_bias = attention_bias(None, dec_len, t, t)
         cross_bias = attention_bias(None, src_len, t, memory.shape[1])
         enc = self.encoder
+        rows = None if T.grad_enabled() else TokenRows(dec_len, t, packs_rows(self.cfg))
         # copied source tokens in the source embedding, fresh output positions
-        if T.grad_enabled():
-            x = self.norm_in(embed_positions(enc.embed, dec_ids, enc.pos,
-                                             enc.embed_scale))
-            pos_q = Tensor(np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model)).copy())
-            for layer in self.layers:
-                x = layer(x, memory, pos_q, self_bias, pad_bias, cross_bias)
-            return self.proj(x)
-        rows = TokenRows(dec_len, t, packs_rows(self.cfg))
-        x = self.norm_in.fwd(rows.gather(embed_positions_fwd(
-            enc.embed, dec_ids, enc.pos, enc.embed_scale)))
-        pos_q = rows.gather(np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model)))
+        x = self.norm_in(embed_positions(enc.embed, dec_ids, enc.pos, enc.embed_scale,
+                                         rows=rows))
+        pos_q = np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model))
+        if rows is None:
+            pos_q = Tensor(pos_q.copy())
+        else:
+            pos_q, memory = rows.gather(pos_q), memory.data
         for layer in self.layers:
-            x = layer.fwd(x, rows, memory.data, pos_q, self_bias, pad_bias, cross_bias)
+            x = layer(x, rows, memory, pos_q, self_bias, pad_bias, cross_bias)
+        if rows is None:
+            return self.proj(x)
         # the vocabulary projection runs over every slot (see `TokenRows`)
-        return Tensor(rows.zero_padding(self.proj.fwd(rows.scatter(x))))
+        return Tensor(rows.zero_padding(self.proj(rows.scatter(x))))
 
 
 # ---------------------------------------------------------------------------

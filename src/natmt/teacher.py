@@ -13,10 +13,11 @@ from the memory once, so each step decodes only the newest token of every
 row. `greedy_decode_batch` decodes many sources in one such loop, dropping
 rows from the cache as they finish.
 
-With gradients on, the decoder records the autograd graph. Without them
-(scoring, decoding) it runs the array forward of its layers on the real
-token rows only; a cached step is the pass of one token per row, with no
-padding, against the cached positions.
+One layer loop serves every pass. With gradients on, the decoder records
+the autograd graph, its layers reading a fresh cache per pass. Without them
+(scoring, decoding) the same layers run on arrays over the real token rows
+only; a cached step is the pass of one token per row, with no padding,
+against the cached positions.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .config import ModelConfig
 from .data import BOS, EOS, PAD, Batch, pad_block
 from .layers import (Embedding, Encoder, FFNBlock, KVCache, LayerNorm, Linear,
                      Module, MultiHeadAttention, TokenRows, attention_bias,
-                     causal_mask, embed_positions, embed_positions_fwd,
-                     packs_rows)
+                     causal_mask, embed_positions, packs_rows)
 from .tensor import Tensor
 
 
@@ -46,33 +46,27 @@ class DecoderLayer(Module):
         self.ffn = FFNBlock(cfg, rng)
         self.norm_ffn = LayerNorm(cfg.d_model)
 
-    def __call__(self, x: Tensor, memory: Tensor, self_bias: np.ndarray,
-                 cross_bias: np.ndarray) -> Tensor:
-        x = self.norm_self(self.self_attn(x, x, x, self_bias), x)
-        x = self.norm_cross(self.cross_attn(x, memory, memory, cross_bias), x)
-        return self.norm_ffn(self.ffn(x), x)
-
-    def fwd(self, x: np.ndarray, rows: TokenRows, cache: tuple[KVCache, KVCache],
-            self_bias: np.ndarray | None, cross_bias: np.ndarray) -> np.ndarray:
-        """`__call__` on the real rows `x` [N, d] against the layer's (self,
-        cross) attention caches; the self-attention cache gains the keys
-        and values of `x`."""
+    def __call__(self, x, rows: TokenRows | None, cache: tuple[KVCache, KVCache],
+                 self_bias: np.ndarray | None, cross_bias: np.ndarray):
+        """The layer over `x`, a Tensor [B, t, d] or the real rows [N, d] of
+        the block `rows`, against its (self, cross) attention caches; the
+        self-attention cache gains the keys and values of `x`."""
         self_kv, cross_kv = cache
         a = self.self_attn
         k, v = self_kv.append(a.heads(a.wk, x, rows), a.heads(a.wv, x, rows))
-        x = self.norm_self.fwd(a.fwd(x, k, v, self_bias, rows), x)
+        x = self.norm_self(a.attend(x, k, v, self_bias, rows), x)
         c = self.cross_attn
-        x = self.norm_cross.fwd(c.fwd(x, cross_kv.k, cross_kv.v, cross_bias, rows), x)
-        return self.norm_ffn.fwd(self.ffn.fwd(x), x)
+        x = self.norm_cross(c.attend(x, cross_kv.k, cross_kv.v, cross_bias, rows), x)
+        return self.norm_ffn(self.ffn(x), x)
 
 
-def _layer_caches(model: "TeacherModel", memory: Tensor):
+def _layer_caches(model: "TeacherModel", memory):
     """Per decoder layer, made as the layers are reached: an empty
     self-attention cache and a cross-attention cache projected from
-    `memory`."""
+    `memory`, a Tensor or an array [B, T', d]."""
     for layer in model.layers:
         a = layer.cross_attn
-        yield KVCache(), KVCache(a.heads(a.wk, memory.data), a.heads(a.wv, memory.data))
+        yield KVCache(), KVCache(a.heads(a.wk, memory), a.heads(a.wv, memory))
 
 
 class DecoderCache:
@@ -85,7 +79,7 @@ class DecoderCache:
         self.length = 0
         self.step_rows = TokenRows(None, 1)
         self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
-        self.layers = list(_layer_caches(model, memory))
+        self.layers = list(_layer_caches(model, memory.data))
 
     def select(self, rows) -> None:
         """Keep the given rows, in the given order (beam parents may repeat)."""
@@ -130,15 +124,10 @@ class TeacherModel(Module):
         if cache is None:
             self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
             cross_bias = attention_bias(None, src_len, t, memory.shape[1])
-            if T.grad_enabled():
-                x = self.norm_in(embed_positions(self.embed, tgt_in, enc.pos,
-                                                 enc.embed_scale))
-                for layer in self.layers:
-                    x = layer(x, memory, self_bias, cross_bias)
-                return self.proj(x)
-            rows = TokenRows(tgt_in_len, t, packs_rows(self.cfg))
-            # a layer's keys and values are made when it is reached, as in the
-            # graph forward
+            rows = None
+            if not T.grad_enabled():
+                rows, memory = TokenRows(tgt_in_len, t, packs_rows(self.cfg)), memory.data
+            # a layer's keys and values are made when it is reached
             start, layer_caches = 0, _layer_caches(self, memory)
         else:
             if t != 1:
@@ -150,12 +139,14 @@ class TeacherModel(Module):
             self_bias, cross_bias, rows = None, cache.cross_bias, cache.step_rows
             start, layer_caches = cache.length, cache.layers
             cache.length += 1
-        x = embed_positions_fwd(self.embed, tgt_in, enc.pos, enc.embed_scale, start)
-        x = self.norm_in.fwd(rows.gather(x))
+        x = self.norm_in(embed_positions(self.embed, tgt_in, enc.pos, enc.embed_scale,
+                                         start, rows))
         for layer, layer_cache in zip(self.layers, layer_caches):
-            x = layer.fwd(x, rows, layer_cache, self_bias, cross_bias)
+            x = layer(x, rows, layer_cache, self_bias, cross_bias)
+        if rows is None:
+            return self.proj(x)
         # the vocabulary projection runs over every slot (see `TokenRows`)
-        return Tensor(rows.zero_padding(self.proj.fwd(rows.scatter(x))))
+        return Tensor(rows.zero_padding(self.proj(rows.scatter(x))))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import natmt.bench as B
+import natmt.data as D
 import natmt.nat as N
+import natmt.pipeline as P
 import natmt.teacher as AR
 import natmt.tensor as T
 from natmt.config import ModelConfig
 from natmt.data import BOS, EOS, DataError
+from natmt.optim import AdamWarmup
 
 
 def tiny_cfg():
@@ -103,6 +106,38 @@ def test_tensor_ops_per_decode_are_pinned(monkeypatch):
     ops[0] = 0
     N.decode_npd(src, nat, teacher, 10)
     assert ops[0] == 52
+
+
+def test_tensor_ops_per_training_step_are_pinned(monkeypatch):
+    """The gradient passes record the autograd graph, and its op count is
+    the structure their gradients are summed over. With 2-layer models and
+    a ragged batch of two pairs, one teacher step, one parallel step and one
+    fine-tuning step with every loss term record these many ops."""
+    cfg = dataclasses.replace(tiny_cfg(), n_layer=2)
+    teacher = AR.TeacherModel(cfg, np.random.default_rng(3))
+    nat = N.NatModel(cfg, np.random.default_rng(4))
+    batch = D.make_batches([([4, 5, 6], [7, 8]), ([9, 4], [10, 11, 5])], 2,
+                           fertilities=[[1, 0, 1], [2, 1]])[0]
+    ops = [0]
+    make = T._make
+
+    def counting_make(*args):
+        ops[0] += 1
+        return make(*args)
+
+    monkeypatch.setattr(T, "_make", counting_make)
+    counts = []
+    for step in (
+            lambda: AR.ar_train_step(
+                batch, teacher, AdamWarmup(teacher.named_parameters(), 0.1)),
+            lambda: P.nat_ml_step(batch, nat, AdamWarmup(nat.named_parameters(), 0.1)),
+            lambda: P.finetune_step(batch, nat, teacher, 0.5,
+                                    AdamWarmup(nat.named_parameters(), 0.1),
+                                    np.random.default_rng(0))):
+        ops[0] = 0
+        step()
+        counts.append(ops[0])
+    assert counts == [69, 91, 137]
 
 
 def test_bench_counts_passes_per_contract(models):

@@ -159,6 +159,22 @@ def test_config_value_below_zero_exits_2_naming_key(tmp_path, capsys, flags, key
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("key, value, most", [
+    ("d_model", 10**20, 4096), ("d_hidden", 10**20, 16384), ("max_len", 10**20, 4096),
+    ("max_fertility", 10**20, 1024), ("n_head", 4097, 4096), ("n_layer", 65, 64)])
+def test_model_size_above_its_ceiling_exits_2_naming_key(tmp_path, capsys, key, value,
+                                                         most):
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    out_path = tmp_path / "t.nat"
+    code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                         "--out", str(out_path), "--steps", "1",
+                         "--set", f"{key}={value}")
+    assert (code, out) == (2, "")
+    assert f"data error: {key} must be at most {most}, got {value}" in err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("steps=2\nfrobs=3\n", ":2: unknown configuration key 'frobs'"),
     ("# width\nd_model=wide\n", ":2: bad value 'wide' for configuration key 'd_model'"),

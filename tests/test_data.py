@@ -1,9 +1,12 @@
 """Vocabulary, corpus loading, and batching tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from natmt import data as D
+from natmt.config import ModelConfig, TrainConfig
 
 
 def test_reserved_ids_fixed():
@@ -61,6 +64,32 @@ def test_load_corpus_line_count_mismatch_names_both(tmp_path):
         D.load_corpus(tmp_path / "t")
     msg = str(exc.value)
     assert "3" in msg and "2" in msg
+
+
+def test_read_sentences_ends_lines_at_line_feeds_only(tmp_path):
+    # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85,
+    # \u2028 and \u2029; to str.split they, and \r, are whitespace
+    p = tmp_path / "s.txt"
+    p.write_bytes("a\x1cb\nc\x0bd\x0ce\x85f\r\ng\u2028h\u2029i\r\n\r\n".encode())
+    assert D.read_sentences(p) == [["a", "b"], ["c", "d", "e", "f"],
+                                   ["g", "h", "i"], []]
+    # so FILE:LINE counts line feeds
+    p.write_bytes(b"a\x1cb\n<pad>\n")
+    with pytest.raises(D.DataError, match=":2: line holds the reserved token"):
+        D.check_lines(p, D.read_sentences(p))
+
+
+CONFIG_TYPES = {f.name: f.type for cls in (ModelConfig, TrainConfig)
+                for f in dataclasses.fields(cls)}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("steps", "1_0"), ("warmup", "\u0663"), ("seed", "+4"), ("batch_size", " 4"),
+    ("d_model", "\uff18"), ("lr_scale", "inf"), ("lr_scale", "nan"),
+    ("lr_scale", "-Infinity"), ("lam", "1e999")])
+def test_coerce_refuses_a_lenient_or_non_finite_number(key, value):
+    with pytest.raises(D.DataError, match=f"configuration key '{key}'"):
+        D.coerce(key, value, CONFIG_TYPES)
 
 
 def test_pad_block():
