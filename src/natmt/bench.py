@@ -15,7 +15,7 @@ import numpy as np
 from . import nat as N
 from . import teacher as AR
 from .bleu import bleu
-from .data import DataError
+from .data import DataError, integer
 
 
 @dataclass
@@ -46,11 +46,10 @@ def parse_strategy(spec: str) -> tuple[str, int | None]:
         return kind, {"beam": 4, "npd": 10}.get(kind)
     if kind not in ("beam", "npd"):
         raise DataError(f"strategy {kind!r} takes no argument in {spec!r}")
-    # plain ASCII digits only: int() would also take '1_0', '+4', ' 4' and
-    # non-ASCII digits
-    if not (arg.isascii() and arg.isdigit()):
-        raise DataError(f"bad strategy argument in {spec!r}")
-    n = int(arg)
+    try:
+        n = integer(arg)
+    except ValueError:
+        raise DataError(f"bad strategy argument in {spec!r}") from None
     if n < 1:
         raise DataError(f"strategy argument must be positive in {spec!r}")
     return kind, n

@@ -18,8 +18,8 @@ from . import teacher as AR
 from .bleu import bleu
 from .config import ModelConfig, TrainConfig
 from .data import (DataError, Vocab, at_least, check_corpus, check_lines, coerce,
-                   encode_corpus, load_corpus, read_config, read_fertilities,
-                   read_parallel, read_sentences, save_corpus)
+                   encode_corpus, integer, load_corpus, read_config,
+                   read_fertilities, read_parallel, read_sentences, save_corpus)
 from .tensor import NumericError
 
 
@@ -39,9 +39,9 @@ class _Parser(argparse.ArgumentParser):
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 # configuration keys with a dedicated flag (`batch_size` is `--batch-size`)
-_CONFIG_FLAGS = (("steps", int), ("batch_size", int), ("seed", int),
-                 ("warmup", int), ("lam", float), ("d_model", int),
-                 ("n_layer", int), ("max_fertility", int), ("log_every", int))
+_CONFIG_FLAGS = tuple((key, float if key == "lam" else integer) for key in (
+    "steps", "batch_size", "seed", "warmup", "lam", "d_model", "n_layer",
+    "max_fertility", "log_every"))
 
 
 def gather_config(args) -> dict:
@@ -192,7 +192,8 @@ def cmd_finetune(args) -> None:
     teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
     _check_same_vocabs(args.teacher, (tsv, ttv), args.nat, (sv, tv))
     pairs_tok = load_corpus(args.corpus)
-    check_corpus(args.corpus, pairs_tok, model.cfg.max_len, parallel=True)
+    check_corpus(args.corpus, pairs_tok,
+                 min(model.cfg.max_len, teacher_model.cfg.max_len), parallel=True)
     ferts = read_fertilities(args.fertilities, pairs_tok, model.cfg.max_fertility)
     _, tcfg = split_config(gather_config(args))
     log = P.TrainingLog(args.log)
@@ -320,7 +321,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("train-teacher", parents=[], add_help=True)
     sp.add_argument("--corpus", required=True, help="corpus prefix (.src/.tgt)")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--min-freq", dest="min_freq", type=int, default=1)
+    sp.add_argument("--min-freq", dest="min_freq", type=integer, default=1)
     _add_config_flags(sp)
     sp.set_defaults(func=cmd_train_teacher)
 
@@ -329,16 +330,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out-prefix", dest="out_prefix", required=True)
     sp.add_argument("--mode", choices=("greedy", "beam"), default="greedy")
-    sp.add_argument("--beam", type=int, default=4)
+    sp.add_argument("--beam", type=integer, default=4)
     sp.set_defaults(func=cmd_distill)
 
     sp = sub.add_parser("align")
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--alignments-out", dest="alignments_out")
     sp.add_argument("--fertilities-out", dest="fertilities_out")
-    sp.add_argument("--iters-m1", dest="iters_m1", type=int, default=5)
-    sp.add_argument("--iters-m2", dest="iters_m2", type=int, default=5)
-    sp.add_argument("--max-fertility", dest="max_fertility", type=int,
+    sp.add_argument("--iters-m1", dest="iters_m1", type=integer, default=5)
+    sp.add_argument("--iters-m2", dest="iters_m2", type=integer, default=5)
+    sp.add_argument("--max-fertility", dest="max_fertility", type=integer,
                     default=50)
     sp.set_defaults(func=cmd_align)
 
@@ -348,7 +349,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--init-encoder", dest="init_encoder",
                     help="teacher checkpoint whose encoder seeds the student")
-    sp.add_argument("--min-freq", dest="min_freq", type=int, default=1)
+    sp.add_argument("--min-freq", dest="min_freq", type=integer, default=1)
     _add_config_flags(sp)
     sp.set_defaults(func=cmd_train_nat)
 
@@ -369,7 +370,7 @@ def build_parser() -> _Parser:
                     choices=("argmax", "average", "npd", "greedy", "beam"))
     # the strategy spec built from these two validates them
     sp.add_argument("--samples", default="10")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--beam", default="4")
     sp.add_argument("--teacher", help="teacher checkpoint for npd rescoring")
     sp.set_defaults(func=cmd_translate)
@@ -390,23 +391,23 @@ def build_parser() -> _Parser:
     sp.add_argument("--nat")
     sp.add_argument("--testset", required=True, help="source sentences file")
     sp.add_argument("--strategies", default="beam:4,greedy,argmax")
-    sp.add_argument("--repeats", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--repeats", type=integer, default=3)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--out", help="per-sentence TSV report path")
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("gen-synth")
     sp.add_argument("--kind", choices=("copy", "dictionary", "multimodal"),
                     required=True)
-    sp.add_argument("--size", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--size", type=integer, required=True)
+    sp.add_argument("--seed", type=integer, default=0)
     sp.add_argument("--out-prefix", dest="out_prefix", required=True)
-    sp.add_argument("--vocab", type=int, default=30)
-    sp.add_argument("--min-len", dest="min_len", type=int, default=3)
-    sp.add_argument("--max-len", dest="max_len", type=int, default=8)
-    sp.add_argument("--modes", type=int, default=3)
-    sp.add_argument("--phrases", type=int, default=12)
-    sp.add_argument("--phrases-per-sent", dest="phrases_per_sent", type=int,
+    sp.add_argument("--vocab", type=integer, default=30)
+    sp.add_argument("--min-len", dest="min_len", type=integer, default=3)
+    sp.add_argument("--max-len", dest="max_len", type=integer, default=8)
+    sp.add_argument("--modes", type=integer, default=3)
+    sp.add_argument("--phrases", type=integer, default=12)
+    sp.add_argument("--phrases-per-sent", dest="phrases_per_sent", type=integer,
                     default=2)
     sp.add_argument("--links-out", dest="links_out")
     sp.set_defaults(func=cmd_gen_synth)

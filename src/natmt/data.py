@@ -24,6 +24,16 @@ class DataError(ValueError):
     checkpoint file), a configuration value or a flag."""
 
 
+def integer(text: str) -> int:
+    """TEXT as an integer: an optional "-", then plain ASCII digits (int()
+    would also take '1_0', '+4', ' 4' and non-ASCII digits); else a
+    ValueError, which argparse reports naming the flag."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def at_least(name: str, value, least, why: str = "") -> None:
     """Refuse a count, flag or configuration value NAME below LEAST."""
     if value < least:
@@ -154,7 +164,7 @@ def read_fertilities(path, pairs, max_fertility: int) -> list[list[int]]:
     out = []
     for ln, (toks, (src, tgt)) in enumerate(zip(rows, pairs), 1):
         try:
-            row = [int(tok) for tok in toks]
+            row = [integer(tok) for tok in toks]
         except ValueError:
             raise DataError(f"{path}:{ln}: fertility lines must be integers") from None
         for f in row:
@@ -175,8 +185,7 @@ def read_fertilities(path, pairs, max_fertility: int) -> list[list[int]]:
 def coerce(key: str, value: str, types: dict[str, str], where: str = ""):
     """VALUE as the type of configuration key KEY in `types` (field name to
     annotation, as in the config dataclasses); a fault names `where`. An
-    integer is an optional "-" then plain ASCII digits (int() would also
-    take '1_0', '+4', ' 4' and non-ASCII digits), and a float is finite."""
+    integer obeys `integer`, and a float is finite."""
     typ = types.get(key)
     if typ is None:
         raise DataError(f"{where}unknown configuration key {key!r}")
@@ -194,10 +203,10 @@ def coerce(key: str, value: str, types: dict[str, str], where: str = ""):
             raise DataError(f"{where}configuration key {key!r} must be finite, "
                             f"got {value!r}")
         return number
-    digits = value.removeprefix("-")   # every other field is an int
-    if not (digits.isascii() and digits.isdigit()):
-        raise DataError(bad)
-    return int(value)
+    try:
+        return integer(value)   # every other field is an int
+    except ValueError:
+        raise DataError(bad) from None
 
 
 def read_config(path, types: dict[str, str]) -> dict:

@@ -19,8 +19,9 @@ given an autoregressive teacher, keeps the first candidate it scores best.
 The proposers are per-position argmax, rounded expected fertility, and noisy
 parallel decoding (npd): the argmax sequence as candidate 0, the average as
 candidate 1, then independent draws, so the winning teacher score can only
-improve with more samples under a fixed seed. `translate_given_fertility`
-shares the core's translate step.
+improve with more samples under a fixed seed. The core's translate step,
+`translate_step`, also serves `translate_given_fertility`, training and
+fine-tuning: it is the one place source tokens are copied by fertility.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def round_half_away(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def copy_fertility(source: Sequence, fertility: Sequence[int]) -> list:
-    """Source token i repeated fertility[i] times, in order."""
+    """Source token i repeated fertility[i] times, in order: one row of
+    `translate_step`'s copied inputs, spelled out as the reference."""
     if len(source) != len(fertility):
         raise ValueError(
             f"fertility length {len(fertility)} != source length {len(source)}")
@@ -228,32 +230,41 @@ class DecodeResult:
     teacher_score: float | None = None
 
 
-def _encode_memory(src_ids: Sequence[int], model: NatModel) -> Tensor:
-    """Encoder memory of one source."""
-    with T.no_grad():
-        return model.encode(np.asarray(src_ids, dtype=np.int64)[None, :],
-                            np.array([len(src_ids)]))
-
-
 def _encode_source(src_ids: Sequence[int], model: NatModel
                    ) -> tuple[Tensor, np.ndarray]:
     """Encoder memory of one source and its [T', L] fertility distribution."""
-    memory = _encode_memory(src_ids, model)
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    return memory, fertility_dist_batch(src, np.array([len(src_ids)]), model,
-                                        memory)[0]
-
-
-def _translate(src_ids: Sequence[int], ferts: Sequence[Sequence[int]],
-               model: NatModel, memory: Tensor) -> list[list[int]]:
-    """Translate several fertility sequences of one source in one padded pass
-    over their copied inputs; returns the per-position argmax tokens of each."""
-    dec_ids, dec_len = pad_block([copy_fertility(list(src_ids), list(f))
-                                  for f in ferts])
-    n = len(ferts)
+    src, src_len = pad_block([src_ids])
     with T.no_grad():
-        mem = Tensor(np.repeat(memory.data, n, axis=0)) if n > 1 else memory
-        logits = model.decode_logits(mem, np.full(n, len(src_ids)), dec_ids, dec_len)
+        memory = model.encode(src, src_len)
+    return memory, fertility_dist_batch(src, src_len, model, memory)[0]
+
+
+def translate_step(model: NatModel, memory: Tensor, src: np.ndarray,
+                   src_len: np.ndarray, ferts: np.ndarray,
+                   rows: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Decoder logits and lengths [R] of the copies of fertility rows [R, T'],
+    `copy_fertility` of every row at once (fertilities past a source's end
+    are 0). Row r reads row r of the source block `src`, `src_len` encoded
+    as `memory`, or row rows[r], a selection that records no graph."""
+    if rows is not None:
+        src, src_len, memory = src[rows], src_len[rows], Tensor(memory.data[rows])
+    dec_len = ferts.sum(axis=1)
+    if not dec_len.all():
+        raise ValueError("zero total fertility; apply the length floor first")
+    dec_ids = np.full((len(ferts), dec_len.max()), PAD, dtype=np.int64)
+    dec_ids[np.arange(dec_ids.shape[1]) < dec_len[:, None]] = np.repeat(
+        src.ravel(), ferts.ravel())
+    return model.decode_logits(memory, src_len, dec_ids, dec_len), dec_len
+
+
+def _translate(src_ids: Sequence[int], ferts: np.ndarray, model: NatModel,
+               memory: Tensor) -> list[list[int]]:
+    """Translate fertility sequences [n, T'] of one source in one padded
+    pass; returns the per-position argmax tokens of each."""
+    src, src_len = pad_block([src_ids])
+    with T.no_grad():
+        logits, dec_len = translate_step(model, memory, src, src_len, ferts,
+                                         np.zeros(len(ferts), dtype=np.int64))
         logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
     logp[:, :, PAD] = -np.inf  # padding is not an emittable token
     return [[int(t) for t in logp[i, :m].argmax(axis=-1)]
@@ -284,7 +295,9 @@ def translate_given_fertility(src_ids: Sequence[int], fertility: Sequence[int],
                               model: NatModel) -> list[int]:
     """Per-position argmax output for one fertility sequence; length is
     exactly the fertility total."""
-    return _translate(src_ids, [fertility], model, _encode_memory(src_ids, model))[0]
+    with T.no_grad():
+        memory = model.encode(*pad_block([src_ids]))
+    return _translate(src_ids, np.array([fertility]), model, memory)[0]
 
 
 def decode_argmax(src_ids: Sequence[int], model: NatModel) -> DecodeResult:

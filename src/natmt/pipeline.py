@@ -11,15 +11,19 @@ lambda * (L_RL + L_BP) + (1 - lambda) * L_KD.
 
 A fine-tuning step is batched over the whole batch and makes two encoder
 calls: the student is encoded once, with gradients, for all three terms,
-and the teacher once. KD and BP share one decode of the aligner-fertility
-copies, RL's sampled and baseline fertilities share one no-grad decode, and
-one forced teacher decode scores every BP, reward and baseline output.
-``rkl_value`` and ``fertility_log_prob`` are the same code at batch size one.
+and the teacher once. Every student decode runs `nat.translate_step`,
+decoding's translate step: KD and BP share one decode of the
+aligner-fertility copies (supervised training's), RL's sampled and baseline
+fertilities share one no-grad decode, and one forced teacher pass
+(`teacher.forced_log_probs`, which candidate scoring also runs) scores
+every BP, reward and baseline output. ``rkl_value`` and
+``fertility_log_prob`` are the same code at batch size one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import time
 import warnings
@@ -106,13 +110,9 @@ def build_distill_corpus(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
                 hyps[i] = hyp
     else:
         hyps = [AR.beam_decode(src, teacher_model, b=beam_width) for src in srcs]
-    out = []
-    empty = 0
-    for src, hyp in zip(srcs, hyps):
-        if not hyp:
-            empty += 1
-            hyp = [EOS]  # keep the pair with a minimal length-1 target
-        out.append((src, hyp))
+    # an empty decode keeps its pair with a minimal length-1 target
+    out = [(src, hyp or [EOS]) for src, hyp in zip(srcs, hyps)]
+    empty = sum(not hyp for hyp in hyps)
     if empty:
         warnings.warn(f"replaced {empty} empty teacher decode(s) with the end marker")
     return DistilledCorpus(out, empty)
@@ -136,9 +136,7 @@ class MlStepResult:
 def _nat_losses(batch: Batch, model: NAT.NatModel) -> tuple[Tensor, Tensor]:
     """Mean-per-position translation and fertility cross-entropies for one
     batch carrying aligner fertilities."""
-    trans_loss, fert_loss, _, _ = _nat_forward(
-        batch, model, model.encode(batch.src, batch.src_len))
-    return trans_loss, fert_loss
+    return _nat_forward(batch, model, model.encode(batch.src, batch.src_len))[:2]
 
 
 def _nat_forward(batch: Batch, model: NAT.NatModel, memory: Tensor
@@ -159,11 +157,8 @@ def _nat_forward(batch: Batch, model: NAT.NatModel, memory: Tensor
     src_valid = np.arange(batch.src.shape[1])[None, :] < batch.src_len[:, None]
     fert_loss = T.cross_entropy(fert_lp, batch.fertility, src_valid)
 
-    copies = [NAT.copy_fertility(list(batch.src[i, : batch.src_len[i]]),
-                                 list(batch.fertility[i, : batch.src_len[i]]))
-              for i in range(batch.size)]
-    dec_ids, dec_len = pad_block(copies)
-    logits = model.decode_logits(memory, batch.src_len, dec_ids, dec_len)
+    logits, _ = NAT.translate_step(model, memory, batch.src, batch.src_len,
+                                   batch.fertility)
     # the fertility sums equal tgt_len, so the decoder is as wide as the target
     tgt_valid = np.arange(batch.tgt.shape[1])[None, :] < batch.tgt_len[:, None]
     trans_loss = T.cross_entropy(T.log_softmax(logits, axis=-1), batch.tgt, tgt_valid)
@@ -191,11 +186,8 @@ def init_encoder_from_teacher(student: NAT.NatModel,
     table = dict(student.named_parameters())
     student_enc = {n for n in table if n.startswith("encoder.")}
     given = {n for n, _ in exported}
-    problems = []
-    for name in sorted(given - student_enc):
-        problems.append(f"unexpected parameter {name}")
-    for name in sorted(student_enc - given):
-        problems.append(f"missing parameter {name}")
+    problems = [f"unexpected parameter {n}" for n in sorted(given - student_enc)]
+    problems += [f"missing parameter {n}" for n in sorted(student_enc - given)]
     for name, arr in exported:
         if name in table and table[name].data.shape != arr.shape:
             problems.append(
@@ -224,9 +216,9 @@ def rkl_values(src: np.ndarray, src_len: np.ndarray,
     is sum_t sum_y log p_teacher(y | output_<t, x) * p_student(y at t), plus
     the teacher's end-marker log-prob, so a one-hot student recovers exactly
     the teacher's score of the output. Padded positions weigh zero. One
-    teacher encode and one forced teacher decode cover every row of every
-    group. Returns one [R] tensor per group, a graph node when its logits
-    are one.
+    forced teacher pass (`teacher.forced_log_probs`) covers every row of
+    every group. Returns one [R] tensor per group, a graph node when its
+    logits are one.
     """
     probs, outputs = [], []
     for logits, out_len, _ in groups:
@@ -234,15 +226,10 @@ def rkl_values(src: np.ndarray, src_len: np.ndarray,
         pad_bias[PAD] = MASK_BIAS
         p = T.softmax(T.add(logits, Tensor(pad_bias)), axis=-1)
         top = p.data.argmax(axis=-1)
-        outputs += [[AR.BOS] + top[r, :n].tolist() for r, n in enumerate(out_len)]
+        outputs += [top[r, :n].tolist() for r, n in enumerate(out_len)]
         probs.append(p)
-    rows = np.concatenate([src_rows for _, _, src_rows in groups])
-    with T.no_grad():
-        t_memory = teacher_model.encode(src, src_len)
-        t_in, t_len = pad_block(outputs)
-        t_logits = teacher_model.decode_logits(Tensor(t_memory.data[rows]),
-                                               src_len[rows], t_in, t_len)
-        t_logp = T.log_softmax(t_logits, axis=-1).numpy()
+    t_logp = AR.forced_log_probs(teacher_model, src, src_len, outputs,
+                                 np.concatenate([rows for _, _, rows in groups]))
 
     values, start = [], 0
     for p, (_, out_len, _) in zip(probs, groups):
@@ -263,12 +250,10 @@ def rkl_value(src_ids: Sequence[int], fertility: Sequence[int],
     """`rkl_values` for one sentence whose student translates the copies of
     one fertility sequence. Returned as a scalar graph node unless
     ``with_grad`` is off."""
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    src_len = np.array([len(src_ids)])
-    dec_ids, dec_len = pad_block([NAT.copy_fertility(list(src_ids), list(fertility))])
+    src, src_len = pad_block([src_ids])
     with contextlib.nullcontext() if with_grad else T.no_grad():
-        memory = student.encode(src, src_len)
-        logits = student.decode_logits(memory, src_len, dec_ids, dec_len)
+        logits, dec_len = NAT.translate_step(student, student.encode(src, src_len),
+                                             src, src_len, np.array([fertility]))
     [value] = rkl_values(src, src_len, [(logits, dec_len, np.zeros(1, dtype=np.int64))],
                          teacher_model)
     return T.tsum(value)
@@ -286,8 +271,7 @@ def _weighted_fertility_log_prob(fert_lp: Tensor, fertility: np.ndarray,
 def fertility_log_prob(src_ids: Sequence[int], fertility: Sequence[int],
                        model: NAT.NatModel) -> Tensor:
     """Differentiable sum of per-position fertility log-probs."""
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    src_len = np.array([len(src_ids)])
+    src, src_len = pad_block([src_ids])
     memory = model.encode(src, src_len)
     fert_lp = T.log_softmax(model.fertility_logits(memory), axis=-1)
     return _weighted_fertility_log_prob(
@@ -317,15 +301,12 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
         multiplies the gradient of its log-probability. Reported value is the
         negated sampled reward.
 
-    The student is encoded once, with gradients, and all three terms share
-    that memory. kd and bp share one decode of the aligner-fertility copies:
-    bp relaxes kd's logits. One no-grad student decode translates rl's 2B
-    rows, the samples and then the rounded-average baselines, each fitted
-    like a decode's candidates (`nat.fit_fertility`). One
-    teacher encode and one forced teacher decode score every bp, reward and
-    baseline output. A step thus makes two encoder calls, one per model.
-    Fertility samples are drawn in one call over every real source position,
-    in batch order, as sentence-by-sentence draws would come.
+    The terms share the student's memory and decodes as the module says: bp
+    relaxes kd's logits, and rl's one no-grad `nat.translate_step` covers
+    2B rows, the samples and then the rounded-average baselines, each fitted
+    like a decode's candidates (`nat.fit_fertility`). Fertility samples are
+    drawn in one call over every real source position, in batch order, as
+    sentence-by-sentence draws would come.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"interpolation weight {lam} outside [0, 1]")
@@ -367,13 +348,9 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
         ferts = NAT.fit_fertility(
             np.concatenate([sampled, NAT.average_fertility(probs)]), probs[rows],
             NAT.max_output_len(model, teacher_model), batch.src_len[rows])
-        dec_len = ferts.sum(axis=1)
-        dec_ids = np.full((2 * b, dec_len.max()), PAD, dtype=np.int64)
-        dec_ids[np.arange(dec_ids.shape[1]) < dec_len[:, None]] = np.repeat(
-            batch.src[rows].ravel(), ferts.ravel())
         with T.no_grad():
-            rl_logits = model.decode_logits(Tensor(memory.data[rows]),
-                                            batch.src_len[rows], dec_ids, dec_len)
+            rl_logits, dec_len = NAT.translate_step(model, memory, batch.src,
+                                                    batch.src_len, ferts, rows)
         groups.append((rl_logits, dec_len, rows))
     values = rkl_values(batch.src, batch.src_len, groups, teacher_model) if groups else []
 
@@ -391,10 +368,7 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
 
     model.zero_grad()
     if contributions:
-        total = contributions[0]
-        for c in contributions[1:]:
-            total = T.add(total, c)
-        T.backward(total)
+        T.backward(functools.reduce(T.add, contributions))
     optim.step()
     return FinetuneResult(l_rl, l_bp, l_kd,
                           lam * (l_rl + l_bp) + (1.0 - lam) * l_kd)
@@ -515,11 +489,9 @@ def load_model(path):
         raise DataError(f"unknown checkpoint kind {ckpt.kind!r}: {path}")
     table = dict(model.named_parameters())
     if set(table) != set(ckpt.params):
-        missing = sorted(set(table) - set(ckpt.params))
-        extra_names = sorted(set(ckpt.params) - set(table))
-        raise DataError(
-            f"checkpoint parameter set mismatch: missing {missing}, "
-            f"unexpected {extra_names}: {path}")
+        raise DataError(f"checkpoint parameter set mismatch: missing "
+                        f"{sorted(set(table) - set(ckpt.params))}, unexpected "
+                        f"{sorted(set(ckpt.params) - set(table))}: {path}")
     for name, arr in ckpt.params.items():
         if table[name].data.shape != arr.shape:
             raise DataError(f"shape mismatch for {name}: {path}")

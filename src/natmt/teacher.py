@@ -305,8 +305,7 @@ def beam_decode(src_ids: Sequence[int], model: TeacherModel, b: int,
     if max_len is None:
         max_len = default_max_len(len(src_ids))
     max_len = _clamp_max_len(model, max_len)
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    src_len = np.array([len(src_ids)])
+    src, src_len = pad_block([src_ids])
     with T.no_grad():
         memory = model.encode(src, src_len)
         cache = DecoderCache(model, memory, src_len)
@@ -337,25 +336,31 @@ def score_parallel(src_ids: Sequence[int], candidate: Sequence[int],
 def score_candidates(src_ids: Sequence[int], candidates: Sequence[Sequence[int]],
                      model: TeacherModel) -> list[float]:
     """`score_parallel` of every candidate, all in one batched pass."""
-    for cand in candidates:
-        if PAD in cand:
-            raise ValueError("candidate contains pad tokens")
+    if any(PAD in c for c in candidates):
+        raise ValueError("candidate contains pad tokens")
     if not candidates:
         return []
-    src = np.asarray(src_ids, dtype=np.int64)[None, :]
-    src_len = np.array([len(src_ids)])
-    dec_in, lens = pad_block([[BOS] + list(c) for c in candidates])
-    picked, _ = pad_block([list(c) + [EOS] for c in candidates],
-                          width=dec_in.shape[1])
-    n = len(candidates)
+    logp = forced_log_probs(model, *pad_block([src_ids]), candidates,
+                            np.zeros(len(candidates), dtype=np.int64)
+                            ).astype(np.float64)
+    picked, lens = pad_block([list(c) + [EOS] for c in candidates],
+                             width=logp.shape[1])
+    gathered = np.take_along_axis(logp, picked[:, :, None], axis=2)[:, :, 0]
+    valid = np.arange(logp.shape[1])[None, :] < lens[:, None]
+    return [float((g * v).sum()) for g, v in zip(gathered, valid)]
+
+
+def forced_log_probs(model: TeacherModel, src: np.ndarray, src_len: np.ndarray,
+                     outputs: Sequence[Sequence[int]], rows: np.ndarray) -> np.ndarray:
+    """Float32 log-probs [R, t, V] of the no-grad teacher-forced pass over
+    bos + each of R outputs, output r read against row rows[r] of the source
+    block `src`, `src_len`, which is encoded once."""
     with T.no_grad():
         memory = model.encode(src, src_len)
-        mem = T.Tensor(np.repeat(memory.data, n, axis=0)) if n > 1 else memory
-        logp = _log_probs(model.decode_logits(mem, np.repeat(src_len, n), dec_in, lens))
-    rows = np.arange(dec_in.shape[1])[None, :]
-    gathered = np.take_along_axis(logp, picked[:, :, None], axis=2)[:, :, 0]
-    valid = rows < lens[:, None]
-    return [float((gathered[i] * valid[i]).sum()) for i in range(n)]
+        dec_in, lens = pad_block([[BOS] + list(o) for o in outputs])
+        logits = model.decode_logits(Tensor(memory.data[rows]), src_len[rows],
+                                     dec_in, lens)
+        return T.log_softmax(logits, axis=-1).numpy()
 
 
 # ---------------------------------------------------------------------------

@@ -1112,3 +1112,76 @@ def test_main_shows_a_bug_as_one(monkeypatch, tmp_path):
     monkeypatch.setattr(natmt.cli, "cmd_bleu", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["bleu", str(tmp_path / "h"), str(tmp_path / "r")])
+
+
+def test_finetune_corpus_over_the_teachers_max_len_exits_2_naming_file_line(
+        tmp_path, capsys):
+    # the student fits 12-token lines, but the teacher reads at most 8 tokens
+    words = [f"w{i}" for i in range(12)]
+    vocab = Vocab(words)
+    paths = {}
+    for kind, max_len in (("nat", 64), ("teacher", 8)):
+        cfg = ModelConfig(d_model=16, d_hidden=32, n_layer=1, n_head=2,
+                          src_vocab=len(vocab), tgt_vocab=len(vocab),
+                          max_len=max_len, max_fertility=4)
+        model = (N.NatModel if kind == "nat" else AR.TeacherModel)(
+            cfg, np.random.default_rng(0))
+        paths[kind] = str(tmp_path / f"{kind}.nat")
+        P.save_model(paths[kind], model, vocab, vocab)
+    lines = [" ".join(words[:3]), " ".join(words)]
+    for ext in ("src", "tgt"):
+        (tmp_path / f"c.{ext}").write_text("\n".join(lines) + "\n")
+    (tmp_path / "f.txt").write_text("1 1 1\n" + " ".join(["1"] * 12) + "\n")
+    out_path = tmp_path / "tuned.nat"
+    code, out, err = run(capsys, "finetune", "--nat", paths["nat"],
+                         "--teacher", paths["teacher"], "--corpus",
+                         str(tmp_path / "c"), "--fertilities",
+                         str(tmp_path / "f.txt"), "--out", str(out_path),
+                         "--steps", "1")
+    assert (code, out) == (2, "")
+    assert (f"data error: {tmp_path / 'c'}.src:2: line of 12 tokens exceeds "
+            "max_len 8") in err
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_no_flag_parses_with_int():
+    # int() would take '1_0', '+4', ' 4' and non-ASCII digits
+    parser = natmt.cli.build_parser()
+    [sub] = [a for a in parser._actions if a.choices and a.dest == "command"]
+    lenient = [f"{name} {flag}" for name, sp in sub.choices.items()
+               for a in sp._actions if a.type is int for flag in a.option_strings]
+    assert lenient == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["train-teacher", "--corpus", "C", "--out", "O", "--steps", "1_0"], "--steps"),
+    (["train-teacher", "--corpus", "C", "--out", "O", "--warmup", "٣"],
+     "--warmup"),
+    (["train-teacher", "--corpus", "C", "--out", "O", "--seed", "+4"], "--seed"),
+    (["train-nat", "--corpus", "C", "--fertilities", "F", "--out", "O",
+      "--min-freq", " 1"], "--min-freq"),
+    (["finetune", "--nat", "N", "--teacher", "T", "--corpus", "C",
+      "--fertilities", "F", "--out", "O", "--batch-size", "+2"], "--batch-size"),
+    (["gen-synth", "--kind", "copy", "--size", "1_0", "--out-prefix", "O"],
+     "--size"),
+    (["gen-synth", "--kind", "copy", "--size", "5", "--min-len", "+2",
+      "--out-prefix", "O"], "--min-len"),
+    (["align", "--corpus", "C", "--iters-m1", "٣"], "--iters-m1"),
+    (["distill", "--teacher", "T", "--corpus", "C", "--out-prefix", "O",
+      "--beam", "٤"], "--beam"),
+    (["translate", "--model", "M", "--input", "I", "--seed", "+1"], "--seed"),
+    (["bench", "--teacher", "T", "--testset", "S", "--repeats", "1_0"],
+     "--repeats"),
+], ids=["steps_underscore", "warmup_arabic_indic", "seed_plus", "min_freq_space",
+        "batch_size_plus", "gen_synth_size_underscore", "gen_synth_min_len_plus",
+        "align_iters_arabic_indic", "distill_beam_arabic_indic",
+        "translate_seed_plus", "bench_repeats_underscore"])
+def test_integer_flags_refuse_what_the_integer_rule_refuses(tmp_path, capsys,
+                                                           argv, flag):
+    # refused as `--steps abc` is, before any file is read or written
+    paths = {a: str(tmp_path / a) for a in "CFONTMIS"}
+    code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, out) == (1, "")
+    assert f"argument {flag}: invalid integer value" in err
+    assert list(tmp_path.iterdir()) == []

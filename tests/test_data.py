@@ -92,6 +92,16 @@ def test_coerce_refuses_a_lenient_or_non_finite_number(key, value):
         D.coerce(key, value, CONFIG_TYPES)
 
 
+@pytest.mark.parametrize("value", ["+1", "0_1", "١"],
+                         ids=["plus", "underscore", "arabic_indic"])
+def test_fertility_file_entries_obey_the_integer_rule(tmp_path, value):
+    path = tmp_path / "f.txt"
+    path.write_text(f"1 {value}\n", encoding="utf-8")
+    with pytest.raises(D.DataError) as err:
+        D.read_fertilities(path, [(["a", "b"], ["x", "y"])], 4)
+    assert str(err.value) == f"{path}:1: fertility lines must be integers"
+
+
 def test_pad_block():
     arr, lens = D.pad_block([[5, 6], [7], [8, 9, 10]])
     assert arr.shape == (3, 3)

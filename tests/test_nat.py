@@ -13,7 +13,7 @@ from natmt import nat as N
 from natmt import teacher as AR
 from natmt import tensor as T
 from natmt.config import ModelConfig
-from natmt.data import PAD
+from natmt.data import PAD, pad_block
 from natmt.layers import Encoder, MultiHeadAttention
 
 
@@ -53,6 +53,68 @@ def test_copy_fertility_examples():
         N.copy_fertility(["a", "b"], [1])
     with pytest.raises(ValueError):
         N.copy_fertility(["a"], [-1])
+
+
+class _Copies:
+    """Stands in for a `NatModel`: its decode returns what it is given."""
+
+    def decode_logits(self, memory, src_len, dec_ids, dec_len):
+        return memory, src_len, dec_ids, dec_len
+
+
+@st.composite
+def _fertility_block(draw):
+    """A ragged source block, fertility rows over it (zero past each
+    source's end, some real positions zero too, no row all zero) and the
+    source row each fertility row reads."""
+    srcs = draw(st.lists(st.lists(st.integers(4, 11), min_size=1, max_size=6),
+                         min_size=1, max_size=4))
+    rows = draw(st.lists(st.integers(0, len(srcs) - 1), min_size=1, max_size=5))
+    ferts = []
+    for r in rows:
+        f = draw(st.lists(st.integers(0, 3), min_size=len(srcs[r]),
+                          max_size=len(srcs[r])))
+        f[draw(st.integers(0, len(f) - 1))] += not any(f)
+        ferts.append(f)
+    return srcs, rows, ferts
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(block=_fertility_block())
+@example(block=([[4]], [0], [[2]]))
+@example(block=([[4, 5, 6], [7]], [1, 0, 0], [[3], [0, 1, 0], [1, 0, 2]]))
+def test_translate_step_copies_equal_copy_fertility_row_by_row(block):
+    srcs, rows, ferts = block
+    src, src_len = pad_block(srcs)
+    memory = T.Tensor(np.arange(len(srcs), dtype=np.float32)[:, None, None])
+    fert_rows, _ = pad_block(ferts, width=src.shape[1])
+    want_ids, want_len = pad_block([N.copy_fertility(srcs[r], f)
+                                    for r, f in zip(rows, ferts)])
+    rows = np.array(rows)
+
+    (mem, lens, dec_ids, dec_len), out_len = N.translate_step(
+        _Copies(), memory, src, src_len, fert_rows, rows)
+    np.testing.assert_array_equal(dec_ids, want_ids)
+    np.testing.assert_array_equal(dec_len, want_len)
+    np.testing.assert_array_equal(out_len, want_len)
+    np.testing.assert_array_equal(mem.data, memory.data[rows])
+    np.testing.assert_array_equal(lens, src_len[rows])
+
+    # selecting source rows equals building from the selected block
+    selected = T.Tensor(memory.data[rows])
+    (mem, lens, dec_ids, dec_len), _ = N.translate_step(
+        _Copies(), selected, src[rows], src_len[rows], fert_rows)
+    assert mem is selected
+    np.testing.assert_array_equal(dec_ids, want_ids)
+    np.testing.assert_array_equal(dec_len, want_len)
+    np.testing.assert_array_equal(lens, src_len[rows])
+
+
+def test_translate_step_refuses_a_row_of_zero_total_fertility():
+    src, src_len = pad_block([[4, 5], [6]])
+    with pytest.raises(ValueError, match="zero total fertility"):
+        N.translate_step(_Copies(), T.Tensor(np.zeros((2, 2, 1))), src, src_len,
+                         np.array([[1, 1], [0, 0]]))
 
 
 # ---------------------------------------------------------------------------
