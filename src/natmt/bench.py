@@ -18,6 +18,13 @@ from .bleu import bleu
 from .data import DataError, integer
 
 
+# the widest beam and the most npd samples a strategy spec may ask for: npd
+# translates all its samples in one padded block, and a beam step expands
+# each survivor into up to as many candidates, so far larger counts exhaust
+# memory
+STRATEGY_CEILING = 1024
+
+
 @dataclass
 class SentenceStat:
     src_len: int
@@ -38,7 +45,8 @@ class BenchReport:
 
 
 def parse_strategy(spec: str) -> tuple[str, int | None]:
-    """'greedy', 'beam:4', 'npd:10' -> (kind, numeric argument)."""
+    """'greedy', 'beam:4', 'npd:10' -> (kind, numeric argument), the
+    argument from 1 to `STRATEGY_CEILING`."""
     kind, _, arg = spec.partition(":")
     if kind not in ("greedy", "beam", "argmax", "average", "npd"):
         raise DataError(f"unknown decoding strategy {spec!r}")
@@ -52,6 +60,9 @@ def parse_strategy(spec: str) -> tuple[str, int | None]:
         raise DataError(f"bad strategy argument in {spec!r}") from None
     if n < 1:
         raise DataError(f"strategy argument must be positive in {spec!r}")
+    if n > STRATEGY_CEILING:
+        raise DataError(f"strategy argument must be at most {STRATEGY_CEILING} "
+                        f"in {spec!r}")
     return kind, n
 
 

@@ -19,7 +19,8 @@ from .bleu import bleu
 from .config import ModelConfig, TrainConfig
 from .data import (DataError, Vocab, at_least, check_corpus, check_lines, coerce,
                    encode_corpus, integer, load_corpus, read_config,
-                   read_fertilities, read_parallel, read_sentences, save_corpus)
+                   read_fertilities, read_parallel, read_sentences, real,
+                   save_corpus)
 from .tensor import NumericError
 
 
@@ -39,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 _MODEL_FIELDS = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
 _TRAIN_FIELDS = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
 # configuration keys with a dedicated flag (`batch_size` is `--batch-size`)
-_CONFIG_FLAGS = tuple((key, float if key == "lam" else integer) for key in (
+_CONFIG_FLAGS = tuple((key, real if key == "lam" else integer) for key in (
     "steps", "batch_size", "seed", "warmup", "lam", "d_model", "n_layer",
     "max_fertility", "log_every"))
 
@@ -59,8 +60,15 @@ def gather_config(args) -> dict:
     return cfg
 
 
-def split_config(cfg: dict, **forced) -> tuple[ModelConfig, TrainConfig]:
-    cfg = dict(cfg, **forced)
+def split_config(cfg: dict, **fixed) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training configs of `cfg` with the keys the command
+    fixes (from its corpus or a checkpoint); a given key may only repeat
+    its fixed value."""
+    for key, value in fixed.items():
+        if cfg.get(key, value) != value:
+            raise DataError(f"configuration key {key!r} is fixed at {value} by "
+                            f"the corpus or a checkpoint, got {cfg[key]}")
+    cfg = dict(cfg, **fixed)
     return (ModelConfig(**{k: v for k, v in cfg.items() if k in _MODEL_FIELDS}),
             TrainConfig(**{k: v for k, v in cfg.items() if k in _TRAIN_FIELDS}))
 
@@ -170,14 +178,14 @@ def cmd_train_nat(args) -> None:
         exported = AR.export_encoder(teacher_model)
         # shared-trunk shape must match the teacher; max_fertility stays free
         tc = teacher_model.cfg
-        forced = {k: getattr(tc, k) for k in
-                  ("d_model", "d_hidden", "n_layer", "n_head", "src_vocab",
-                   "tgt_vocab", "max_len")}
+        fixed = {k: getattr(tc, k) for k in
+                 ("d_model", "d_hidden", "n_layer", "n_head", "src_vocab",
+                  "tgt_vocab", "max_len")}
     else:
         sv = Vocab.build((s for s, _ in pairs_tok), args.min_freq)
         tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)
-        forced = {"src_vocab": len(sv), "tgt_vocab": len(tv)}
-    mcfg, tcfg = split_config(gather_config(args), **forced)
+        fixed = {"src_vocab": len(sv), "tgt_vocab": len(tv)}
+    mcfg, tcfg = split_config(gather_config(args), **fixed)
     check_corpus(args.corpus, pairs_tok, mcfg.max_len, parallel=True)
     ferts = read_fertilities(args.fertilities, pairs_tok, mcfg.max_fertility)
     log = P.TrainingLog(args.log)
@@ -195,7 +203,7 @@ def cmd_finetune(args) -> None:
     check_corpus(args.corpus, pairs_tok,
                  min(model.cfg.max_len, teacher_model.cfg.max_len), parallel=True)
     ferts = read_fertilities(args.fertilities, pairs_tok, model.cfg.max_fertility)
-    _, tcfg = split_config(gather_config(args))
+    _, tcfg = split_config(gather_config(args), **model.cfg.to_dict())
     log = P.TrainingLog(args.log)
     P.finetune(model, teacher_model, encode_corpus(pairs_tok, sv, tv), ferts,
                tcfg, log)

@@ -90,6 +90,8 @@ class TrainConfig:
         for key, least in dict(steps=1, batch_size=1, warmup=1, seed=0,
                                log_every=1).items():
             at_least(key, getattr(self, key), least)
+        if self.lr_scale is not None and not self.lr_scale > 0:
+            raise DataError(f"lr_scale must be positive, got {self.lr_scale}")
         if not 0.0 <= self.lam <= 1.0:
             raise DataError(f"lam must lie in [0, 1], got {self.lam}")
         bad = set(self.finetune_terms) - {"rl", "bp", "kd"}

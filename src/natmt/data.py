@@ -8,6 +8,7 @@ bos=1, eos=2, unk=3.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,20 @@ def integer(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def real(text: str) -> float:
+    """TEXT as a finite float: an optional "-", then ASCII digits with at
+    most one ".", then an optional exponent ("e" or "E", an optional sign,
+    ASCII digits); float() would also take '1_0', '+0.5', ' 0.5', 'inf' and
+    non-ASCII digits. Else a ValueError, which argparse reports naming the
+    flag."""
+    if not re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?", text):
+        raise ValueError(f"not a real number: {text!r}")
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {text!r}")
+    return number
 
 
 def at_least(name: str, value, least, why: str = "") -> None:
@@ -185,28 +200,19 @@ def read_fertilities(path, pairs, max_fertility: int) -> list[list[int]]:
 def coerce(key: str, value: str, types: dict[str, str], where: str = ""):
     """VALUE as the type of configuration key KEY in `types` (field name to
     annotation, as in the config dataclasses); a fault names `where`. An
-    integer obeys `integer`, and a float is finite."""
+    integer obeys `integer`, a float `real`."""
     typ = types.get(key)
     if typ is None:
         raise DataError(f"{where}unknown configuration key {key!r}")
     if "tuple" in typ:
         return tuple(v for v in value.split(",") if v)
-    bad = f"{where}bad value {value!r} for configuration key {key!r}"
-    if "float" in typ:
-        if value.lower() == "none":
-            return None
-        try:
-            number = float(value)
-        except ValueError:
-            raise DataError(bad) from None
-        if not math.isfinite(number):
-            raise DataError(f"{where}configuration key {key!r} must be finite, "
-                            f"got {value!r}")
-        return number
+    if "None" in typ and value.lower() == "none":
+        return None
     try:
-        return integer(value)   # every other field is an int
+        return real(value) if "float" in typ else integer(value)  # else an int
     except ValueError:
-        raise DataError(bad) from None
+        raise DataError(f"{where}bad value {value!r} for configuration key "
+                        f"{key!r}") from None
 
 
 def read_config(path, types: dict[str, str]) -> dict:

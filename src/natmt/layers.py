@@ -14,8 +14,9 @@ projections of `MultiHeadAttention`) dispatch on their input. An array
 forward works on the real token rows [N, d] of a padded [B, t] block, which
 `TokenRows` gathers and scatters; attention sees the padded grid, where
 padded keys get zero weight, so every real row equals its value in the
-graph forward (see `TokenRows` for the products that must keep the whole
-block). A graph forward passes no `TokenRows`.
+graph forward. `TokenRows` alone decides when a block packs, and its
+`logits` is the vocabulary exit of every no-grad decoder pass. A graph
+forward passes no `TokenRows`.
 """
 
 from __future__ import annotations
@@ -148,17 +149,11 @@ def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
     return rows.gather(T.scaled_embedding_fwd(embed.weight.data, ids, scale, pos))
 
 
-def packs_rows(cfg: ModelConfig) -> bool:
-    """Whether a decoder pass may run its products on the real rows only:
-    when d_model and d_hidden are multiples of 16 (see `TokenRows`)."""
-    return cfg.d_model % 16 == 0 and cfg.d_hidden % 16 == 0
-
-
 class TokenRows:
     """The real positions of a padded [B, t] block of token rows, from each
     row's length; `gather` packs a [B, t, ...] array into its real rows [N,
     ...] and `scatter` puts [N, k] rows back into a zero-filled [B, t, k]
-    block.
+    block. `logits` is the vocabulary exit of a no-grad decoder pass.
 
     Packing changes the row count of every product, which must not change
     the rounding of any row. On OpenBLAS (measured on 0.3.31) it does in
@@ -168,12 +163,12 @@ class TokenRows:
       a block with a single real row stays whole;
     - products under 1e6 multiply-adds take a small-matrix kernel that, at
       some widths (8, 24 or 40, say), rounds unlike the blocked kernel, so
-      only products whose widths are multiples of 16 pack (`pack`), and
-      callers run the vocabulary projection over the whole block.
-    `zero_padding` zeroes the padded positions of a whole block.
+      a block packs only for a model whose d_model and d_hidden are
+      multiples of 16, and `logits` projects to the vocabulary over the
+      whole block.
     """
 
-    def __init__(self, lengths: np.ndarray | None, t: int, pack: bool = True):
+    def __init__(self, lengths: np.ndarray | None, t: int, cfg: ModelConfig):
         self.t = t
         self.index = self.pad = None
         if lengths is not None:
@@ -181,7 +176,7 @@ class TokenRows:
             n = np.count_nonzero(real)
             if n < real.size:
                 self.pad = np.flatnonzero(~real)
-                if pack and n > 1:
+                if n > 1 and cfg.d_model % 16 == 0 and cfg.d_hidden % 16 == 0:
                     self.index = np.flatnonzero(real)
                     self.size = real.size
 
@@ -207,11 +202,14 @@ class TokenRows:
         k = rows.shape[-1]
         return rows.reshape(-1, self.t, n_head, k // n_head).transpose(0, 2, 1, 3)
 
-    def zero_padding(self, block: np.ndarray) -> np.ndarray:
-        """`block` [B, t, k] with its padded positions set to zero."""
+    def logits(self, proj: Linear, rows: np.ndarray) -> Tensor:
+        """The projection `proj` of the real rows [N, d], run over the whole
+        [B, t] block with its padded slots set to zero, in a Tensor that
+        records no graph."""
+        block = proj(self.scatter(rows))
         if self.pad is not None:
             block.reshape(-1, block.shape[-1])[self.pad] = 0
-        return block
+        return Tensor(block)
 
 
 class LayerNorm(Module):

@@ -37,7 +37,7 @@ from .config import ModelConfig
 from .data import PAD, pad_block
 from .layers import (Encoder, FFNBlock, LayerNorm, Linear, Module,
                      MultiHeadAttention, TokenRows, attention_bias,
-                     embed_positions, packs_rows)
+                     embed_positions)
 from .tensor import Tensor
 
 
@@ -129,7 +129,7 @@ class NatModel(Module):
         pad_bias = attention_bias(None, dec_len, t, t)
         cross_bias = attention_bias(None, src_len, t, memory.shape[1])
         enc = self.encoder
-        rows = None if T.grad_enabled() else TokenRows(dec_len, t, packs_rows(self.cfg))
+        rows = None if T.grad_enabled() else TokenRows(dec_len, t, self.cfg)
         # copied source tokens in the source embedding, fresh output positions
         x = self.norm_in(embed_positions(enc.embed, dec_ids, enc.pos, enc.embed_scale,
                                          rows=rows))
@@ -140,10 +140,7 @@ class NatModel(Module):
             pos_q, memory = rows.gather(pos_q), memory.data
         for layer in self.layers:
             x = layer(x, rows, memory, pos_q, self_bias, pad_bias, cross_bias)
-        if rows is None:
-            return self.proj(x)
-        # the vocabulary projection runs over every slot (see `TokenRows`)
-        return Tensor(rows.zero_padding(self.proj(rows.scatter(x))))
+        return self.proj(x) if rows is None else rows.logits(self.proj, x)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ def max_output_len(model: NatModel,
     than the teacher's when a teacher scores bos + output."""
     if teacher_model is None:
         return model.cfg.max_len
-    return min(model.cfg.max_len, teacher_model.cfg.max_len - 1)
+    return AR._clamp_max_len(teacher_model, model.cfg.max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +262,7 @@ def _translate(src_ids: Sequence[int], ferts: np.ndarray, model: NatModel,
     with T.no_grad():
         logits, dec_len = translate_step(model, memory, src, src_len, ferts,
                                          np.zeros(len(ferts), dtype=np.int64))
-        logp = T.log_softmax(logits, axis=-1).numpy().astype(np.float64)
+        logp = AR._log_probs(logits)
     logp[:, :, PAD] = -np.inf  # padding is not an emittable token
     return [[int(t) for t in logp[i, :m].argmax(axis=-1)]
             for i, m in enumerate(dec_len)]

@@ -31,7 +31,7 @@ from .config import ModelConfig
 from .data import BOS, EOS, PAD, Batch, pad_block
 from .layers import (Embedding, Encoder, FFNBlock, KVCache, LayerNorm, Linear,
                      Module, MultiHeadAttention, TokenRows, attention_bias,
-                     causal_mask, embed_positions, packs_rows)
+                     causal_mask, embed_positions)
 from .tensor import Tensor
 
 
@@ -77,7 +77,7 @@ class DecoderCache:
 
     def __init__(self, model: "TeacherModel", memory: Tensor, src_len: np.ndarray):
         self.length = 0
-        self.step_rows = TokenRows(None, 1)
+        self.step_rows = TokenRows(None, 1, model.cfg)
         self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
         self.layers = list(_layer_caches(model, memory.data))
 
@@ -126,7 +126,7 @@ class TeacherModel(Module):
             cross_bias = attention_bias(None, src_len, t, memory.shape[1])
             rows = None
             if not T.grad_enabled():
-                rows, memory = TokenRows(tgt_in_len, t, packs_rows(self.cfg)), memory.data
+                rows, memory = TokenRows(tgt_in_len, t, self.cfg), memory.data
             # a layer's keys and values are made when it is reached
             start, layer_caches = 0, _layer_caches(self, memory)
         else:
@@ -143,10 +143,7 @@ class TeacherModel(Module):
                                          start, rows))
         for layer, layer_cache in zip(self.layers, layer_caches):
             x = layer(x, rows, layer_cache, self_bias, cross_bias)
-        if rows is None:
-            return self.proj(x)
-        # the vocabulary projection runs over every slot (see `TokenRows`)
-        return Tensor(rows.zero_padding(self.proj(rows.scatter(x))))
+        return self.proj(x) if rows is None else rows.logits(self.proj, x)
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +338,7 @@ def score_candidates(src_ids: Sequence[int], candidates: Sequence[Sequence[int]]
     if not candidates:
         return []
     logp = forced_log_probs(model, *pad_block([src_ids]), candidates,
-                            np.zeros(len(candidates), dtype=np.int64)
-                            ).astype(np.float64)
+                            np.zeros(len(candidates), dtype=np.int64))
     picked, lens = pad_block([list(c) + [EOS] for c in candidates],
                              width=logp.shape[1])
     gathered = np.take_along_axis(logp, picked[:, :, None], axis=2)[:, :, 0]
@@ -352,7 +348,7 @@ def score_candidates(src_ids: Sequence[int], candidates: Sequence[Sequence[int]]
 
 def forced_log_probs(model: TeacherModel, src: np.ndarray, src_len: np.ndarray,
                      outputs: Sequence[Sequence[int]], rows: np.ndarray) -> np.ndarray:
-    """Float32 log-probs [R, t, V] of the no-grad teacher-forced pass over
+    """Log-probs [R, t, V] (`_log_probs`) of the no-grad teacher-forced pass over
     bos + each of R outputs, output r read against row rows[r] of the source
     block `src`, `src_len`, which is encoded once."""
     with T.no_grad():
@@ -360,7 +356,7 @@ def forced_log_probs(model: TeacherModel, src: np.ndarray, src_len: np.ndarray,
         dec_in, lens = pad_block([[BOS] + list(o) for o in outputs])
         logits = model.decode_logits(Tensor(memory.data[rows]), src_len[rows],
                                      dec_in, lens)
-        return T.log_softmax(logits, axis=-1).numpy()
+        return _log_probs(logits)
 
 
 # ---------------------------------------------------------------------------

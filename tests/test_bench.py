@@ -42,6 +42,14 @@ def test_parse_strategy():
             B.parse_strategy(bad)
 
 
+def test_parse_strategy_refuses_an_argument_above_the_ceiling():
+    assert B.parse_strategy("beam:1024") == ("beam", 1024)
+    assert B.parse_strategy("npd:1024") == ("npd", 1024)
+    for spec in ("beam:1000000000000", "npd:1000000000000"):
+        with pytest.raises(DataError, match=f"at most 1024 in '{spec}'"):
+            B.parse_strategy(spec)
+
+
 @pytest.mark.parametrize("spec", ["greedy:2", "argmax:1", "average:3"])
 def test_parse_strategy_refuses_argument_it_would_ignore(spec):
     with pytest.raises(DataError, match="takes no argument"):

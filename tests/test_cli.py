@@ -942,6 +942,8 @@ def test_gen_synth_links_name_the_source_position_of_each_target_token(
     ("beam:0", 2, "data error: strategy argument must be positive in 'beam:0'"),
     ("beam:1_0", 2, "data error: bad strategy argument in 'beam:1_0'"),
     ("npd:+4", 2, "data error: bad strategy argument in 'npd:+4'"),
+    ("npd:1000000000000", 2, "data error: strategy argument must be at most 1024 "
+                             "in 'npd:1000000000000'"),
     ("argmax", 2, "data error: strategy 'argmax' needs a parallel model")])
 def test_bench_bad_strategies(workdir, capsys, strategies, code, message):
     got, out, err = run(capsys, "bench", "--teacher", workdir["teacher"],
@@ -1185,3 +1187,133 @@ def test_integer_flags_refuse_what_the_integer_rule_refuses(tmp_path, capsys,
     assert (code, out) == (1, "")
     assert f"argument {flag}: invalid integer value" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_no_flag_parses_with_float():
+    # float() would take '1_0', '+0.5', ' 0.5', 'inf' and non-ASCII digits
+    parser = natmt.cli.build_parser()
+    [sub] = [a for a in parser._actions if a.choices and a.dest == "command"]
+    lenient = [f"{name} {flag}" for name, sp in sub.choices.items()
+               for a in sp._actions if a.type is float for flag in a.option_strings]
+    assert lenient == []
+
+
+@pytest.mark.parametrize("command", ["train-teacher", "finetune"])
+@pytest.mark.parametrize("value", ["٠.٥", "+0.5", " 0.5", "1_0e-1", "inf"],
+                         ids=["arabic_indic", "plus", "space", "underscore", "inf"])
+def test_lam_flag_refuses_what_the_real_rule_refuses(tmp_path, capsys, command,
+                                                     value):
+    # refused as `--lam abc` is, before any file is read or written
+    paths = {a: str(tmp_path / a) for a in "CFONT"}
+    argv = {"train-teacher": ["--corpus", "C", "--out", "O"],
+            "finetune": ["--nat", "N", "--teacher", "T", "--corpus", "C",
+                         "--fertilities", "F", "--out", "O"]}[command]
+    code, out, err = run(capsys, command, *(paths.get(a, a) for a in argv),
+                         "--lam", value)
+    assert (code, out) == (1, "")
+    assert f"argument --lam: invalid real value: {value!r}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr_scale", "1_0e-3"), ("lam", "٠.٥"), ("lam", "+0.5"), ("lr_scale", "١e-3")],
+    ids=["lr_scale_underscore", "lam_arabic_indic", "lam_plus",
+         "lr_scale_arabic_indic"])
+def test_float_config_values_refuse_what_the_real_rule_refuses(tmp_path, capsys,
+                                                               key, value):
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    out_path = tmp_path / "t.nat"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+    bad = f"bad value {value!r} for configuration key {key!r}"
+    for flags, message in ((["--set", f"{key}={value}"], f"data error: {bad}"),
+                           (["--config", str(cfg)], f"data error: {cfg}:1: {bad}")):
+        code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                             "--out", str(out_path), "--steps", "1", *flags)
+        assert (code, out) == (2, "")
+        assert message in err
+        assert not out_path.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "-0.0"])
+def test_lr_scale_not_positive_exits_2_naming_key(tmp_path, capsys, value):
+    # a negative rate trains uphill and a zero one moves no weight
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    out_path = tmp_path / "t.nat"
+    code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                         "--out", str(out_path), "--steps", "1",
+                         "--set", f"lr_scale={value}")
+    assert (code, out) == (2, "")
+    assert f"data error: lr_scale must be positive, got {float(value)}" in err
+    assert not out_path.exists()
+
+
+def _fixed(key, fixed, given):
+    return (f"data error: configuration key {key!r} is fixed at {fixed} by the "
+            f"corpus or a checkpoint, got {given}")
+
+
+@pytest.mark.parametrize("key, given", [("src_vocab", 5), ("tgt_vocab", 100)])
+def test_train_teacher_refuses_a_vocabulary_size_the_corpus_fixes(tmp_path, capsys,
+                                                                  key, given):
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    out_path = tmp_path / "t.nat"
+    code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                         "--out", str(out_path), "--steps", "1",
+                         "--set", f"{key}={given}")
+    assert (code, out) == (2, "")
+    assert _fixed(key, 6, given) in err    # the 4 reserved tokens and 2 words
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, key, given", [
+    (["--set", "n_layer=3"], "n_layer", 3),
+    (["--d-model", "64"], "d_model", 64),
+    (["--set", "max_len=9"], "max_len", 9),
+], ids=["n_layer", "d_model", "max_len"])
+def test_train_nat_refuses_a_trunk_key_the_teacher_fixes(workdir, tmp_path, capsys,
+                                                         flags, key, given):
+    tc = P.load_model(workdir["teacher"])[0].cfg
+    out_path = tmp_path / "n.nat"
+    # a key given at the teacher's own value stays accepted
+    code, out, err = run(capsys, "train-nat", "--corpus", workdir["distilled"],
+                         "--fertilities", workdir["ferts"], "--out", str(out_path),
+                         "--init-encoder", workdir["teacher"], "--steps", "1",
+                         "--set", "max_fertility=4",
+                         "--set", f"d_hidden={tc.d_hidden}", *flags)
+    assert (code, out) == (2, "")
+    assert _fixed(key, getattr(tc, key), given) in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, key, given", [
+    (["--d-model", "128"], "d_model", 128),
+    (["--set", "n_layer=7"], "n_layer", 7),
+    (["--set", "max_fertility=9"], "max_fertility", 9),
+], ids=["d_model", "n_layer", "max_fertility"])
+def test_finetune_refuses_a_model_key_that_differs_from_the_checkpoint(
+        workdir, tmp_path, capsys, flags, key, given):
+    nc = P.load_model(workdir["nat"])[0].cfg
+    out_path = tmp_path / "f.nat"
+    code, out, err = run(capsys, "finetune", "--nat", workdir["nat"],
+                         "--teacher", workdir["teacher"],
+                         "--corpus", workdir["distilled"],
+                         "--fertilities", workdir["ferts"], "--out", str(out_path),
+                         "--steps", "1", "--set", f"d_hidden={nc.d_hidden}", *flags)
+    assert (code, out) == (2, "")
+    assert _fixed(key, getattr(nc, key), given) in err
+    assert not out_path.exists()
+
+
+def test_translate_samples_above_the_ceiling_exit_2(workdir, capsys):
+    # numpy refuses at once to allocate this many npd draws
+    n = 10**12
+    code, out, err = run(capsys, "translate", "--model", workdir["nat"],
+                         "--input", workdir["corpus"] + ".src", "--strategy", "npd",
+                         "--samples", str(n), "--teacher", workdir["teacher"])
+    assert (code, out) == (2, "")
+    assert f"data error: strategy argument must be at most 1024 in 'npd:{n}'" in err
+    assert "Traceback" not in err

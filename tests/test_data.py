@@ -86,10 +86,28 @@ CONFIG_TYPES = {f.name: f.type for cls in (ModelConfig, TrainConfig)
 @pytest.mark.parametrize("key, value", [
     ("steps", "1_0"), ("warmup", "\u0663"), ("seed", "+4"), ("batch_size", " 4"),
     ("d_model", "\uff18"), ("lr_scale", "inf"), ("lr_scale", "nan"),
-    ("lr_scale", "-Infinity"), ("lam", "1e999")])
+    ("lr_scale", "-Infinity"), ("lam", "1e999"), ("lr_scale", "1_0e-3"),
+    ("lam", "\u0660.\u0665"), ("lam", "+0.5"), ("lr_scale", " 0.1"), ("lam", "none")])
 def test_coerce_refuses_a_lenient_or_non_finite_number(key, value):
     with pytest.raises(D.DataError, match=f"configuration key '{key}'"):
         D.coerce(key, value, CONFIG_TYPES)
+
+
+@pytest.mark.parametrize("text, number", [
+    ("0.5", 0.5), ("-1", -1.0), ("3", 3.0), ("5.", 5.0), (".25", 0.25),
+    ("1e-3", 1e-3), ("2.5E+2", 250.0), ("-0.0", -0.0)])
+def test_real_reads_plain_decimal_numbers(text, number):
+    assert D.real(text) == number
+    assert D.coerce("lr_scale", text, CONFIG_TYPES) == number
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "+0.5", " 0.5", "0.5 ", "0.5\n", "\u0660.\u0665", "\uff11", "inf",
+    "-Infinity", "nan", "1e999", "", "-", ".", "1.2.3", "e3", "1e", "1e1.5",
+    "0x1p3", "--1"])
+def test_real_refuses_a_lenient_or_non_finite_number(text):
+    with pytest.raises(ValueError):
+        D.real(text)
 
 
 @pytest.mark.parametrize("value", ["+1", "0_1", "١"],

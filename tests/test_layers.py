@@ -435,3 +435,34 @@ def test_exclude_self_bias_matches_reference(lengths, extra_width):
     want = _reference_self_exclusion_bias(dec_len, t)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d_model, d_hidden, lengths, t, packs", [
+    (16, 32, [3, 1, 2], 3, True),    # padding, real rows >= 2, widths of 16
+    (32, 48, [2], 4, True),
+    (16, 32, [3, 3], 3, False),      # no padding
+    (16, 32, [1], 4, False),         # one real row: a gemv
+    (16, 32, [1, 0], 2, False),
+    (8, 32, [3, 1, 2], 3, False),    # small-kernel widths
+    (24, 32, [3, 1, 2], 3, False),
+    (16, 24, [3, 1, 2], 3, False),
+    (16, 8, [2], 4, False),
+])
+def test_token_rows_pack_exactly_where_rounding_allows(d_model, d_hidden,
+                                                       lengths, t, packs):
+    cfg = small_cfg(d_model=d_model, d_hidden=d_hidden)
+    rows = L.TokenRows(np.array(lengths), t, cfg)
+    assert (rows.index is not None) == packs
+    real = np.arange(t) < np.array(lengths)[:, None]
+    rng = np.random.default_rng(0)
+    block = rng.standard_normal((len(lengths), t, d_model)).astype(np.float32)
+    x = rows.gather(block)
+    assert len(x) == (np.count_nonzero(real) if packs else real.size)
+    # the vocabulary exit: the whole-block projection at the real slots, bit
+    # for bit, zero at the padded ones, and no graph
+    proj = L.Linear(d_model, cfg.tgt_vocab, rng)
+    got = rows.logits(proj, x)
+    assert isinstance(got, Tensor) and not got.requires_grad
+    assert got.shape == (len(lengths), t, cfg.tgt_vocab)
+    assert np.array_equal(got.data[real], proj(block)[real])
+    assert not got.data[~real].any()
