@@ -82,8 +82,20 @@ def _add_config_flags(sp):
     sp.add_argument("--log", help="JSONL training log path")
 
 
-def _load_kind(path, kind: str):
+def _load(path):
+    """`P.load_model`, refusing a checkpoint whose token lists are shorter
+    than its config vocabularies: a decoded id past the list has no token."""
     model, sv, tv, ckpt = P.load_model(path)
+    cfg = model.cfg
+    if (len(sv), len(tv)) != (cfg.src_vocab, cfg.tgt_vocab):
+        raise DataError(f"checkpoint vocabularies of {len(sv)} and {len(tv)} tokens "
+                        f"are fewer than config src_vocab {cfg.src_vocab} and "
+                        f"tgt_vocab {cfg.tgt_vocab}: {path}")
+    return model, sv, tv, ckpt
+
+
+def _load_kind(path, kind: str):
+    model, sv, tv, ckpt = _load(path)
     if model.kind != kind:
         raise DataError(f"checkpoint {path} holds a {model.kind} model, "
                         f"expected {kind}")
@@ -131,11 +143,15 @@ def cmd_distill(args) -> None:
     enc = encode_corpus(pairs_tok, sv, tv)
     out = P.build_distill_corpus(enc, model, mode=args.mode,
                                  beam_width=args.beam)
-    decoded = [(src_tok, tv.decode(tgt_ids))
-               for (src_tok, _), (_, tgt_ids) in zip(pairs_tok, out.pairs)]
+    # a target of no word (an empty decode, only <unk>) fails check_corpus
+    decoded = [(src_tok, tgt_tok) for (src_tok, _), (_, tgt_ids)
+               in zip(pairs_tok, out.pairs) if (tgt_tok := tv.decode(tgt_ids))]
+    if not decoded:
+        raise DataError(f"teacher {args.teacher} decodes every source of "
+                        f"{args.corpus} to an empty target")
     save_corpus(args.out_prefix, decoded)
     print(f"distilled {len(decoded)} pairs with {args.mode} decoding "
-          f"({out.replaced_empty} empty decodes replaced) to {args.out_prefix}")
+          f"({len(pairs_tok) - len(decoded)} empty targets dropped) to {args.out_prefix}")
 
 
 def cmd_align(args) -> None:
@@ -213,7 +229,7 @@ def cmd_finetune(args) -> None:
 
 def cmd_translate(args) -> None:
     at_least("--seed", args.seed, 0)
-    model, sv, tv, _ = P.load_model(args.model)
+    model, sv, tv, _ = _load(args.model)
     sents = read_sentences(args.input)
     models = {model.kind: model}
     if args.strategy == "npd" and model.kind == "nat":

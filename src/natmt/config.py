@@ -94,9 +94,13 @@ class TrainConfig:
             raise DataError(f"lr_scale must be positive, got {self.lr_scale}")
         if not 0.0 <= self.lam <= 1.0:
             raise DataError(f"lam must lie in [0, 1], got {self.lam}")
-        bad = set(self.finetune_terms) - {"rl", "bp", "kd"}
+        terms = set(self.finetune_terms)    # rl and bp weigh lam, kd 1 - lam
+        bad = terms - {"rl", "bp", "kd"}
         if bad:
             raise DataError(f"finetune_terms holds unknown terms {sorted(bad)}")
+        if not (terms - {"kd"} and self.lam > 0 or "kd" in terms and self.lam < 1):
+            raise DataError(f"no term of finetune_terms {sorted(terms)} carries weight "
+                            f"at lam {self.lam}: rl and bp need lam > 0, kd lam < 1")
 
     def scale_for(self, cfg: ModelConfig) -> float:
         return self.lr_scale if self.lr_scale is not None else cfg.d_model ** -0.5

@@ -12,11 +12,11 @@ tensor kernels (`tensor.*_fwd`) and records nothing, for decoder passes
 without gradients. Leaf modules (`Linear`, `LayerNorm`, `FFNBlock`, the
 projections of `MultiHeadAttention`) dispatch on their input. An array
 forward works on the real token rows [N, d] of a padded [B, t] block, which
-`TokenRows` gathers and scatters; attention sees the padded grid, where
-padded keys get zero weight, so every real row equals its value in the
-graph forward. `TokenRows` alone decides when a block packs, and its
-`logits` is the vocabulary exit of every no-grad decoder pass. A graph
-forward passes no `TokenRows`.
+`TokenRows` gathers; attention sees the padded grid, where padded keys get
+zero weight, so every real row equals its value in the graph forward.
+`TokenRows` alone decides when a block packs, and its `logits` is the
+vocabulary exit of every no-grad decoder pass. A graph forward passes no
+`TokenRows`.
 """
 
 from __future__ import annotations
@@ -127,23 +127,19 @@ class Embedding(Module):
         self.weight = Tensor(_uniform_init(rng, (vocab, d), d), requires_grad=True)
 
 
-def position_rows(pos: np.ndarray, start: int, t: int) -> np.ndarray:
-    """Rows start .. start+t-1 of the positional table `pos`, which has one
-    row per position up to max_len; raises past max_len."""
-    if start + t > len(pos):
-        raise ValueError(f"length {start + t} exceeds max_len {len(pos)}")
-    return pos[start:start + t]
-
-
 def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
                     scale: float, start: int = 0,
                     rows: TokenRows | None = None) -> Tensor | np.ndarray:
-    """Token embeddings times `scale` plus the positional encodings `pos` of
-    positions start, start+1, ...; the one embedding path of every encoder
-    and decoder input. Without `rows` it records the op and returns a
-    Tensor [B, t, d]; with `rows` it runs on arrays and returns the real
-    rows [N, d] of the [B, t] block `ids`."""
-    pos = position_rows(pos, start, ids.shape[1])
+    """Token embeddings times `scale` plus the positional encodings `pos`
+    (one row per position up to max_len) of positions start, start+1, ...;
+    the one embedding path of every encoder and decoder input, which raises
+    past max_len. Without `rows` it records the op and returns a Tensor [B,
+    t, d]; with `rows` it runs on arrays and returns the real rows [N, d]
+    of the [B, t] block `ids`."""
+    end = start + ids.shape[1]
+    if end > len(pos):
+        raise ValueError(f"length {end} exceeds max_len {len(pos)}")
+    pos = pos[start:end]
     if rows is None:
         return T.scaled_embedding(embed.weight, ids, scale, pos)
     return rows.gather(T.scaled_embedding_fwd(embed.weight.data, ids, scale, pos))
@@ -152,13 +148,13 @@ def embed_positions(embed: Embedding, ids: np.ndarray, pos: np.ndarray,
 class TokenRows:
     """The real positions of a padded [B, t] block of token rows, from each
     row's length; `gather` packs a [B, t, ...] array into its real rows [N,
-    ...] and `scatter` puts [N, k] rows back into a zero-filled [B, t, k]
-    block. `logits` is the vocabulary exit of a no-grad decoder pass.
+    ...], and `split_heads` and `logits` (the vocabulary exit of a no-grad
+    decoder pass) read [N, k] rows as a zero-filled [B, t, k] block.
 
     Packing changes the row count of every product, which must not change
     the rounding of any row. On OpenBLAS (measured on 0.3.31) it does in
-    two cases, so a block that would meet one stays whole (`gather` and
-    `scatter` are then reshapes, as without padding or lengths):
+    two cases, so a block that would meet one stays whole (its rows are
+    then the block itself, reshaped, as without padding or lengths):
     - a one-row product is a gemv, which rounds unlike a row of a gemm, so
       a block with a single real row stays whole;
     - products under 1e6 multiply-adds take a small-matrix kernel that, at
@@ -185,20 +181,16 @@ class TokenRows:
         return flat if self.index is None else flat[self.index]
 
     def _block(self, rows: np.ndarray) -> np.ndarray:
+        if self.index is None:
+            return rows
         block = np.zeros((self.size, rows.shape[-1]), dtype=rows.dtype)
         block[self.index] = rows
         return block
 
-    def scatter(self, rows: np.ndarray) -> np.ndarray:
-        if self.index is not None:
-            rows = self._block(rows)
-        return rows.reshape(-1, self.t, rows.shape[-1])
-
     def split_heads(self, rows: np.ndarray, n_head: int) -> np.ndarray:
-        """`scatter` as per-head [B, H, t, k/H] arrays, the layout of
-        `tensor.linear_split_heads_fwd`."""
-        if self.index is not None:
-            rows = self._block(rows)
+        """The rows [N, k] in the zero-filled block, as per-head [B, H, t,
+        k/H] arrays, the layout of `tensor.linear_split_heads_fwd`."""
+        rows = self._block(rows)
         k = rows.shape[-1]
         return rows.reshape(-1, self.t, n_head, k // n_head).transpose(0, 2, 1, 3)
 
@@ -206,10 +198,10 @@ class TokenRows:
         """The projection `proj` of the real rows [N, d], run over the whole
         [B, t] block with its padded slots set to zero, in a Tensor that
         records no graph."""
-        block = proj(self.scatter(rows))
+        block = proj(self._block(rows))
         if self.pad is not None:
-            block.reshape(-1, block.shape[-1])[self.pad] = 0
-        return Tensor(block)
+            block[self.pad] = 0
+        return Tensor(block.reshape(-1, self.t, block.shape[-1]))
 
 
 class LayerNorm(Module):

@@ -5,19 +5,18 @@ The decoder counts one "pass" per sequence per forward call, so a greedy
 decode of T tokens costs T+1 passes (each token plus the end marker) and
 scoring s candidates costs s passes however they are batched.
 
-Training and scoring run the decoder teacher-forced over whole sequences.
-Greedy and beam search decode incrementally (Vaswani et al. 2017): a
-`DecoderCache` keeps every layer's self-attention keys and values, one
-position more per step, and the cross-attention keys and values projected
-from the memory once, so each step decodes only the newest token of every
-row. `greedy_decode_batch` decodes many sources in one such loop, dropping
+Every decoder pass runs against a `DecoderCache` (Vaswani et al. 2017),
+which keeps every layer's self-attention keys and values, extended by each
+pass, and the cross-attention keys and values projected from the memory
+once. Training and scoring run teacher-forced against a fresh cache; greedy
+and beam search keep one and decode only the newest token of every row per
+step. `greedy_decode_batch` decodes many sources in one such loop, dropping
 rows from the cache as they finish.
 
 One layer loop serves every pass. With gradients on, the decoder records
-the autograd graph, its layers reading a fresh cache per pass. Without them
-(scoring, decoding) the same layers run on arrays over the real token rows
-only; a cached step is the pass of one token per row, with no padding,
-against the cached positions.
+the autograd graph. Without them (scoring, decoding) the same layers run
+on arrays over the real token rows only; a cached step is the pass of one
+token per row, with no padding, against the cached positions.
 """
 
 from __future__ import annotations
@@ -60,26 +59,20 @@ class DecoderLayer(Module):
         return self.norm_ffn(self.ffn(x), x)
 
 
-def _layer_caches(model: "TeacherModel", memory):
-    """Per decoder layer, made as the layers are reached: an empty
-    self-attention cache and a cross-attention cache projected from
-    `memory`, a Tensor or an array [B, T', d]."""
-    for layer in model.layers:
-        a = layer.cross_attn
-        yield KVCache(), KVCache(a.heads(a.wk, memory), a.heads(a.wv, memory))
-
-
 class DecoderCache:
-    """Incremental decoding state of a `TeacherModel` for a batch of rows:
-    per layer a growing self-attention cache and a fixed cross-attention
-    cache projected from `memory` here, plus the cross-attention bias, the
-    number of positions decoded so far and the rows of a one-token step."""
+    """The decoding state of a `TeacherModel` for a batch of rows: per layer
+    a growing self-attention cache and a fixed cross-attention cache
+    projected from `memory` here (Tensors with gradients on, arrays
+    without), the number of positions decoded so far and the cross-attention
+    bias [B, 1, 1, T'], whose one query row broadcasts over any pass."""
 
     def __init__(self, model: "TeacherModel", memory: Tensor, src_len: np.ndarray):
         self.length = 0
-        self.step_rows = TokenRows(None, 1, model.cfg)
         self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
-        self.layers = list(_layer_caches(model, memory.data))
+        if not T.grad_enabled():
+            memory = memory.data
+        self.layers = [(KVCache(), KVCache(a.heads(a.wk, memory), a.heads(a.wv, memory)))
+                       for a in (layer.cross_attn for layer in model.layers)]
 
     def select(self, rows) -> None:
         """Keep the given rows, in the given order (beam parents may repeat)."""
@@ -111,38 +104,31 @@ class TeacherModel(Module):
     def decode_logits(self, memory: Tensor | None, src_len: np.ndarray | None,
                       tgt_in: np.ndarray, tgt_in_len: np.ndarray | None,
                       cache: DecoderCache | None = None) -> Tensor:
-        """Output logits [B, T, V]. Without a cache this is the teacher-forced
-        pass over the padded inputs; with gradients off it runs on arrays and
-        its padded positions come back zero. With a cache, `tgt_in` is the
-        [B, 1] block of each row's next token, decoded on arrays against the
-        cached positions, and `memory`, `src_len` and `tgt_in_len` are not
-        read. Array logits come back wrapped in a Tensor that records no
-        graph."""
+        """Output logits [B, t, V] of one pass of `tgt_in` against `cache`,
+        which the tokens enter at its length. Without one, the pass is
+        teacher-forced over the padded inputs against a fresh cache of
+        `memory`. With one, `tgt_in` is the [B, 1] block of each row's next
+        token, and `memory`, `src_len` and `tgt_in_len` are not read. With
+        gradients off the pass runs on arrays, and its logits, zero at the
+        padded positions, come back in a Tensor that records no graph."""
         b, t = tgt_in.shape
         self.decoder_passes += b
-        enc = self.encoder
+        self_bias = None    # a cached step's keys all precede it in its row
         if cache is None:
+            cache = DecoderCache(self, memory, src_len)
             self_bias = attention_bias(causal_mask(t), tgt_in_len, t, t)
-            cross_bias = attention_bias(None, src_len, t, memory.shape[1])
-            rows = None
-            if not T.grad_enabled():
-                rows, memory = TokenRows(tgt_in_len, t, self.cfg), memory.data
-            # a layer's keys and values are made when it is reached
-            start, layer_caches = 0, _layer_caches(self, memory)
-        else:
-            if t != 1:
-                raise ValueError(f"cached decoding takes one token per row, got {t}")
-            if T.grad_enabled():
-                raise RuntimeError("cached decoding records no gradients; "
-                                   "run it under no_grad")
-            # every cached key is an earlier position of the query's own row
-            self_bias, cross_bias, rows = None, cache.cross_bias, cache.step_rows
-            start, layer_caches = cache.length, cache.layers
-            cache.length += 1
+        elif t != 1:
+            raise ValueError(f"cached decoding takes one token per row, got {t}")
+        elif T.grad_enabled():
+            raise RuntimeError("cached decoding records no gradients; "
+                               "run it under no_grad")
+        rows = None if T.grad_enabled() else TokenRows(tgt_in_len, t, self.cfg)
+        enc = self.encoder
         x = self.norm_in(embed_positions(self.embed, tgt_in, enc.pos, enc.embed_scale,
-                                         start, rows))
-        for layer, layer_cache in zip(self.layers, layer_caches):
-            x = layer(x, rows, layer_cache, self_bias, cross_bias)
+                                         cache.length, rows))
+        cache.length += t
+        for layer, layer_cache in zip(self.layers, cache.layers):
+            x = layer(x, rows, layer_cache, self_bias, cache.cross_bias)
         return self.proj(x) if rows is None else rows.logits(self.proj, x)
 
 

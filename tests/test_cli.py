@@ -19,7 +19,7 @@ from natmt import teacher as AR
 from natmt.checkpoint import load_checkpoint, save_checkpoint
 from natmt.cli import main
 from natmt.config import ModelConfig
-from natmt.data import RESERVED, Vocab, load_corpus
+from natmt.data import EOS, RESERVED, UNK, Vocab, load_corpus
 
 
 def run(capsys, *argv):
@@ -317,6 +317,33 @@ def test_translate_with_malformed_manifest_exits_2_naming_file(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, command", [("nat", "translate"),
+                                           ("teacher", "translate"),
+                                           ("teacher", "distill")])
+def test_checkpoint_with_fewer_tokens_than_its_config_exits_2_naming_file(
+        tmp_path, capsys, kind, command):
+    # config tgt_vocab 46 against a 6-token list: the model favours id 40,
+    # which has no token to print
+    cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
+                      tgt_vocab=46, max_len=16, max_fertility=4)
+    model = (N.NatModel if kind == "nat" else AR.TeacherModel)(
+        cfg, np.random.default_rng(0))
+    model.proj.bias.data[40] = 50.0
+    path = tmp_path / "m.nat"
+    P.save_model(path, model, Vocab(["a", "b"]), Vocab(["x", "y"]))
+    for ext in ("src", "tgt"):
+        (tmp_path / f"c.{ext}").write_text("a b\n")
+    argv = {"translate": ["--model", str(path), "--input", str(tmp_path / "c.src"),
+                          "--strategy", "argmax" if kind == "nat" else "greedy"],
+            "distill": ["--teacher", str(path), "--corpus", str(tmp_path / "c"),
+                        "--out-prefix", str(tmp_path / "d")]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert (f"data error: checkpoint vocabularies of 6 and 6 tokens are fewer "
+            f"than config src_vocab 6 and tgt_vocab 46: {path}") in err
+    assert not (tmp_path / "d.tgt").exists()
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Tiny end-to-end run: corpus, teacher, distilled corpus, alignments,
@@ -389,6 +416,46 @@ def test_distill_bad_source_exits_2_naming_file_line(workdir, capsys, case):
     assert code == 2
     assert f"data error: {prefix}.src:2: {message}" in err
     assert not (prefix.parent / "holey.out.src").exists()
+
+
+def test_distill_leaves_out_pairs_whose_target_decodes_empty(workdir, capsys,
+                                                             monkeypatch):
+    # an empty decode (written as its end marker) and an all-<unk> one both
+    # decode to no word; the corpus readers refuse an empty target line
+    tv = P.load_model(workdir["teacher"])[2]
+    words = load_corpus(workdir["corpus"])[0][0]
+    hyps = {1: [], 2: [UNK, UNK], 3: [4, UNK]}
+    monkeypatch.setattr(AR, "greedy_decode_batch",
+                        lambda srcs, model: [hyps[len(s)] for s in srcs])
+    prefix = workdir["dir"] / "mixed"
+    for ext in ("src", "tgt"):
+        (prefix.parent / f"mixed.{ext}").write_text(
+            "".join(" ".join(words[:n]) + "\n" for n in (2, 3, 1)))
+    out_prefix = str(prefix) + ".out"
+    code, out, _ = run(capsys, "distill", "--teacher", workdir["teacher"],
+                       "--corpus", str(prefix), "--out-prefix", out_prefix)
+    assert code == 0
+    assert (f"distilled 1 pairs with greedy decoding (2 empty targets "
+            f"dropped) to {out_prefix}") in out
+    assert load_corpus(out_prefix) == [(words[:3], [tv.tokens[4]])]
+
+
+def test_distill_with_every_target_empty_exits_2_naming_the_teacher(tmp_path,
+                                                                    capsys):
+    cfg = ModelConfig(d_model=8, d_hidden=16, n_layer=1, n_head=2, src_vocab=6,
+                      tgt_vocab=6, max_len=16, max_fertility=4)
+    model = AR.TeacherModel(cfg, np.random.default_rng(0))
+    model.proj.bias.data[EOS] = 50.0    # the end marker wins at once
+    path = tmp_path / "t.nat"
+    P.save_model(path, model, Vocab(["a", "b"]), Vocab(["x", "y"]))
+    for ext in ("src", "tgt"):
+        (tmp_path / f"c.{ext}").write_text("a b\nb\n")
+    code, out, err = run(capsys, "distill", "--teacher", str(path), "--corpus",
+                         str(tmp_path / "c"), "--out-prefix", str(tmp_path / "d"))
+    assert (code, out) == (2, "")
+    assert (f"data error: teacher {path} decodes every source of {tmp_path / 'c'} "
+            "to an empty target") in err
+    assert not (tmp_path / "d.tgt").exists()
 
 
 def test_translate_writes_one_line_per_input(workdir, capsys):
@@ -1247,6 +1314,26 @@ def test_lr_scale_not_positive_exits_2_naming_key(tmp_path, capsys, value):
                          "--set", f"lr_scale={value}")
     assert (code, out) == (2, "")
     assert f"data error: lr_scale must be positive, got {float(value)}" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, terms, lam", [
+    (["--set", "finetune_terms="], [], 0.25),
+    (["--set", "finetune_terms=kd", "--lam", "1"], ["kd"], 1.0),
+    (["--set", "finetune_terms=rl,bp", "--lam", "0"], ["bp", "rl"], 0.0),
+], ids=["no_term", "kd_at_lam_1", "rl_bp_at_lam_0"])
+def test_finetune_with_no_weighted_term_exits_2_naming_terms_and_lam(
+        workdir, capsys, flags, terms, lam):
+    # rl and bp are weighted by lam and kd by 1 - lam: no step would move a
+    # weight, and an unchanged model would be saved
+    out_path = workdir["dir"] / "unweighted.nat"
+    code, out, err = run(capsys, "finetune", "--nat", workdir["nat"], "--teacher",
+                         workdir["teacher"], "--corpus", workdir["distilled"],
+                         "--fertilities", workdir["ferts"], "--out", str(out_path),
+                         "--steps", "1", *flags)
+    assert (code, out) == (2, "")
+    assert (f"data error: no term of finetune_terms {terms} carries weight at "
+            f"lam {lam}") in err
     assert not out_path.exists()
 
 

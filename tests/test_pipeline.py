@@ -137,6 +137,23 @@ def test_nat_ml_step_total_is_exact_sum():
     assert res.total == res.translation_loss + res.fertility_loss
 
 
+@pytest.mark.parametrize("kind", ["teacher", "nat"])
+def test_one_training_step_leaves_a_gradient_on_every_parameter(kind):
+    # a parameter that no gradient reaches, such as a cross-attention key or
+    # value projection read from detached encoder states, would never train
+    cfg = tiny_cfg(n_layer=2)
+    batch = one_batch([([4, 5, 6], [7, 8]), ([9, 4], [10, 11, 5])],
+                      fertilities=[[1, 0, 1], [2, 1]])
+    if kind == "teacher":
+        model = AR.TeacherModel(cfg, np.random.default_rng(3))
+        AR.ar_train_step(batch, model, AdamWarmup(model.named_parameters(), 0.1))
+    else:
+        model = N.NatModel(cfg, np.random.default_rng(4))
+        P.nat_ml_step(batch, model, AdamWarmup(model.named_parameters(), 0.1))
+    missing = [name for name, p in model.named_parameters() if p.grad is None]
+    assert missing == []
+
+
 def test_initial_fertility_loss_near_uniform():
     cfg = tiny_cfg(max_fertility=50, max_len=64)
     model = N.NatModel(cfg, np.random.default_rng(5))
