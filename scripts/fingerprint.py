@@ -1,6 +1,6 @@
 """Output fingerprint of the whole pipeline at tiny size.
 
-For each of two model shapes, trains a teacher, distills the corpus with it,
+For each of three model shapes, trains a teacher, distills the corpus with it,
 aligns the distilled corpus, trains a parallel model on it, fine-tunes that
 model with every loss term, then decodes a few sources with every strategy.
 Prints one SHA-256 per stage:
@@ -37,8 +37,11 @@ from natmt.bench import decoder
 from natmt.config import ModelConfig, TrainConfig
 from natmt.data import Vocab, encode_corpus
 
+# `layers.TokenRows` packs the real rows of a no-grad pass only at widths that
+# are multiples of 16; 2x24 keeps every padded block whole
 SHAPES = {"1x16": dict(d_model=16, d_hidden=32, n_layer=1, n_head=1),
-          "2x32": dict(d_model=32, d_hidden=64, n_layer=2, n_head=2)}
+          "2x32": dict(d_model=32, d_hidden=64, n_layer=2, n_head=2),
+          "2x24": dict(d_model=24, d_hidden=40, n_layer=2, n_head=2)}
 STRATEGIES = ("greedy", "beam:2", "argmax", "average", "npd:5")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 from . import aligner as AL
@@ -82,24 +83,20 @@ def _add_config_flags(sp):
     sp.add_argument("--log", help="JSONL training log path")
 
 
-def _load(path):
-    """`P.load_model`, refusing a checkpoint whose token lists are shorter
-    than its config vocabularies: a decoded id past the list has no token."""
-    model, sv, tv, ckpt = P.load_model(path)
+def _load(path, kind: str | None = None):
+    """`P.load_model` without its record, refusing a model not of `kind`, if
+    given, and token lists shorter than the config vocabularies: a decoded
+    id past the list has no token."""
+    model, sv, tv, _ = P.load_model(path)
     cfg = model.cfg
     if (len(sv), len(tv)) != (cfg.src_vocab, cfg.tgt_vocab):
         raise DataError(f"checkpoint vocabularies of {len(sv)} and {len(tv)} tokens "
                         f"are fewer than config src_vocab {cfg.src_vocab} and "
                         f"tgt_vocab {cfg.tgt_vocab}: {path}")
-    return model, sv, tv, ckpt
-
-
-def _load_kind(path, kind: str):
-    model, sv, tv, ckpt = _load(path)
-    if model.kind != kind:
+    if kind not in (None, model.kind):
         raise DataError(f"checkpoint {path} holds a {model.kind} model, "
                         f"expected {kind}")
-    return model, sv, tv, ckpt
+    return model, sv, tv
 
 
 def _check_same_vocabs(teacher_path, teacher_vocabs, nat_path, nat_vocabs) -> None:
@@ -135,14 +132,15 @@ def cmd_train_teacher(args) -> None:
 
 
 def cmd_distill(args) -> None:
-    model, sv, tv, _ = _load_kind(args.teacher, "teacher")
+    model, sv, tv = _load(args.teacher, "teacher")
     if args.mode == "beam":
         at_least("--beam", args.beam, 1)
     pairs_tok = load_corpus(args.corpus)
     check_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok], model.cfg.max_len)
     enc = encode_corpus(pairs_tok, sv, tv)
-    out = P.build_distill_corpus(enc, model, mode=args.mode,
-                                 beam_width=args.beam)
+    with warnings.catch_warnings():  # the dropped pairs below count empty decodes
+        warnings.simplefilter("ignore", UserWarning)
+        out = P.build_distill_corpus(enc, model, mode=args.mode, beam_width=args.beam)
     # a target of no word (an empty decode, only <unk>) fails check_corpus
     decoded = [(src_tok, tgt_tok) for (src_tok, _), (_, tgt_ids)
                in zip(pairs_tok, out.pairs) if (tgt_tok := tv.decode(tgt_ids))]
@@ -190,7 +188,7 @@ def cmd_train_nat(args) -> None:
     pairs_tok = load_corpus(args.corpus)
     exported = None
     if args.init_encoder:
-        teacher_model, sv, tv, _ = _load_kind(args.init_encoder, "teacher")
+        teacher_model, sv, tv = _load(args.init_encoder, "teacher")
         exported = AR.export_encoder(teacher_model)
         # shared-trunk shape must match the teacher; max_fertility stays free
         tc = teacher_model.cfg
@@ -212,8 +210,8 @@ def cmd_train_nat(args) -> None:
 
 
 def cmd_finetune(args) -> None:
-    model, sv, tv, _ = _load_kind(args.nat, "nat")
-    teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
+    model, sv, tv = _load(args.nat, "nat")
+    teacher_model, tsv, ttv = _load(args.teacher, "teacher")
     _check_same_vocabs(args.teacher, (tsv, ttv), args.nat, (sv, tv))
     pairs_tok = load_corpus(args.corpus)
     check_corpus(args.corpus, pairs_tok,
@@ -229,13 +227,13 @@ def cmd_finetune(args) -> None:
 
 def cmd_translate(args) -> None:
     at_least("--seed", args.seed, 0)
-    model, sv, tv, _ = _load(args.model)
+    model, sv, tv = _load(args.model)
     sents = read_sentences(args.input)
     models = {model.kind: model}
     if args.strategy == "npd" and model.kind == "nat":
         if not args.teacher:
             raise UsageError("npd strategy requires --teacher")
-        teacher_model, tsv, ttv, _ = _load_kind(args.teacher, "teacher")
+        teacher_model, tsv, ttv = _load(args.teacher, "teacher")
         _check_same_vocabs(args.teacher, (tsv, ttv), args.model, (sv, tv))
         models["teacher"] = teacher_model
     spec = {"beam": f"beam:{args.beam}",
@@ -252,7 +250,7 @@ def cmd_translate(args) -> None:
 
 
 def cmd_score(args) -> None:
-    model, sv, tv, _ = _load_kind(args.teacher, "teacher")
+    model, sv, tv = _load(args.teacher, "teacher")
     srcs, cands = read_parallel(args.source, args.candidates)
     check_lines(args.source, srcs, model.cfg.max_len)
     # an empty candidate scores the end marker alone
@@ -276,8 +274,8 @@ def cmd_bleu(args) -> None:
 def cmd_bench(args) -> None:
     at_least("--repeats", args.repeats, 1)
     at_least("--seed", args.seed, 0)
-    teacher = _load_kind(args.teacher, "teacher") if args.teacher else None
-    nat = _load_kind(args.nat, "nat") if args.nat else None
+    teacher = _load(args.teacher, "teacher") if args.teacher else None
+    nat = _load(args.nat, "nat") if args.nat else None
     if teacher is None and nat is None:
         raise UsageError("bench needs --teacher and/or --nat")
     if teacher and nat:

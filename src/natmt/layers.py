@@ -58,11 +58,11 @@ def causal_mask(t: int) -> np.ndarray:
 def attention_bias(structural: np.ndarray | None, key_lengths: np.ndarray,
                    tq: int, tk: int, exclude_self: bool = False) -> np.ndarray:
     """Additive attention bias [B, 1, tq, tk] combining a structural mask with
-    per-sentence key padding. With `exclude_self`, no query attends to the
-    key at its own position, except in a length-1 row, which would otherwise
-    have no permitted key at all. Raises if any query row ends up with no
-    permitted key.
-    """
+    per-sentence key padding. A bias of key padding alone is built with one
+    query row, tq = 1, which broadcasts over any queries. With `exclude_self`,
+    no query attends to the key at its own position, except in a length-1
+    row, which would otherwise have no permitted key at all. Raises if any
+    query row ends up with no permitted key."""
     key_lengths = np.asarray(key_lengths)
     permitted = np.empty((key_lengths.shape[0], 1, tq, tk), dtype=bool)
     np.less(np.arange(tk), key_lengths[:, None, None, None], out=permitted)
@@ -346,9 +346,8 @@ class Encoder(Module):
         self.pos = positional_table(cfg.max_len, cfg.d_model)
 
     def __call__(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor:
-        t = ids.shape[1]
         x = self.norm_in(embed_positions(self.embed, ids, self.pos, self.embed_scale))
-        bias = attention_bias(None, lengths, t, t)
+        bias = attention_bias(None, lengths, 1, ids.shape[1])
         for layer in self.layers:
             x = layer(x, bias)
         return x

@@ -1,12 +1,13 @@
 """Parallel decoder with fertility latent variables.
 
 The decoder receives copies of source embeddings, each source token repeated
-as often as its fertility, instead of previously emitted tokens, so all
-output positions are computed in one pass. Each decoder layer runs
-self-attention masked only at the query's own position, positional attention
-(positional encodings as query and key, decoder states as value),
-encoder-decoder attention, and an FFN. A one-layer softmax head over the
-last encoder layer predicts per-source-token fertility classes 0..L-1.
+as often as its fertility, instead of previously emitted tokens, so all output
+positions are computed in one pass. Each decoder layer runs self-attention
+masked only at the query's own position, positional attention (positional
+encodings as query and key, decoder states as value), encoder-decoder
+attention on keys and values that a `teacher.DecoderCache` projects from the
+encoder memory, as for the teacher, and an FFN. A one-layer softmax head over
+the last encoder layer predicts per-source-token fertility classes 0..L-1.
 The decoder's layers are written once: with gradients on they record the
 autograd graph; without them (every decode, and fine-tuning's sampled
 translations) they run on arrays over the real output slots only.
@@ -35,7 +36,7 @@ from . import tensor as T
 from . import teacher as AR
 from .config import ModelConfig
 from .data import PAD, pad_block
-from .layers import (Encoder, FFNBlock, LayerNorm, Linear, Module,
+from .layers import (Encoder, FFNBlock, KVCache, LayerNorm, Linear, Module,
                      MultiHeadAttention, TokenRows, attention_bias,
                      embed_positions)
 from .tensor import Tensor
@@ -82,16 +83,15 @@ class NatDecoderLayer(Module):
         self.ffn = FFNBlock(cfg, rng)
         self.norm_ffn = LayerNorm(cfg.d_model)
 
-    def __call__(self, x, rows: TokenRows | None, memory, pos_q,
+    def __call__(self, x, rows: TokenRows | None, cross_kv: KVCache, pos_q,
                  self_bias: np.ndarray, pad_bias: np.ndarray, cross_bias: np.ndarray):
         """The layer over the output slots `x` and their positions `pos_q`,
-        Tensors [B, t, d] or the real rows [N, d] of the block `rows`, and
-        the [B, T', d] encoder memory, of the same kind."""
+        Tensors [B, t, d] or the real rows [N, d] of the block `rows`, against
+        its cross-attention cache of the encoder memory, of the same kind."""
         x = self.norm_self(self.self_attn(x, x, x, self_bias, rows), x)
         x = self.norm_pos(self.pos_attn(pos_q, pos_q, x, pad_bias, rows), x)
-        c = self.cross_attn
-        x = self.norm_cross(c.attend(x, c.heads(c.wk, memory), c.heads(c.wv, memory),
-                                     cross_bias, rows), x)
+        x = self.norm_cross(self.cross_attn.attend(x, cross_kv.k, cross_kv.v,
+                                                   cross_bias, rows), x)
         return self.norm_ffn(self.ffn(x), x)
 
 
@@ -126,20 +126,17 @@ class NatModel(Module):
         b, t = dec_ids.shape
         self.decoder_passes += b
         self_bias = attention_bias(None, dec_len, t, t, exclude_self=True)
-        pad_bias = attention_bias(None, dec_len, t, t)
-        cross_bias = attention_bias(None, src_len, t, memory.shape[1])
+        pad_bias = attention_bias(None, dec_len, 1, t)
+        cache = AR.DecoderCache(self, memory, src_len)
         enc = self.encoder
         rows = None if T.grad_enabled() else TokenRows(dec_len, t, self.cfg)
         # copied source tokens in the source embedding, fresh output positions
         x = self.norm_in(embed_positions(enc.embed, dec_ids, enc.pos, enc.embed_scale,
                                          rows=rows))
         pos_q = np.broadcast_to(enc.pos[:t], (b, t, self.cfg.d_model))
-        if rows is None:
-            pos_q = Tensor(pos_q.copy())
-        else:
-            pos_q, memory = rows.gather(pos_q), memory.data
-        for layer in self.layers:
-            x = layer(x, rows, memory, pos_q, self_bias, pad_bias, cross_bias)
+        pos_q = Tensor(pos_q.copy()) if rows is None else rows.gather(pos_q)
+        for layer, (_, cross_kv) in zip(self.layers, cache.layers):
+            x = layer(x, rows, cross_kv, pos_q, self_bias, pad_bias, cache.cross_bias)
         return self.proj(x) if rows is None else rows.logits(self.proj, x)
 
 

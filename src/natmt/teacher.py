@@ -21,7 +21,7 @@ token per row, with no padding, against the cached positions.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .layers import (Embedding, Encoder, FFNBlock, KVCache, LayerNorm, Linear,
                      Module, MultiHeadAttention, TokenRows, attention_bias,
                      causal_mask, embed_positions)
 from .tensor import Tensor
+
+if TYPE_CHECKING:
+    from .nat import NatModel
 
 
 class DecoderLayer(Module):
@@ -60,13 +63,15 @@ class DecoderLayer(Module):
 
 
 class DecoderCache:
-    """The decoding state of a `TeacherModel` for a batch of rows: per layer
-    a growing self-attention cache and a fixed cross-attention cache
-    projected from `memory` here (Tensors with gradients on, arrays
-    without), the number of positions decoded so far and the cross-attention
-    bias [B, 1, 1, T'], whose one query row broadcasts over any pass."""
+    """The decoding state of either decoder for a batch of rows: per layer a
+    growing self-attention cache (the parallel decoder leaves it empty) and
+    a fixed cross-attention cache projected from `memory` here (Tensors with
+    gradients on, arrays without), the number of positions decoded so far
+    and the cross-attention bias [B, 1, 1, T'], whose one query row
+    broadcasts over any pass."""
 
-    def __init__(self, model: "TeacherModel", memory: Tensor, src_len: np.ndarray):
+    def __init__(self, model: TeacherModel | NatModel, memory: Tensor,
+                 src_len: np.ndarray):
         self.length = 0
         self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
         if not T.grad_enabled():

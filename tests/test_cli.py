@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,25 @@ def test_distill_leaves_out_pairs_whose_target_decodes_empty(workdir, capsys,
     assert (f"distilled 1 pairs with greedy decoding (2 empty targets "
             f"dropped) to {out_prefix}") in out
     assert load_corpus(out_prefix) == [(words[:3], [tv.tokens[4]])]
+
+
+def test_distill_reports_empty_decodes_once_without_a_warning(workdir, capsys,
+                                                             monkeypatch):
+    # the dropped-pair count is the report; the library's "replaced N empty
+    # teacher decode(s)" warning would name the same decodes a second time
+    words = load_corpus(workdir["corpus"])[0][0]
+    monkeypatch.setattr(AR, "greedy_decode_batch",
+                        lambda srcs, model: [[] if len(s) == 1 else [4] for s in srcs])
+    prefix = workdir["dir"] / "once"
+    for ext in ("src", "tgt"):
+        (prefix.parent / f"once.{ext}").write_text(f"{words[0]}\n{words[0]} {words[1]}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "distill", "--teacher", workdir["teacher"],
+                           "--corpus", str(prefix), "--out-prefix", str(prefix) + ".out")
+    assert code == 0
+    assert "(1 empty targets dropped)" in out
+    assert [str(w.message) for w in caught] == []
 
 
 def test_distill_with_every_target_empty_exits_2_naming_the_teacher(tmp_path,

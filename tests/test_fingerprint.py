@@ -25,6 +25,6 @@ def _fingerprint(hash_seed: str) -> list[str]:
 def test_fingerprint_is_reproducible_across_processes():
     first, second = _fingerprint("1"), _fingerprint("2")
     assert [line.split()[0] for line in first] == [
-        f"{shape}.{stage}" for shape in ("1x16", "2x32") for stage in STAGES]
+        f"{shape}.{stage}" for shape in ("1x16", "2x32", "2x24") for stage in STAGES]
     assert all(len(line.split()[1]) == 64 for line in first)
     assert first == second

@@ -142,6 +142,9 @@ def test_attention_bias_matches_reference(lengths, tq, extra_width, causal,
     assert got.shape == (len(lengths), 1, tq, tk)
     assert got.dtype == np.float32
     assert np.array_equal(got, want)
+    if not (causal or exclude_self):    # key padding alone: one query row suffices
+        one_row = L.attention_bias(None, key_lengths, 1, tk)
+        assert np.array_equal(np.broadcast_to(one_row, got.shape), got)
 
 
 # ---------------------------------------------------------------------------
