@@ -8,6 +8,12 @@ breaking exact ties toward the diagonal. Each corpus is encoded once into flat
 token-id arrays with per-sentence lengths and starts; EM, Viterbi and
 fertility counting then run on whole arrays per length bucket, in blocks of at
 most BLOCK_CELLS cells, so their working arrays do not grow with the corpus.
+EM stores, once for all sweeps, each block's lexical index per cell and, per
+bucket, the cells' positions in the block and their lexical indices: three
+8-byte integers, 24 bytes, per cell of the corpus. It sums positional counts
+in place and in corpus order: the running table is added into a bucket's
+first posterior (IEEE addition commutes), then a reduce over the outer pair
+axis adds one pair at a time, because each pair holds T'+1 >= 2 floats.
 Fertilities are per-source-token alignment counts after NULL-aligned targets
 are reattached to their nearest aligned neighbor's source, so they always sum
 to the target length.
@@ -95,7 +101,8 @@ def _em_blocks(src: _Flat, tgt: _Flat, n_tgt: int) -> list:
     consecutive pairs holding at most BLOCK_CELLS (i, j) cells (at least one
     pair each). A block is the flat lexical index of its cells in corpus
     order (pair, then i, then j) and, per length bucket, (bucket, corpus
-    rows, offset of each row's cells)."""
+    rows, the cells' positions in that order [pairs, (T'+1)*T], their
+    lexical indices [pairs, T'+1, T]), built once for every sweep."""
     sizes = src.lens * tgt.lens
     ends = np.cumsum(sizes)
     firsts = ends - sizes
@@ -108,10 +115,10 @@ def _em_blocks(src: _Flat, tgt: _Flat, n_tgt: int) -> list:
         groups = []
         for (t, tp), local in _buckets(tgt.lens[start:stop], src.lens[start:stop] - 1):
             rows = local + start
-            offsets = firsts[rows] - firsts[start]
+            at = (firsts[rows] - firsts[start])[:, None] + np.arange((tp + 1) * t)
             cells = src.rows(rows, tp + 1)[:, :, None] * n_tgt + tgt.rows(rows, t)[:, None, :]
-            flat[offsets[:, None] + np.arange((tp + 1) * t)] = cells.reshape(len(rows), -1)
-            groups.append(((t, tp), rows, offsets))
+            flat[at] = cells.reshape(len(rows), -1)
+            groups.append(((t, tp), rows, at, cells))
         blocks.append((flat, groups))
         start = stop
     return blocks
@@ -121,11 +128,15 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
     """Model 1 EM (uniform positions) then Model 2 EM; the recorded corpus
     log-likelihood is non-decreasing within each phase.
 
-    Each sweep works bucket by bucket on whole arrays, block by block, yet
-    adds every float in the order of a loop over pairs: lexical counts go
-    through one `np.add.at` per block in corpus order, positional counts
-    through `np.add.accumulate` seeded with the running table, and per-pair
-    log-likelihoods are accumulated in corpus order."""
+    Each sweep works bucket by bucket on whole arrays, block by block, from
+    each group's stored cell positions `at` [pairs, (T'+1)*T] and lexical
+    indices `cells` [pairs, T'+1, T] (with the block's flat index, 24 bytes
+    per corpus cell), yet adds every float in the order of a loop over
+    pairs: lexical counts go through one `np.add.at` per block in corpus
+    order; positional counts through the running table added into the
+    group's first posterior in place, then `np.add.reduce` over the outer
+    pair axis (pair by pair, as T'+1 >= 2); per-pair log-likelihoods are
+    accumulated in corpus order."""
     pairs = _clean_corpus(corpus)
     srcs, tgts = [s for s, _ in pairs], [t for _, t in pairs]
     # first-occurrence order; source rows start at 1, after NULL
@@ -151,9 +162,8 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
         pos_counts = {k: np.zeros(v.T.shape) for k, v in pos.items()} if model2 else None
         for flat, groups in blocks:
             gammas = np.empty(len(flat))
-            for (t, tp), rows, offsets in groups:
-                at = offsets[:, None] + np.arange((tp + 1) * t)
-                scores = lex.take(flat[at]).reshape(len(rows), tp + 1, t)
+            for (t, tp), rows, at, cells in groups:
+                scores = lex.take(cells)                 # [pairs, T'+1, T]
                 if model2:
                     scores *= pos[(t, tp)].T             # a(i|j) broadcast over i rows
                 else:
@@ -163,8 +173,13 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
                 scores /= totals[:, None, :]             # posterior over i
                 gammas[at] = scores.reshape(len(rows), -1)     # corpus order
                 if model2:
-                    seeded = np.concatenate([pos_counts[(t, tp)][None], scores])
-                    pos_counts[(t, tp)] = np.add.accumulate(seeded, axis=0)[-1]
+                    # table + pair 0 is pair 0 + table bit for bit, and a
+                    # reduce over the outer pair axis adds one pair at a
+                    # time in corpus order, since each pair's slice holds
+                    # T'+1 >= 2 floats (only a one-float slice would make
+                    # the pair axis contiguous and the sum pairwise)
+                    scores[0] += pos_counts[(t, tp)]
+                    pos_counts[(t, tp)] = np.add.reduce(scores, axis=0)
             np.add.at(flat_counts, flat, gammas)
         # accumulate adds one pair at a time, in corpus order
         ll = float(np.add.accumulate(ll_pairs)[-1])

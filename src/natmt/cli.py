@@ -135,6 +135,9 @@ def cmd_distill(args) -> None:
     model, sv, tv = _load(args.teacher, "teacher")
     if args.mode == "beam":
         at_least("--beam", args.beam, 1)
+        if args.beam > B.STRATEGY_CEILING:
+            raise DataError(f"--beam must be at most {B.STRATEGY_CEILING}, "
+                            f"got {args.beam}")
     pairs_tok = load_corpus(args.corpus)
     check_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok], model.cfg.max_len)
     enc = encode_corpus(pairs_tok, sv, tv)
@@ -169,7 +172,8 @@ def cmd_align(args) -> None:
                                 f"do not fit {len(src)} source tokens of fertility "
                                 f"at most {cap} (--max-fertility {args.max_fertility})")
     model = AL.em_train(pairs_tok, args.iters_m1, args.iters_m2)
-    alignments = AL.corpus_alignments(pairs_tok, model)
+    if args.alignments_out or args.fertilities_out:
+        alignments = AL.corpus_alignments(pairs_tok, model)
     if args.alignments_out:
         lines = AL.dump_alignments(alignments)
         Path(args.alignments_out).write_text("\n".join(lines) + "\n",

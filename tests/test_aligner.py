@@ -124,27 +124,42 @@ EQUIVALENCE_CORPORA = {
 }
 
 
-@pytest.mark.parametrize("block_cells", [AL.BLOCK_CELLS, 60])
-@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CORPORA))
-def test_bucketed_em_and_viterbi_equal_scalar_reference(monkeypatch, name,
-                                                        block_cells):
-    """Every table, log-likelihood, alignment and fertility equals the scalar
-    loop's bit for bit, also when blocks split buckets (60 cells hold one
-    pair of up to 7 x 6 cells, or several short ones)."""
-    monkeypatch.setattr(AL, "BLOCK_CELLS", block_cells)
-    corpus = EQUIVALENCE_CORPORA[name]()
-    got, want = AL.em_train(corpus), ref_em_train(corpus)
+def assert_same_model(got, want):
     assert got.src_index == want.src_index and got.tgt_index == want.tgt_index
     assert np.array_equal(got.lex, want.lex)
     assert got.pos.keys() == want.pos.keys()
     for k in want.pos:
         assert np.array_equal(got.pos[k], want.pos[k]), k
     assert got.ll_history == want.ll_history
+
+
+@pytest.mark.parametrize("block_cells", [AL.BLOCK_CELLS, 60, 1])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_CORPORA))
+def test_bucketed_em_and_viterbi_equal_scalar_reference(monkeypatch, name,
+                                                        block_cells):
+    """Every table, log-likelihood, alignment and fertility equals the scalar
+    loop's bit for bit, also when blocks split buckets (60 cells hold one
+    pair of up to 7 x 6 cells, or several short ones) and when every block
+    and group is a single pair (1 cell), whose positional reduce has one
+    row."""
+    monkeypatch.setattr(AL, "BLOCK_CELLS", block_cells)
+    corpus = EQUIVALENCE_CORPORA[name]()
+    want = ref_em_train(corpus)
+    assert_same_model(AL.em_train(corpus), want)
     aligns = [ref_viterbi_align(p, want) for p in corpus]
     assert AL.corpus_alignments(corpus, want) == aligns
     assert [AL.viterbi_align(p, want) for p in corpus[:10]] == aligns[:10]
     assert AL.corpus_fertilities(corpus, want) == [
         AL.extract_fertilities(a, len(s)) for (s, _), a in zip(corpus, aligns)]
+
+
+@pytest.mark.parametrize("iters", [(0, 3), (3, 0)], ids=["m2_only", "m1_only"])
+@pytest.mark.parametrize("name", ["mixed_lengths", "planted_8_20", "multimodal_4"])
+def test_single_phase_em_equals_scalar_reference(name, iters):
+    """Model 2 from uniform tables, and Model 1 alone, equal the scalar loop
+    bit for bit."""
+    corpus = EQUIVALENCE_CORPORA[name]()
+    assert_same_model(AL.em_train(corpus, *iters), ref_em_train(corpus, *iters))
 
 
 def test_viterbi_equals_reference_on_unseen_tokens_and_lengths(monkeypatch):

@@ -959,6 +959,18 @@ def test_align_with_one_em_phase_reports_its_log_likelihood(
                    f"{model.ll_history[phase][-1]:.4f}\n")
 
 
+def test_align_without_outputs_runs_no_viterbi(workdir, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("corpus_alignments called with no output to write")
+
+    model = AL.em_train(load_corpus(workdir["corpus"]))
+    monkeypatch.setattr(AL, "corpus_alignments", refuse)
+    code, out, err = run(capsys, "align", "--corpus", workdir["corpus"])
+    assert (code, err) == (0, "")
+    assert out == (f"aligned 20 pairs; final log-likelihood "
+                   f"{model.ll_history['m2'][-1]:.4f}\n")
+
+
 @pytest.mark.parametrize("m1, m2, message", [
     ("-1", "5", "--iters-m1 must be at least 0, got -1"),
     ("5", "-2", "--iters-m2 must be at least 0, got -2"),
@@ -1115,13 +1127,17 @@ def test_translate_caps_fertility_total_at_max_len(tmp_path, capsys, strategy):
                "--seed", "-1"], "--seed must be at least 0, got -1"),
     ("distill", ["--corpus", "CORPUS", "--out-prefix", "OUT", "--mode", "beam",
                  "--beam", "0"], "--beam must be at least 1, got 0"),
+    # and the one flag with a ceiling as well as a floor
+    ("distill", ["--corpus", "CORPUS", "--out-prefix", "OUT", "--mode", "beam",
+                 "--beam", "1025"], "--beam must be at most 1024, got 1025"),
     ("translate", ["--model", "NAT", "--input", "SRC", "--strategy", "npd",
                    "--samples", "3", "--seed", "-1"], "--seed must be at least 0, got -1"),
 ], ids=["bench_repeats_0", "bench_seed_negative", "distill_beam_0",
-        "translate_seed_negative"])
+        "distill_beam_1025", "translate_seed_negative"])
 def test_flag_below_its_floor_exits_2_naming_it(workdir, capsys, command, argv,
                                                 message):
-    # each value would reach a library check or numpy's seeding
+    # each value would reach a library check, numpy's seeding or a beam wider
+    # than the strategy ceiling
     names = {"SRC": workdir["corpus"] + ".src", "CORPUS": workdir["corpus"],
              "NAT": workdir["nat"], "OUT": str(workdir["dir"] / "floor_out")}
     code, out, err = run(capsys, command, "--teacher", workdir["teacher"],
