@@ -16,7 +16,6 @@ import argparse
 import statistics
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import natmt.aligner as AL
@@ -74,11 +73,8 @@ def main(argv=None):
         f"contamination {oracle.contamination_rate(dev_srcs, t_hyps):.3f}")
 
     def fit_nat(pairs_enc, pairs_tok, seed):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # rare fertility clamps
-            aligner = AL.em_train(pairs_tok)
-            ferts = AL.corpus_fertilities(pairs_tok, aligner,
-                                          cfg.max_fertility)
+        aligner = AL.em_train(pairs_tok)
+        ferts = AL.corpus_fertilities(pairs_tok, aligner, cfg.max_fertility)
         return P.train_nat(
             pairs_enc, ferts, cfg,
             TrainConfig(steps=args.nat_steps, batch_size=32, warmup=200,

@@ -17,7 +17,7 @@ from . import pipeline as P
 from . import synth as SY
 from . import teacher as AR
 from .bleu import bleu
-from .config import ModelConfig, TrainConfig
+from .config import SIZE_LIMITS, ModelConfig, TrainConfig
 from .data import (DataError, Vocab, at_least, check_corpus, check_lines, coerce,
                    encode_corpus, integer, load_corpus, read_config,
                    read_fertilities, read_parallel, read_sentences, real,
@@ -139,6 +139,8 @@ def cmd_distill(args) -> None:
             raise DataError(f"--beam must be at most {B.STRATEGY_CEILING}, "
                             f"got {args.beam}")
     pairs_tok = load_corpus(args.corpus)
+    if not pairs_tok:
+        raise DataError(f"corpus {args.corpus} has no source lines")
     check_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok], model.cfg.max_len)
     enc = encode_corpus(pairs_tok, sv, tv)
     with warnings.catch_warnings():  # the dropped pairs below count empty decodes
@@ -318,6 +320,10 @@ def cmd_gen_synth(args) -> None:
         if not 1 <= args.min_len <= args.max_len:
             raise DataError(f"--min-len must be at least 1 and at most --max-len, "
                             f"got --min-len {args.min_len} and --max-len {args.max_len}")
+        for flag, value, most in (("--vocab", args.vocab, SY.VOCAB_CEILING),
+                                  ("--max-len", args.max_len, SIZE_LIMITS["max_len"][1])):
+            if value > most:    # no model could train on a longer line or more words
+                raise DataError(f"{flag} must be at most {most}, got {value}")
     if args.kind == "copy":
         pairs = SY.gen_copy_corpus(args.size, args.seed, vocab=args.vocab,
                                    min_len=args.min_len, max_len=args.max_len)

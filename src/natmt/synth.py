@@ -18,6 +18,10 @@ import numpy as np
 
 Pair = tuple[list[str], list[str]]
 MODE_LEN = 3   # tokens in every multimodal rendering of a phrase
+# the most words a copy or dictionary corpus may draw from: a model holds an
+# embedding row and an output column per word, so a far larger vocabulary is
+# past any trainable model; refused before numpy is asked for ids that large
+VOCAB_CEILING = 1 << 20
 
 
 # ---------------------------------------------------------------------------

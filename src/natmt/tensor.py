@@ -1,12 +1,13 @@
 """Dense tensor engine with reverse-mode automatic differentiation.
 
-Values are stored in float32; reductions (softmax, layer norm, losses) accumulate
-in float64 before casting back, which keeps the numerical invariants tight without
-inflating checkpoint size. The computation graph is dynamic: every operation
-records its parents and a vector-Jacobian closure, and ``backward`` replays them
-in reverse topological order. Only leaves (parameters and inputs, which record
-no op) receive ``.grad``; gradients of intermediate nodes flow through the
-pass and are dropped with it.
+Values are float32, and ``Tensor(...)`` is the one conversion to float32:
+graph ops take Tensors, plus the array constants they document. Reductions
+(softmax, layer norm, losses) accumulate in float64 before casting back, which
+keeps the numerical invariants tight without inflating checkpoint size. The
+graph is dynamic: every op records its parents and a vector-Jacobian closure,
+and ``backward`` replays them in reverse topological order. Only leaves
+(parameters and inputs, which record no op) receive ``.grad``; gradients of
+intermediate nodes flow through the pass and are dropped with it.
 
 Each op costs a fixed Python overhead, which dominates batch-size-one
 decoding, so the transformer's frequent chains are single ops:
@@ -107,12 +108,6 @@ class Tensor:
         backward(self)
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=DTYPE))
-
-
 _FLOAT32 = np.dtype(DTYPE)
 
 
@@ -146,7 +141,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
 
     def vjp(g):
@@ -157,7 +151,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
 
     def vjp(g):
@@ -168,7 +161,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
@@ -209,7 +201,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     the rows of ``x`` and one 2-D bias add. Keeping the add 2-D makes the
     bias gradient a sum over contiguous rows, whatever the layout of the
     upstream gradient."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
     if sx[-1] != sw[0] or sb != sw[1:]:
         raise ValueError(f"linear shape mismatch: {sx} @ {sw} + {sb}")
@@ -225,7 +216,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = np.maximum(a.data, 0.0)
 
     def vjp(g):
@@ -235,7 +225,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = np.exp(a.data)
 
     def vjp(g):
@@ -245,7 +234,6 @@ def exp(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
     shape = tuple(shape)
     out = a.data.reshape(shape)
 
@@ -256,7 +244,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    a = _as_tensor(a)
     axes = tuple(axes)
     out = a.data.transpose(axes)
 
@@ -279,7 +266,6 @@ def linear_split_heads(x: Tensor, w: Tensor, b: Tensor, n_head: int) -> Tensor:
     """`linear` then the split of its [B, T, d] output into [B, H, T, d/H]
     heads (reshape + transpose) as one op, for a query, key or value
     projection."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
     if len(sx) != 3 or sx[-1] != sw[0] or sb != sw[1:]:
         raise ValueError(f"linear_split_heads shape mismatch: {sx} @ {sw} + {sb}")
@@ -307,7 +293,6 @@ def merge_heads_linear_fwd(a: np.ndarray, w: np.ndarray,
 def merge_heads_linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The merge of [B, H, T, dh] heads into [B, T, H*dh] (transpose +
     reshape) then `linear`, as one op, for an output projection."""
-    a, w, b = _as_tensor(a), _as_tensor(w), _as_tensor(b)
     sa, sw, sb = a.data.shape, w.data.shape, b.data.shape
     if len(sa) != 4 or sa[1] * sa[3] != sw[0] or sb != sw[1:]:
         raise ValueError(f"merge_heads_linear shape mismatch: {sa} @ {sw} + {sb}")
@@ -339,8 +324,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     in place on the hidden pre-activations, and its gradient masks on the
     hidden outputs, which are positive exactly where their inputs are, so
     the op keeps one hidden array where the chain kept two."""
-    x, w1, b1 = _as_tensor(x), _as_tensor(w1), _as_tensor(b1)
-    w2, b2 = _as_tensor(w2), _as_tensor(b2)
     sx, s1, s2 = x.data.shape, w1.data.shape, w2.data.shape
     sb1, sb2 = b1.data.shape, b2.data.shape
     if sx[-1] != s1[0] or sb1 != s1[1:] or s1[1] != s2[0] or sb2 != s2[1:]:
@@ -365,7 +348,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Sum reduction; accumulates in float64."""
-    a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(DTYPE)
     out = np.asarray(out)
 
@@ -383,7 +365,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
     if axis is None:
         n = a.size
     else:
@@ -421,7 +402,6 @@ def _softmax64_vjp(g: np.ndarray, y64: np.ndarray, axis: int) -> np.ndarray:
 def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``; raises NumericError on
     non-finite logits."""
-    logits = _as_tensor(logits)
     y64 = _softmax64(logits.data, axis, "softmax")
 
     def vjp(g):
@@ -445,7 +425,6 @@ def attention_softmax(logits: Tensor, scale: float,
     """softmax(logits * scale + bias) over the last axis as one op, with the
     float32 multiply and add of `mul` and `add`. `bias` is a constant that
     broadcasts to the logits, or None."""
-    logits = _as_tensor(logits)
     y64 = attention_softmax_fwd(logits.data, scale, bias)
     scale = DTYPE(scale)
 
@@ -456,7 +435,6 @@ def attention_softmax(logits: Tensor, scale: float,
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    logits = _as_tensor(logits)
     if not np.isfinite(logits.data).all():
         raise NumericError("log_softmax received non-finite logits")
     y64 = logits.data.astype(np.float64)
@@ -498,11 +476,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
                residual: Tensor | None = None) -> Tensor:
     """Normalize over the last axis, then scale and shift. With `residual`,
     normalize ``residual + x`` (the float32 sum `add` makes) in the same op."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     if residual is None:
         parents = (x, gain, bias)
     else:
-        residual = _as_tensor(residual)
         if residual.data.shape != x.data.shape:
             raise ValueError(f"layer_norm residual shape {residual.data.shape} "
                              f"!= input shape {x.data.shape}")

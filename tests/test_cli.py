@@ -478,6 +478,47 @@ def test_distill_with_every_target_empty_exits_2_naming_the_teacher(tmp_path,
     assert not (tmp_path / "d.tgt").exists()
 
 
+def test_distill_of_an_empty_corpus_exits_2_naming_the_corpus(workdir, tmp_path,
+                                                             capsys):
+    for ext in ("src", "tgt"):
+        (tmp_path / f"e.{ext}").write_text("")
+    code, out, err = run(capsys, "distill", "--teacher", workdir["teacher"],
+                         "--corpus", str(tmp_path / "e"),
+                         "--out-prefix", str(tmp_path / "d"))
+    assert (code, out) == (2, "")
+    assert f"data error: corpus {tmp_path / 'e'} has no source lines" in err
+    assert "decodes" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.src", "e.tgt"]
+
+
+@pytest.mark.parametrize("command, flag, given, kind, want", [
+    ("distill", "--teacher", "nat", "nat", "teacher"),
+    ("finetune", "--nat", "teacher", "teacher", "nat")])
+def test_checkpoint_of_the_other_kind_exits_2_naming_both_kinds(
+        workdir, tmp_path, capsys, command, flag, given, kind, want):
+    argv = {"distill": ["--corpus", workdir["corpus"],
+                        "--out-prefix", str(tmp_path / "d")],
+            "finetune": ["--teacher", workdir["teacher"],
+                         "--corpus", workdir["distilled"],
+                         "--fertilities", workdir["ferts"],
+                         "--out", str(tmp_path / "o.nat")]}[command]
+    code, out, err = run(capsys, command, flag, workdir[given], *argv)
+    assert (code, out) == (2, "")
+    assert (f"data error: checkpoint {workdir[given]} holds a {kind} model, "
+            f"expected {want}") in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_set_without_equals_sign_is_usage(tmp_path, capsys):
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                         "--out", str(tmp_path / "t.nat"), "--set", "steps")
+    assert (code, out) == (1, "")
+    assert "--set expects key=value, got 'steps'" in err
+    assert not (tmp_path / "t.nat").exists()
+
+
 def test_translate_writes_one_line_per_input(workdir, capsys):
     d = workdir["dir"]
     out = d / "hyp.txt"
@@ -1022,6 +1063,40 @@ def test_gen_synth_count_below_what_the_generator_needs_exits_2_naming_it(
     assert not (tmp_path / "bad.src").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--kind", "copy", "--max-len", "1000000000000"),
+     "--max-len must be at most 4096, got 1000000000000"),
+    (("--kind", "dictionary", "--max-len", "100000000000000000000"),
+     "--max-len must be at most 4096, got 100000000000000000000"),
+    (("--kind", "copy", "--max-len", "4097"), "--max-len must be at most 4096, got 4097"),
+    (("--kind", "copy", "--vocab", "100000000000000000000"),
+     "--vocab must be at most 1048576, got 100000000000000000000"),
+    (("--kind", "dictionary", "--vocab", "100000000000000000000"),
+     "--vocab must be at most 1048576, got 100000000000000000000"),
+    (("--kind", "dictionary", "--vocab", "1048577"),
+     "--vocab must be at most 1048576, got 1048577")],
+    ids=["max_len_1e12", "max_len_1e20", "max_len_4097", "copy_vocab_1e20",
+         "dictionary_vocab_1e20", "vocab_1048577"])
+def test_gen_synth_count_above_what_a_model_can_train_on_exits_2_naming_it(
+        tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, "gen-synth", "--size", "1", *argv,
+                         "--out-prefix", str(tmp_path / "O"))
+    assert (code, out) == (2, "")
+    assert f"data error: {message}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["copy", "dictionary"])
+def test_gen_synth_accepts_the_ceilings(tmp_path, capsys, kind):
+    prefix = str(tmp_path / "top")
+    code, _, _ = run(capsys, "gen-synth", "--kind", kind, "--size", "2",
+                     "--min-len", "4096", "--max-len", "4096",
+                     "--vocab", "1048576", "--out-prefix", prefix)
+    assert code == 0
+    assert [len(src) for src, _ in load_corpus(prefix)] == [4096, 4096]
+
+
 def test_gen_synth_links_name_the_source_position_of_each_target_token(
         tmp_path, capsys):
     # the planted dictionary reverses word order: target j+1 comes from n-j
@@ -1050,6 +1125,12 @@ def test_bench_bad_strategies(workdir, capsys, strategies, code, message):
                         "--strategies", strategies, "--repeats", "1")
     assert (got, out) == (code, "")
     assert message in err and "Traceback" not in err
+
+
+def test_bench_with_neither_model_is_usage(workdir, capsys):
+    code, out, err = run(capsys, "bench", "--testset", workdir["corpus"] + ".src")
+    assert (code, out) == (1, "")
+    assert "bench needs --teacher and/or --nat" in err
 
 
 def test_bench_subcommand_writes_tsv(workdir, capsys):
@@ -1351,6 +1432,39 @@ def test_lr_scale_not_positive_exits_2_naming_key(tmp_path, capsys, value):
     assert (code, out) == (2, "")
     assert f"data error: lr_scale must be positive, got {float(value)}" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--lam", "2"], "lam must lie in [0, 1], got 2.0"),
+    (["--set", "finetune_terms=rl,xx"], "finetune_terms holds unknown terms ['xx']")],
+    ids=["lam_2", "unknown_term"])
+def test_bad_finetune_setting_exits_2_naming_it(tmp_path, capsys, flags, message):
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    out_path = tmp_path / "t.nat"
+    code, out, err = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                         "--out", str(out_path), "--steps", "1", *flags)
+    assert (code, out) == (2, "")
+    assert f"data error: {message}" in err
+    assert not out_path.exists()
+
+
+def test_lr_scale_none_overrides_a_config_value(tmp_path, capsys, monkeypatch):
+    # `none` restores the default rate schedule, d_model ** -0.5
+    (tmp_path / "c.src").write_text("a b\n")
+    (tmp_path / "c.tgt").write_text("x y\n")
+    (tmp_path / "run.cfg").write_text("lr_scale=0.5\n")
+    seen = []
+    train = P.train_teacher
+    monkeypatch.setattr(P, "train_teacher",
+                        lambda *a: seen.append(a[2].lr_scale) or train(*a))
+    out_path = tmp_path / "t.nat"
+    code, _, _ = run(capsys, "train-teacher", "--corpus", str(tmp_path / "c"),
+                     "--out", str(out_path), "--steps", "1", "--set", "d_model=8",
+                     "--config", str(tmp_path / "run.cfg"), "--set", "lr_scale=none")
+    assert code == 0
+    assert seen == [None]
+    assert out_path.exists()
 
 
 @pytest.mark.parametrize("flags, terms, lam", [

@@ -283,6 +283,20 @@ def test_finetune_rejects_bad_lambda(teacher):
             P.finetune_step(batch, model, teacher, bad, opt, rng)
 
 
+@pytest.mark.parametrize("fertilities, terms, message", [
+    ([[1, 1]], ("rl", "xx"), r"unknown fine-tuning terms \['xx'\]"),
+    (None, ("rl", "bp", "kd"), "fine-tuning needs aligner fertilities on the batch")],
+    ids=["unknown_term", "no_fertilities"])
+def test_finetune_rejects_unknown_terms_and_a_batch_without_fertilities(
+        teacher, fertilities, terms, message):
+    model = N.NatModel(tiny_cfg(), np.random.default_rng(6))
+    opt = AdamWarmup(list(model.named_parameters()), scale=0.1)
+    batch = one_batch([([4, 5], [7, 8])], fertilities=fertilities)
+    with pytest.raises(ValueError, match=message):
+        P.finetune_step(batch, model, teacher, 0.5, opt, np.random.default_rng(0),
+                        terms=terms)
+
+
 def test_finetune_lambda_zero_equals_supervised_step(teacher):
     batch = one_batch([([4, 5], [7, 8]), ([6, 4, 5], [9, 10])],
                       fertilities=[[1, 1], [1, 1, 0]])

@@ -395,6 +395,15 @@ def test_cached_decoding_needs_no_grad():
         model.decode_logits(None, None, np.array([[BOS]]), None, cache)
 
 
+def test_cached_decoding_takes_one_token_per_row():
+    model = new_model()
+    with T.no_grad():
+        cache = AR.DecoderCache(model, model.encode(np.array([[4, 5]]), np.array([2])),
+                                np.array([2]))
+        with pytest.raises(ValueError, match="cached decoding takes one token per row"):
+            model.decode_logits(None, None, np.array([[BOS, 4]]), None, cache)
+
+
 def test_batched_greedy_equals_per_sentence_greedy():
     model = mixed_length_model()
     alone = [AR.greedy_decode(s, model) for s in MIXED_SOURCES]
