@@ -315,15 +315,20 @@ def cmd_gen_synth(args) -> None:
         if args.phrases < args.phrases_per_sent:
             raise DataError(f"--phrases must be at least --phrases-per-sent "
                             f"({args.phrases_per_sent}), got {args.phrases}")
+        words = (f"--phrases times --modes times {SY.MODE_LEN} target words",
+                 args.phrases * args.modes * SY.MODE_LEN)
+        length = (f"--phrases-per-sent times {SY.MODE_LEN} target tokens",
+                  args.phrases_per_sent * SY.MODE_LEN)
     else:
         at_least("--vocab", args.vocab, 1)
         if not 1 <= args.min_len <= args.max_len:
             raise DataError(f"--min-len must be at least 1 and at most --max-len, "
                             f"got --min-len {args.min_len} and --max-len {args.max_len}")
-        for flag, value, most in (("--vocab", args.vocab, SY.VOCAB_CEILING),
-                                  ("--max-len", args.max_len, SIZE_LIMITS["max_len"][1])):
-            if value > most:    # no model could train on a longer line or more words
-                raise DataError(f"{flag} must be at most {most}, got {value}")
+        words, length = ("--vocab", args.vocab), ("--max-len", args.max_len)
+    for (flag, value), most in ((words, SY.VOCAB_CEILING),
+                                (length, SIZE_LIMITS["max_len"][1])):
+        if value > most:    # no model could train on a longer line or more words
+            raise DataError(f"{flag} must be at most {most}, got {value}")
     if args.kind == "copy":
         pairs = SY.gen_copy_corpus(args.size, args.seed, vocab=args.vocab,
                                    min_len=args.min_len, max_len=args.max_len)

@@ -144,13 +144,13 @@ class NatModel(Module):
 # fertility inference
 # ---------------------------------------------------------------------------
 
-def fertility_dist_batch(src: np.ndarray, src_len: np.ndarray, model: NatModel,
+def fertility_dist_batch(src_len: np.ndarray, model: NatModel,
                          memory: Tensor) -> np.ndarray:
     """[B, T', L] fertility probabilities from the sources' encoder memory;
     padded positions get class 0 with probability one."""
     with T.no_grad():
         probs = T.softmax(model.fertility_logits(memory), axis=-1).numpy()
-    pad = np.arange(src.shape[1])[None, :] >= src_len[:, None]
+    pad = np.arange(memory.shape[1])[None, :] >= src_len[:, None]
     probs[pad] = 0.0
     probs[pad, 0] = 1.0
     return probs
@@ -166,15 +166,14 @@ def average_fertility(probs: np.ndarray) -> np.ndarray:
     return round_half_away((probs * np.arange(probs.shape[-1])).sum(axis=-1))
 
 
-def floor_fertility(fert: np.ndarray, probs: np.ndarray,
-                    lengths: np.ndarray | None = None) -> np.ndarray:
+def floor_fertility(fert: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Degenerate all-zero predictions emit one token from the position most
     confident about fertility 1.
 
     Takes one sequence [T'] with its [T', L] distribution, or a block of
-    rows [R, T'] with distributions that broadcast to [R, T', L]. With
-    `lengths`, row r covers its first lengths[r] positions and comes back
-    zero past them.
+    rows [R, T'] with distributions that broadcast to [R, T', L]. Padding
+    needs fertility 0 and class 0 with probability one, which is how
+    `fertility_dist_batch` pins it, so the floor lands on a real position.
     """
     fert = np.array(fert, dtype=np.int64)
     probs = np.asarray(probs)
@@ -183,22 +182,17 @@ def floor_fertility(fert: np.ndarray, probs: np.ndarray,
                          f"{probs.shape[-2]}")
     rows = fert.reshape(-1, fert.shape[-1])
     p1 = np.broadcast_to(probs[..., 1], fert.shape).reshape(rows.shape)
-    if lengths is not None:
-        real = np.arange(rows.shape[1]) < np.asarray(lengths)[:, None]
-        rows[~real] = 0
-        p1 = np.where(real, p1, -1.0)
     empty = np.flatnonzero(rows.sum(axis=1) == 0)
     rows[empty, p1[empty].argmax(axis=1)] = 1
     return fert
 
 
-def fit_fertility(fert: np.ndarray, probs: np.ndarray, max_len: int,
-                  lengths: np.ndarray | None = None) -> np.ndarray:
+def fit_fertility(fert: np.ndarray, probs: np.ndarray, max_len: int) -> np.ndarray:
     """The fertility sequences a decode translates: `floor_fertility` (one
     sequence or a block of rows, the same arguments), then each cut from
     its last source position backwards until its total fits `max_len`
     output slots."""
-    fert = floor_fertility(fert, probs, lengths)
+    fert = floor_fertility(fert, probs)
     room = max_len - (np.cumsum(fert, axis=-1) - fert)   # slots left per position
     return np.minimum(fert, np.maximum(room, 0))
 
@@ -230,7 +224,7 @@ def _encode_source(src_ids: Sequence[int], model: NatModel
     src, src_len = pad_block([src_ids])
     with T.no_grad():
         memory = model.encode(src, src_len)
-    return memory, fertility_dist_batch(src, src_len, model, memory)[0]
+    return memory, fertility_dist_batch(src_len, model, memory)[0]
 
 
 def translate_step(model: NatModel, memory: Tensor, src: np.ndarray,

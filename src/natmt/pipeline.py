@@ -183,20 +183,26 @@ def init_encoder_from_teacher(student: NAT.NatModel,
                               exported: Sequence[tuple[str, np.ndarray]]) -> None:
     """Copy exported encoder parameters into the student by name; fertility
     head and decoder stay untouched."""
-    table = dict(student.named_parameters())
-    student_enc = {n for n in table if n.startswith("encoder.")}
-    given = {n for n, _ in exported}
-    problems = [f"unexpected parameter {n}" for n in sorted(given - student_enc)]
-    problems += [f"missing parameter {n}" for n in sorted(student_enc - given)]
-    for name, arr in exported:
-        if name in table and table[name].data.shape != arr.shape:
-            problems.append(
-                f"shape mismatch {name}: teacher {arr.shape} vs "
-                f"student {table[name].data.shape}")
+    _copy_parameters({n: p for n, p in student.named_parameters()
+                      if n.startswith("encoder.")},
+                     dict(exported), "encoder import from the teacher")
+
+
+def _copy_parameters(params: dict[str, Tensor], arrays: dict[str, np.ndarray],
+                     source: str) -> None:
+    """Copy `arrays` into the same-named `params`. A missing, unexpected or
+    mis-shaped name raises a `DataError` naming each of them and `source`,
+    before anything is copied."""
+    problems = [f"missing parameter {n}" for n in sorted(params.keys() - arrays.keys())]
+    problems += [f"unexpected parameter {n}"
+                 for n in sorted(arrays.keys() - params.keys())]
+    problems += [f"shape mismatch {n}: {arrays[n].shape} given, {params[n].shape} "
+                 f"expected" for n in sorted(params.keys() & arrays.keys())
+                 if arrays[n].shape != params[n].shape]
     if problems:
-        raise ValueError("encoder import failed: " + "; ".join(problems))
-    for name, arr in exported:
-        table[name].data[...] = arr
+        raise DataError(f"{'; '.join(problems)}: {source}")
+    for name, arr in arrays.items():
+        params[name].data[...] = arr
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +342,7 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
     if use_bp:
         groups.append((logits, batch.tgt_len, np.arange(b)))
     if use_rl:
-        probs = NAT.fertility_dist_batch(batch.src, batch.src_len, model, memory)
+        probs = NAT.fertility_dist_batch(batch.src_len, model, memory)
         real = np.arange(batch.src.shape[1])[None, :] < batch.src_len[:, None]
         # one draw per real position, sentence by sentence, as the uniforms
         # of per-sentence draws would come
@@ -347,7 +353,7 @@ def finetune_step(batch: Batch, model: NAT.NatModel,
         rows = np.tile(np.arange(b), 2)
         ferts = NAT.fit_fertility(
             np.concatenate([sampled, NAT.average_fertility(probs)]), probs[rows],
-            NAT.max_output_len(model, teacher_model), batch.src_len[rows])
+            NAT.max_output_len(model, teacher_model))
         with T.no_grad():
             rl_logits, dec_len = NAT.translate_step(model, memory, batch.src,
                                                     batch.src_len, ferts, rows)
@@ -487,13 +493,5 @@ def load_model(path):
         model = NAT.NatModel(cfg, rng)
     else:
         raise DataError(f"unknown checkpoint kind {ckpt.kind!r}: {path}")
-    table = dict(model.named_parameters())
-    if set(table) != set(ckpt.params):
-        raise DataError(f"checkpoint parameter set mismatch: missing "
-                        f"{sorted(set(table) - set(ckpt.params))}, unexpected "
-                        f"{sorted(set(ckpt.params) - set(table))}: {path}")
-    for name, arr in ckpt.params.items():
-        if table[name].data.shape != arr.shape:
-            raise DataError(f"shape mismatch for {name}: {path}")
-        table[name].data[...] = arr
+    _copy_parameters(dict(model.named_parameters()), ckpt.params, str(path))
     return model, ckpt.src_vocab, ckpt.tgt_vocab, ckpt

@@ -87,10 +87,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -346,32 +342,19 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return _make(out, (x, w1, b1, w2, b2), vjp)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     """Sum reduction; accumulates in float64."""
-    out = a.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(DTYPE)
-    out = np.asarray(out)
+    out = np.asarray(a.data.sum(axis=axis, dtype=np.float64).astype(DTYPE))
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(DTYPE),)
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        gg = g
-        if not keepdims:
-            for ax in sorted(ax % a.ndim for ax in axes):
-                gg = np.expand_dims(gg, ax)
-        return (np.broadcast_to(gg, a.shape).astype(DTYPE),)
+        g = g if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).astype(DTYPE),)
 
     return _make(out, (a,), vjp)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
-    s = tsum(a, axis=axis, keepdims=keepdims)
-    return mul(s, Tensor(np.asarray(1.0 / n, dtype=DTYPE)))
+def tmean(a: Tensor) -> Tensor:
+    return mul(tsum(a), Tensor(np.asarray(1.0 / a.size, dtype=DTYPE)))
 
 
 # -- fused neural-net primitives -------------------------------------------

@@ -75,3 +75,9 @@ def test_score_bounds_and_identity_max(hyp, ref):
     s = B.bleu([hyp], [ref])
     assert 0.0 <= s <= 100.0
     assert B.bleu([ref], [ref]) == pytest.approx(100.0)
+
+
+def test_empty_corpus_is_refused():
+    with pytest.raises(ValueError) as exc:
+        B.precision_counts([], [])
+    assert str(exc.value) == "empty reference list"

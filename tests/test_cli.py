@@ -1074,9 +1074,14 @@ def test_gen_synth_count_below_what_the_generator_needs_exits_2_naming_it(
     (("--kind", "dictionary", "--vocab", "100000000000000000000"),
      "--vocab must be at most 1048576, got 100000000000000000000"),
     (("--kind", "dictionary", "--vocab", "1048577"),
-     "--vocab must be at most 1048576, got 1048577")],
+     "--vocab must be at most 1048576, got 1048577"),
+    (("--kind", "multimodal", "--phrases", "2", "--modes", "174763"),
+     "--phrases times --modes times 3 target words must be at most 1048576, got 1048578"),
+    (("--kind", "multimodal", "--phrases", "1366", "--phrases-per-sent", "1366"),
+     "--phrases-per-sent times 3 target tokens must be at most 4096, got 4098")],
     ids=["max_len_1e12", "max_len_1e20", "max_len_4097", "copy_vocab_1e20",
-         "dictionary_vocab_1e20", "vocab_1048577"])
+         "dictionary_vocab_1e20", "vocab_1048577", "multimodal_words_1048578",
+         "multimodal_tokens_4098"])
 def test_gen_synth_count_above_what_a_model_can_train_on_exits_2_naming_it(
         tmp_path, capsys, argv, message):
     code, out, err = run(capsys, "gen-synth", "--size", "1", *argv,

@@ -166,3 +166,9 @@ def test_encode_corpus():
     tv = D.Vocab.build([["x"]])
     enc = D.encode_corpus([(["a"], ["x", "q"])], sv, tv)
     assert enc == [(sv.encode(["a"]), tv.encode(["x"]) + [D.UNK])]
+
+
+def test_batch_size_below_one_is_refused():
+    with pytest.raises(ValueError) as exc:
+        D.make_batches([([4], [5])], 0)
+    assert str(exc.value) == "batch_size must be positive"

@@ -469,3 +469,9 @@ def test_token_rows_pack_exactly_where_rounding_allows(d_model, d_hidden,
     assert got.shape == (len(lengths), t, cfg.tgt_vocab)
     assert np.array_equal(got.data[real], proj(block)[real])
     assert not got.data[~real].any()
+
+
+def test_structural_mask_of_another_shape_is_refused():
+    with pytest.raises(ValueError) as exc:
+        L.attention_bias(np.ones((2, 3), dtype=bool), np.array([3]), 3, 3)
+    assert str(exc.value) == "structural mask (2, 3) != (3, 3)"

@@ -134,7 +134,7 @@ def test_fertility_pad_positions_forced_to_zero():
     src_len = np.array([3, 2])
     with T.no_grad():
         memory = model.encode(src, src_len)
-    probs = N.fertility_dist_batch(src, src_len, model, memory)
+    probs = N.fertility_dist_batch(src_len, model, memory)
     np.testing.assert_array_equal(probs[1, 2], [1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -398,8 +398,11 @@ def test_fit_fertility_block_equals_its_rows():
     probs = rng.dirichlet(np.ones(4), size=(5, 4))
     fert = rng.integers(0, 4, size=(5, 4))
     fert[1] = fert[3, :2] = 0            # all-zero rows get floored
-    fert[1, 1:] = 3                      # past the length: never read
-    got = N.fit_fertility(fert, probs, 5, lengths)
+    # padded as `fertility_dist_batch` pins it: class 0 with probability one
+    pad = np.arange(4) >= lengths[:, None]
+    probs[pad] = np.eye(4)[0]
+    fert[pad] = 0
+    got = N.fit_fertility(fert, probs, 5)
     for i, n in enumerate(lengths):
         np.testing.assert_array_equal(got[i, :n],
                                       N.fit_fertility(fert[i, :n], probs[i, :n], 5))
@@ -563,3 +566,9 @@ def test_no_grad_decoder_passes_keep_their_checks(kind):
         model.layers[0].self_attn.wq.weight.data[0, 0] = np.nan
         with pytest.raises(T.NumericError):
             model.decode_logits(memory, src_len, np.array([[4, 5]]), np.array([2]))
+
+
+def test_floor_of_a_fertility_of_another_length_is_refused():
+    with pytest.raises(ValueError) as exc:
+        N.floor_fertility([1, 0], np.full((3, 4), 0.25))
+    assert str(exc.value) == "fertility length 2 != source length 3"

@@ -126,3 +126,9 @@ def test_adam_shape_mismatch_names_parameter_and_changes_nothing():
         opt.step()
     assert opt.t == 0 and np.array_equal(a.data, np.ones(2))
     assert not opt.m["a"].any()
+
+
+def test_schedule_before_step_one_is_refused():
+    with pytest.raises(ValueError) as exc:
+        warmup_rate(0, 1.0, 4000)
+    assert str(exc.value) == "schedule is defined for t >= 1"

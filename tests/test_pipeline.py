@@ -12,6 +12,7 @@ import natmt.nat as N
 import natmt.pipeline as P
 import natmt.teacher as AR
 import natmt.tensor as T
+from natmt.checkpoint import load_checkpoint, save_checkpoint
 from natmt.config import ModelConfig, TrainConfig
 from natmt.data import EOS, Batch, DataError, Vocab, make_batches
 from natmt.layers import Encoder
@@ -219,6 +220,38 @@ def test_encoder_import_rejects_other_width(teacher):
                          np.random.default_rng(9))
     with pytest.raises(ValueError, match="shape mismatch"):
         P.init_encoder_from_teacher(student, AR.export_encoder(teacher))
+
+
+def test_encoder_import_names_every_fault_and_copies_nothing(teacher):
+    student = N.NatModel(tiny_cfg(), np.random.default_rng(9))
+    before = {n: p.data.copy() for n, p in student.named_parameters()}
+    (short, arr), (gone, _), *rest = AR.export_encoder(teacher)
+    with pytest.raises(DataError) as exc:
+        P.init_encoder_from_teacher(
+            student, [(short, arr[..., :-1]), ("encoder.bogus", arr), *rest])
+    assert str(exc.value).startswith(
+        f"missing parameter {gone}; unexpected parameter encoder.bogus; "
+        f"shape mismatch {short}: ")
+    for n, p in student.named_parameters():
+        assert np.array_equal(p.data, before[n]), n
+
+
+def test_load_model_names_every_fault_and_the_file(tmp_path):
+    path = tmp_path / "m.nat"
+    P.save_model(path, N.NatModel(tiny_cfg(), np.random.default_rng(0)),
+                 Vocab(["a"]), Vocab(["x"]))
+    ckpt = load_checkpoint(path)
+    params = dict(ckpt.params)
+    params["proj.weight"] = params["proj.weight"][:-1]
+    params["extra"] = params.pop("proj.bias")
+    save_checkpoint(path, ckpt.kind, ckpt.config, list(params.items()),
+                    ckpt.src_vocab, ckpt.tgt_vocab)
+    with pytest.raises(DataError) as exc:
+        P.load_model(path)
+    assert str(exc.value) == (
+        f"missing parameter proj.bias; unexpected parameter extra; shape mismatch "
+        f"proj.weight: {params['proj.weight'].shape} given, "
+        f"{ckpt.params['proj.weight'].shape} expected: {path}")
 
 
 # ---------------------------------------------------------------------------

@@ -86,3 +86,23 @@ def test_contamination_rate_counts_fraction():
     assert rate == 0.5
     with pytest.raises(ValueError):
         oracle.contamination_rate([], [])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda o: o.contamination_rate([[o.src_tokens[0]]], []),
+     "sources and outputs differ in length"),
+    (lambda o: S.gen_synth_multimodal(5, seed=0, n_phrases=2, phrases_per_sent=3),
+     "more phrases per sentence than phrases exist")],
+    ids=["unequal_lengths", "phrases_per_sent_above_phrases"])
+def test_multimodal_refusals(call, message):
+    _, oracle = S.gen_synth_multimodal(5, seed=6)
+    with pytest.raises(ValueError) as exc:
+        call(oracle)
+    assert str(exc.value) == message
+
+
+def test_source_token_of_no_phrase_is_skipped():
+    _, oracle = S.gen_synth_multimodal(5, seed=6)
+    mixed = [oracle.modes[0][0][0], oracle.modes[0][1][1]]
+    assert not oracle.is_contaminated(["stray"], mixed)
+    assert oracle.is_contaminated(["stray", oracle.src_tokens[0]], mixed)

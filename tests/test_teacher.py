@@ -205,6 +205,15 @@ def test_greedy_max_len_zero():
     assert AR.greedy_decode([4, 5], new_model(), max_len=0) == []
 
 
+@pytest.mark.parametrize("max_len", [None, 0])
+def test_beam_respects_no_output_slot(max_len):
+    # a teacher of max_len 1 has no output slot after bos
+    model = new_model(max_len=1)
+    assert AR.beam_decode([4], model, b=2, max_len=max_len) == []
+    assert AR.greedy_decode([4], model, max_len=max_len) == []
+    assert model.decoder_passes == 0
+
+
 def test_greedy_equals_beam_width_one():
     for seed in (0, 1, 2, 3):
         model = new_model(seed=seed)

@@ -810,3 +810,46 @@ def test_reductions_deterministic():
     b = T.softmax(Tensor(x)).numpy()
     assert np.array_equal(a, b)
     assert T.tsum(Tensor(x)).item() == T.tsum(Tensor(x)).item()
+
+
+def _zeros(*shape):
+    return Tensor(np.zeros(shape))
+
+
+def _log_probs():
+    return Tensor(np.log(np.full((2, 3, 5), 0.2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: T.matmul(_zeros(2, 3), _zeros(3)), "matmul rank mismatch: (2, 3) @ (3,)"),
+    (lambda: T.matmul(_zeros(2, 2, 3), _zeros(3, 3, 4)),
+     "matmul batch mismatch: (2, 2, 3) @ (3, 3, 4)"),
+    (lambda: T.matmul(_zeros(2, 3), _zeros(4, 5)),
+     "matmul inner-dim mismatch: (2, 3) @ (4, 5)"),
+    (lambda: T.linear(_zeros(2, 3), _zeros(4, 5), _zeros(5)),
+     "linear shape mismatch: (2, 3) @ (4, 5) + (5,)"),
+    (lambda: T.linear_split_heads(_zeros(2, 3), _zeros(3, 4), _zeros(4), 2),
+     "linear_split_heads shape mismatch: (2, 3) @ (3, 4) + (4,)"),
+    (lambda: T.merge_heads_linear(_zeros(1, 2, 3, 2), _zeros(5, 4), _zeros(4)),
+     "merge_heads_linear shape mismatch: (1, 2, 3, 2) @ (5, 4) + (4,)"),
+    (lambda: T.ffn(_zeros(2, 3), _zeros(3, 4), _zeros(4), _zeros(5, 3), _zeros(3)),
+     "ffn shape mismatch: (2, 3) @ (3, 4) + (4,) @ (5, 3) + (3,)"),
+    (lambda: T.cross_entropy(_log_probs(), np.zeros((2, 2), dtype=np.int64),
+                             np.ones((2, 2), dtype=bool)),
+     "cross_entropy shape mismatch: targets (2, 2) vs log_probs (2, 3, 5)"),
+    (lambda: T.cross_entropy(_log_probs(), np.array([[0, -1, 0], [0, 0, 0]]),
+                             np.ones((2, 3), dtype=bool)),
+     "negative target id"),
+    (lambda: T.cross_entropy(_log_probs(), np.zeros((2, 3), dtype=np.int64),
+                             np.ones((2, 2), dtype=bool)),
+     "mask shape (2, 2) != targets (2, 3)"),
+    (lambda: T.cross_entropy(_log_probs(), np.zeros((2, 3), dtype=np.int64),
+                             np.zeros((2, 3), dtype=bool)),
+     "cross_entropy: every position is padding")],
+    ids=["matmul_rank", "matmul_batch", "matmul_inner", "linear", "linear_split_heads",
+         "merge_heads_linear", "ffn", "ce_target_shape", "ce_negative_id",
+         "ce_mask_shape", "ce_all_padding"])
+def test_shape_and_target_refusals(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
