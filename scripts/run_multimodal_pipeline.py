@@ -91,12 +91,13 @@ def main(argv=None):
     report("parallel decoder on raw targets", nat_raw)
 
     distilled = P.build_distill_corpus(enc_train, teacher)
-    dist_tok = [(s_tok, tv.decode(t_ids)) for (s_tok, _), (_, t_ids)
-                in zip(train, distilled.pairs)]
-    enc_dist = [(s, tv.encode(t)) for (s, _), (_, t)
-                in zip(enc_train, dist_tok)]
+    # as `natmt distill` does, a pair whose target decodes to no word is left
+    # out: its source would get a zero fertility row, which training refuses
+    dist_tok = [(s_tok, t_tok) for (s_tok, _), (_, t_ids)
+                in zip(train, distilled.pairs) if (t_tok := tv.decode(t_ids))]
+    enc_dist = encode_corpus(dist_tok, sv, tv)
     say(f"distilled corpus: {len(dist_tok)} pairs, "
-        f"{distilled.replaced_empty} empty decode(s) replaced")
+        f"{len(train) - len(dist_tok)} empty target(s) left out")
     nat_dist, dist_ferts = fit_nat(enc_dist, dist_tok, seed=43)
     report("parallel decoder on distilled targets", nat_dist)
 

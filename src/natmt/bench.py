@@ -77,11 +77,9 @@ def decoder(spec: str, teacher_model, nat_model,
     if kind in ("greedy", "beam", "npd") and teacher_model is None:
         raise DataError(f"strategy {spec!r} needs a teacher model")
     if kind == "greedy":
-        return lambda src: N.DecodeResult(AR.greedy_decode(src, teacher_model),
-                                          None, kind)
+        return lambda src: N.DecodeResult(AR.greedy_decode(src, teacher_model), None)
     if kind == "beam":
-        return lambda src: N.DecodeResult(AR.beam_decode(src, teacher_model, b=arg),
-                                          None, kind)
+        return lambda src: N.DecodeResult(AR.beam_decode(src, teacher_model, b=arg), None)
     if kind == "argmax":
         return lambda src: N.decode_argmax(src, nat_model)
     if kind == "average":

@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-import warnings
 from pathlib import Path
 
 from . import aligner as AL
@@ -83,22 +82,6 @@ def _add_config_flags(sp):
     sp.add_argument("--log", help="JSONL training log path")
 
 
-def _load(path, kind: str | None = None):
-    """`P.load_model` without its record, refusing a model not of `kind`, if
-    given, and token lists shorter than the config vocabularies: a decoded
-    id past the list has no token."""
-    model, sv, tv, _ = P.load_model(path)
-    cfg = model.cfg
-    if (len(sv), len(tv)) != (cfg.src_vocab, cfg.tgt_vocab):
-        raise DataError(f"checkpoint vocabularies of {len(sv)} and {len(tv)} tokens "
-                        f"are fewer than config src_vocab {cfg.src_vocab} and "
-                        f"tgt_vocab {cfg.tgt_vocab}: {path}")
-    if kind not in (None, model.kind):
-        raise DataError(f"checkpoint {path} holds a {model.kind} model, "
-                        f"expected {kind}")
-    return model, sv, tv
-
-
 def _check_same_vocabs(teacher_path, teacher_vocabs, nat_path, nat_vocabs) -> None:
     """Refuse a teacher and a parallel model whose (source, target)
     vocabularies differ: each would read the other's token ids as its own."""
@@ -132,7 +115,7 @@ def cmd_train_teacher(args) -> None:
 
 
 def cmd_distill(args) -> None:
-    model, sv, tv = _load(args.teacher, "teacher")
+    model, sv, tv = P.load_model(args.teacher, "teacher")
     if args.mode == "beam":
         at_least("--beam", args.beam, 1)
         if args.beam > B.STRATEGY_CEILING:
@@ -143,9 +126,7 @@ def cmd_distill(args) -> None:
         raise DataError(f"corpus {args.corpus} has no source lines")
     check_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok], model.cfg.max_len)
     enc = encode_corpus(pairs_tok, sv, tv)
-    with warnings.catch_warnings():  # the dropped pairs below count empty decodes
-        warnings.simplefilter("ignore", UserWarning)
-        out = P.build_distill_corpus(enc, model, mode=args.mode, beam_width=args.beam)
+    out = P.build_distill_corpus(enc, model, mode=args.mode, beam_width=args.beam)
     # a target of no word (an empty decode, only <unk>) fails check_corpus
     decoded = [(src_tok, tgt_tok) for (src_tok, _), (_, tgt_ids)
                in zip(pairs_tok, out.pairs) if (tgt_tok := tv.decode(tgt_ids))]
@@ -194,7 +175,7 @@ def cmd_train_nat(args) -> None:
     pairs_tok = load_corpus(args.corpus)
     exported = None
     if args.init_encoder:
-        teacher_model, sv, tv = _load(args.init_encoder, "teacher")
+        teacher_model, sv, tv = P.load_model(args.init_encoder, "teacher")
         exported = AR.export_encoder(teacher_model)
         # shared-trunk shape must match the teacher; max_fertility stays free
         tc = teacher_model.cfg
@@ -216,8 +197,8 @@ def cmd_train_nat(args) -> None:
 
 
 def cmd_finetune(args) -> None:
-    model, sv, tv = _load(args.nat, "nat")
-    teacher_model, tsv, ttv = _load(args.teacher, "teacher")
+    model, sv, tv = P.load_model(args.nat, "nat")
+    teacher_model, tsv, ttv = P.load_model(args.teacher, "teacher")
     _check_same_vocabs(args.teacher, (tsv, ttv), args.nat, (sv, tv))
     pairs_tok = load_corpus(args.corpus)
     check_corpus(args.corpus, pairs_tok,
@@ -233,13 +214,13 @@ def cmd_finetune(args) -> None:
 
 def cmd_translate(args) -> None:
     at_least("--seed", args.seed, 0)
-    model, sv, tv = _load(args.model)
+    model, sv, tv = P.load_model(args.model)
     sents = read_sentences(args.input)
     models = {model.kind: model}
     if args.strategy == "npd" and model.kind == "nat":
         if not args.teacher:
             raise UsageError("npd strategy requires --teacher")
-        teacher_model, tsv, ttv = _load(args.teacher, "teacher")
+        teacher_model, tsv, ttv = P.load_model(args.teacher, "teacher")
         _check_same_vocabs(args.teacher, (tsv, ttv), args.model, (sv, tv))
         models["teacher"] = teacher_model
     spec = {"beam": f"beam:{args.beam}",
@@ -256,7 +237,7 @@ def cmd_translate(args) -> None:
 
 
 def cmd_score(args) -> None:
-    model, sv, tv = _load(args.teacher, "teacher")
+    model, sv, tv = P.load_model(args.teacher, "teacher")
     srcs, cands = read_parallel(args.source, args.candidates)
     check_lines(args.source, srcs, model.cfg.max_len)
     # an empty candidate scores the end marker alone
@@ -280,8 +261,8 @@ def cmd_bleu(args) -> None:
 def cmd_bench(args) -> None:
     at_least("--repeats", args.repeats, 1)
     at_least("--seed", args.seed, 0)
-    teacher = _load(args.teacher, "teacher") if args.teacher else None
-    nat = _load(args.nat, "nat") if args.nat else None
+    teacher = P.load_model(args.teacher, "teacher") if args.teacher else None
+    nat = P.load_model(args.nat, "nat") if args.nat else None
     if teacher is None and nat is None:
         raise UsageError("bench needs --teacher and/or --nat")
     if teacher and nat:

@@ -214,7 +214,6 @@ def max_output_len(model: NatModel,
 class DecodeResult:
     output: list[int]
     fertility: list[int] | None
-    strategy: str
     teacher_score: float | None = None
 
 
@@ -260,7 +259,7 @@ def _translate(src_ids: Sequence[int], ferts: np.ndarray, model: NatModel,
 
 
 def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
-            model: NatModel, memory: Tensor, probs: np.ndarray, strategy: str,
+            model: NatModel, memory: Tensor, probs: np.ndarray,
             teacher_model: AR.TeacherModel | None = None
             ) -> tuple[DecodeResult, list[float]]:
     """The decode core: fit every fertility candidate, translate them all in
@@ -274,7 +273,7 @@ def _decode(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
     if teacher_model is not None:
         scores = AR.score_candidates(src_ids, translated, teacher_model)
         win = int(np.argmax(scores))  # ties keep the lowest candidate index
-    result = DecodeResult(translated[win], [int(f) for f in ferts[win]], strategy,
+    result = DecodeResult(translated[win], [int(f) for f in ferts[win]],
                           scores[win] if scores else None)
     return result, scores
 
@@ -290,13 +289,12 @@ def translate_given_fertility(src_ids: Sequence[int], fertility: Sequence[int],
 
 def decode_argmax(src_ids: Sequence[int], model: NatModel) -> DecodeResult:
     memory, probs = _encode_source(src_ids, model)
-    return _decode(src_ids, [probs.argmax(axis=-1)], model, memory, probs, "argmax")[0]
+    return _decode(src_ids, [probs.argmax(axis=-1)], model, memory, probs)[0]
 
 
 def decode_average(src_ids: Sequence[int], model: NatModel) -> DecodeResult:
     memory, probs = _encode_source(src_ids, model)
-    return _decode(src_ids, [average_fertility(probs)], model, memory, probs,
-                   "average")[0]
+    return _decode(src_ids, [average_fertility(probs)], model, memory, probs)[0]
 
 
 def npd_over_candidates(src_ids: Sequence[int], fert_list: Sequence[Sequence[int]],
@@ -310,7 +308,7 @@ def npd_over_candidates(src_ids: Sequence[int], fert_list: Sequence[Sequence[int
         raise ValueError("npd got an empty candidate list; it needs at least "
                          "one fertility sequence")
     memory, probs = _encode_source(src_ids, model) if encoded is None else encoded
-    return _decode(src_ids, fert_list, model, memory, probs, "npd", teacher_model)
+    return _decode(src_ids, fert_list, model, memory, probs, teacher_model)
 
 
 def sample_fertilities(probs: np.ndarray, n: int,

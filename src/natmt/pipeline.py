@@ -26,7 +26,6 @@ import contextlib
 import functools
 import json
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -72,7 +71,6 @@ class TrainingLog:
 @dataclass
 class DistilledCorpus:
     pairs: list[tuple[list[int], list[int]]]
-    replaced_empty: int = 0
 
 
 DISTILL_CHUNK = 32   # sources per batched greedy decode
@@ -87,8 +85,9 @@ def build_distill_corpus(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     Greedy decoding sorts the sources by length and decodes them in chunks
     of `DISTILL_CHUNK` with `greedy_decode_batch`; beam decoding goes one
     sentence at a time. Either way each target equals the sentence's own
-    `greedy_decode`/`beam_decode`, and pairs keep the corpus order. Every
-    source is checked before anything is decoded.
+    `greedy_decode`/`beam_decode`, as it came out (empty included), and
+    pairs keep the corpus order. Every source is checked before anything is
+    decoded.
     """
     if mode not in ("greedy", "beam"):
         raise ValueError(f"unknown distillation mode {mode!r}")
@@ -110,12 +109,7 @@ def build_distill_corpus(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
                 hyps[i] = hyp
     else:
         hyps = [AR.beam_decode(src, teacher_model, b=beam_width) for src in srcs]
-    # an empty decode keeps its pair with a minimal length-1 target
-    out = [(src, hyp or [EOS]) for src, hyp in zip(srcs, hyps)]
-    empty = sum(not hyp for hyp in hyps)
-    if empty:
-        warnings.warn(f"replaced {empty} empty teacher decode(s) with the end marker")
-    return DistilledCorpus(out, empty)
+    return DistilledCorpus(list(zip(srcs, hyps)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,25 +467,28 @@ def save_model(path, model, src_vocab: Vocab, tgt_vocab: Vocab) -> None:
                     src_vocab, tgt_vocab)
 
 
-def load_model(path):
-    """Returns (model, src_vocab, tgt_vocab, checkpoint); a checkpoint whose
-    config, kind or parameters do not fit a model raises a `DataError`
-    naming the file."""
+def load_model(path, kind: str | None = None):
+    """Returns (model, src_vocab, tgt_vocab). A checkpoint whose kind is
+    unknown or not `kind` (if given), whose config or parameters do not fit
+    a model, or whose token lists are not exactly the config vocabularies
+    raises a `DataError` naming the file: an id past the embedding table
+    would index out of it, and a decoded id past the list has no token."""
     ckpt = load_checkpoint(path)
+    models = {"teacher": AR.TeacherModel, "nat": NAT.NatModel}
+    if ckpt.kind not in models:
+        raise DataError(f"unknown checkpoint kind {ckpt.kind!r}: {path}")
+    if kind not in (None, ckpt.kind):
+        raise DataError(f"checkpoint {path} holds a {ckpt.kind} model, "
+                        f"expected {kind}")
     try:
         cfg = ModelConfig.from_dict(ckpt.config)
     except DataError as e:
         raise DataError(f"{e}: {path}") from None
-    if len(ckpt.src_vocab) > cfg.src_vocab or len(ckpt.tgt_vocab) > cfg.tgt_vocab:
-        # a token id past the embedding table would index out of it
-        raise DataError(f"checkpoint vocabularies outnumber config src_vocab "
-                        f"{cfg.src_vocab} or tgt_vocab {cfg.tgt_vocab}: {path}")
-    rng = np.random.default_rng(0)
-    if ckpt.kind == "teacher":
-        model = AR.TeacherModel(cfg, rng)
-    elif ckpt.kind == "nat":
-        model = NAT.NatModel(cfg, rng)
-    else:
-        raise DataError(f"unknown checkpoint kind {ckpt.kind!r}: {path}")
+    sizes = len(ckpt.src_vocab), len(ckpt.tgt_vocab)
+    if sizes != (cfg.src_vocab, cfg.tgt_vocab):
+        raise DataError(f"checkpoint vocabularies of {sizes[0]} and {sizes[1]} "
+                        f"tokens do not match config src_vocab {cfg.src_vocab} "
+                        f"and tgt_vocab {cfg.tgt_vocab}: {path}")
+    model = models[ckpt.kind](cfg, np.random.default_rng(0))
     _copy_parameters(dict(model.named_parameters()), ckpt.params, str(path))
-    return model, ckpt.src_vocab, ckpt.tgt_vocab, ckpt
+    return model, ckpt.src_vocab, ckpt.tgt_vocab

@@ -138,7 +138,7 @@ def multimodal_bundle():
     exported = AR.export_encoder(teacher)
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # aligner may note rare clamps
+        warnings.simplefilter("ignore")  # the aligner warns if it skips an empty pair
         raw_aligner = AL.em_train(train)
         raw_ferts = AL.corpus_fertilities(train, raw_aligner, cfg.max_fertility)
     nat_raw = train_nat_to(enc_train, raw_ferts, cfg, seed=42,

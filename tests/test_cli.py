@@ -340,8 +340,8 @@ def test_checkpoint_with_fewer_tokens_than_its_config_exits_2_naming_file(
                         "--out-prefix", str(tmp_path / "d")]}[command]
     code, out, err = run(capsys, command, *argv)
     assert (code, out) == (2, "")
-    assert (f"data error: checkpoint vocabularies of 6 and 6 tokens are fewer "
-            f"than config src_vocab 6 and tgt_vocab 46: {path}") in err
+    assert (f"data error: checkpoint vocabularies of 6 and 6 tokens do not match "
+            f"config src_vocab 6 and tgt_vocab 46: {path}") in err
     assert not (tmp_path / "d.tgt").exists()
 
 
@@ -421,8 +421,8 @@ def test_distill_bad_source_exits_2_naming_file_line(workdir, capsys, case):
 
 def test_distill_leaves_out_pairs_whose_target_decodes_empty(workdir, capsys,
                                                              monkeypatch):
-    # an empty decode (written as its end marker) and an all-<unk> one both
-    # decode to no word; the corpus readers refuse an empty target line
+    # an empty decode and an all-<unk> one both decode to no word; the corpus
+    # readers refuse an empty target line
     tv = P.load_model(workdir["teacher"])[2]
     words = load_corpus(workdir["corpus"])[0][0]
     hyps = {1: [], 2: [UNK, UNK], 3: [4, UNK]}
@@ -443,8 +443,7 @@ def test_distill_leaves_out_pairs_whose_target_decodes_empty(workdir, capsys,
 
 def test_distill_reports_empty_decodes_once_without_a_warning(workdir, capsys,
                                                              monkeypatch):
-    # the dropped-pair count is the report; the library's "replaced N empty
-    # teacher decode(s)" warning would name the same decodes a second time
+    # the dropped-pair count is the one report of the empty decodes
     words = load_corpus(workdir["corpus"])[0][0]
     monkeypatch.setattr(AR, "greedy_decode_batch",
                         lambda srcs, model: [[] if len(s) == 1 else [4] for s in srcs])
@@ -587,7 +586,7 @@ def test_translate_flags_decode_as_their_spec(workdir, capsys, monkeypatch,
                        "--strategy", strategy, "--teacher", workdir["teacher"],
                        *flags)
     assert code == 0
-    teacher_model, sv, tv, _ = P.load_model(workdir["teacher"])
+    teacher_model, sv, tv = P.load_model(workdir["teacher"])
     nat_model = P.load_model(workdir["nat"])[0]
     decode = B.decoder(spec, teacher_model, nat_model, seed=4)
     want = [" ".join(tv.decode(decode(sv.encode(src)).output))
@@ -616,7 +615,7 @@ def test_translate_count_flags_obey_the_strategy_spec_rule(workdir, capsys,
 def _with_reordered_vocab(workdir, side):
     """The parallel model saved again with one vocabulary's order reversed:
     same sizes, different token ids."""
-    model, sv, tv, _ = P.load_model(workdir["nat"])
+    model, sv, tv = P.load_model(workdir["nat"])
     flip = lambda v: Vocab(list(reversed(v.tokens[len(RESERVED):])))
     path = workdir["dir"] / f"nat_{side}_reordered.nat"
     P.save_model(path, model, *((flip(sv), tv) if side == "src" else (sv, flip(tv))))
@@ -1170,7 +1169,7 @@ def test_flag_overrides_config_file(tmp_path, capsys):
 
 def test_numeric_failure_exits_3(workdir, tmp_path, capsys):
     # saving refuses NaN weights, so the NaN is written into the file's blob
-    model, sv, tv, _ = P.load_model(workdir["teacher"])
+    model, sv, tv = P.load_model(workdir["teacher"])
     broken = tmp_path / "broken.nat"
     P.save_model(broken, model, sv, tv)
     raw = bytearray(broken.read_bytes())

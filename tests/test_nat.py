@@ -501,7 +501,7 @@ def test_decode_average_matches_explicit_reference():
         fert = N.floor_fertility(N.round_half_away(expected), probs)
         toks = _reference_translate(src, N.copy_fertility(src, fert), model)
         assert N.decode_average(src, model) == N.DecodeResult(
-            toks, [int(f) for f in fert], "average")
+            toks, [int(f) for f in fert])
 
 
 # ---------------------------------------------------------------------------

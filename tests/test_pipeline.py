@@ -4,6 +4,7 @@ reverse-KL term, and the fine-tuning estimator."""
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,10 @@ def tiny_cfg(**kw):
                 src_vocab=12, tgt_vocab=12, max_len=32, max_fertility=4)
     base.update(kw)
     return ModelConfig(**base)
+
+
+def words(n):
+    return Vocab([f"w{i}" for i in range(n)])
 
 
 def one_batch(pairs, fertilities=None):
@@ -75,14 +80,14 @@ def test_distill_beam_mode_and_bad_mode(teacher):
         P.build_distill_corpus(pairs, teacher, mode="sampled")
 
 
-def test_distill_empty_decode_becomes_end_marker():
+def test_distill_keeps_an_empty_decode_as_it_is():
     model = AR.TeacherModel(tiny_cfg(), np.random.default_rng(3))
     model.proj.bias.data[EOS] = 50.0  # decoder now emits the end marker first
     assert AR.greedy_decode([4, 5], model) == []
-    with pytest.warns(UserWarning, match="empty"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = P.build_distill_corpus([([4, 5], [7])], model)
-    assert out.pairs == [([4, 5], [EOS])]
-    assert out.replaced_empty == 1
+    assert out.pairs == [([4, 5], [])]
 
 
 def test_distill_rejects_bad_sources_before_decoding(teacher):
@@ -239,7 +244,7 @@ def test_encoder_import_names_every_fault_and_copies_nothing(teacher):
 def test_load_model_names_every_fault_and_the_file(tmp_path):
     path = tmp_path / "m.nat"
     P.save_model(path, N.NatModel(tiny_cfg(), np.random.default_rng(0)),
-                 Vocab(["a"]), Vocab(["x"]))
+                 words(8), words(8))
     ckpt = load_checkpoint(path)
     params = dict(ckpt.params)
     params["proj.weight"] = params["proj.weight"][:-1]
@@ -252,6 +257,26 @@ def test_load_model_names_every_fault_and_the_file(tmp_path):
         f"missing parameter proj.bias; unexpected parameter extra; shape mismatch "
         f"proj.weight: {params['proj.weight'].shape} given, "
         f"{ckpt.params['proj.weight'].shape} expected: {path}")
+
+
+@pytest.mark.parametrize("saved, kind, sizes, message", [
+    ("teacher", "nat", (8, 8), "checkpoint {path} holds a teacher model, expected nat"),
+    ("nat", "teacher", (8, 8), "checkpoint {path} holds a nat model, expected teacher"),
+    ("nat", "nat", (7, 8), "checkpoint vocabularies of 11 and 12 tokens do not "
+     "match config src_vocab 12 and tgt_vocab 12: {path}"),
+    ("teacher", None, (8, 9), "checkpoint vocabularies of 12 and 13 tokens do not "
+     "match config src_vocab 12 and tgt_vocab 12: {path}")],
+    ids=["teacher-as-nat", "nat-as-teacher", "shorter-lists", "longer-lists"])
+def test_load_model_refuses_a_checkpoint_it_cannot_serve(tmp_path, saved, kind,
+                                                         sizes, message):
+    # tiny_cfg's 12-token vocabularies are the 4 reserved tokens and 8 words
+    path = tmp_path / "m.nat"
+    model = {"teacher": AR.TeacherModel, "nat": N.NatModel}[saved](
+        tiny_cfg(), np.random.default_rng(0))
+    P.save_model(path, model, words(sizes[0]), words(sizes[1]))
+    with pytest.raises(DataError) as exc:
+        P.load_model(path, kind)
+    assert str(exc.value) == message.format(path=path)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +644,11 @@ def test_training_logs_record_learning_rate(tmp_path):
 
 
 def test_model_save_load_round_trip(tmp_path, teacher):
-    sv = Vocab(["a", "b"])
-    tv = Vocab(["c"])
+    sv = words(8)
+    tv = Vocab([f"c{i}" for i in range(8)])
     path = tmp_path / "m.nat"
     P.save_model(path, teacher, sv, tv)
-    loaded, lsv, ltv, _ = P.load_model(path)
+    loaded, lsv, ltv = P.load_model(path)
     assert isinstance(loaded, AR.TeacherModel)
     assert lsv.tokens == sv.tokens and ltv.tokens == tv.tokens
     for (n, p), (m, q) in zip(teacher.named_parameters(),

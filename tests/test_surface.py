@@ -8,6 +8,9 @@ delete or a test reference to move into the test that uses it.
 
 Every parameter with a default must be passed by some call of its function
 in that code: a default no caller overrides is a knob that does nothing.
+
+Program code silences no warning: a warning that its own caller must silence
+is a result sent through a second channel.
 """
 
 from __future__ import annotations
@@ -132,3 +135,15 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
         for qualified, called, param, position in _defaulted_parameters(module)
         if not any(_passes(call, param, position) for call in calls.get(called, []))]
     assert [p for p in unpassed if p != "cli.main(argv)"] == []
+
+
+SILENCERS = {"catch_warnings", "simplefilter", "filterwarnings"}
+
+
+def test_program_code_silences_no_warning():
+    # the acceptance gates are tests and may record warnings
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in CALLERS if path.parent.name != "tests"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in SILENCERS]
+    assert found == []
