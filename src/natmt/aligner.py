@@ -21,7 +21,6 @@ to the target length.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from typing import Hashable, Sequence
@@ -86,16 +85,6 @@ def _buckets(t: np.ndarray, tp: np.ndarray) -> list:
     return [((int(t[g[0]]), int(tp[g[0]])), g) for g in groups if len(g)]
 
 
-def _clean_corpus(corpus: Sequence[Pair]) -> list[Pair]:
-    kept = [(src, tgt) for src, tgt in corpus if len(src) and len(tgt)]
-    skipped = len(corpus) - len(kept)
-    if skipped:
-        warnings.warn(f"skipped {skipped} empty sentence pair(s)")
-    if not kept:
-        raise ValueError("corpus has no non-empty sentence pairs")
-    return kept
-
-
 def _em_blocks(src: _Flat, tgt: _Flat, n_tgt: int) -> list:
     """Cut the encoded corpus (`src` with NULL first) into blocks of
     consecutive pairs holding at most BLOCK_CELLS (i, j) cells (at least one
@@ -136,8 +125,11 @@ def em_train(corpus: Sequence[Pair], iters_m1: int = 5, iters_m2: int = 5) -> Al
     order; positional counts through the running table added into the
     group's first posterior in place, then `np.add.reduce` over the outer
     pair axis (pair by pair, as T'+1 >= 2); per-pair log-likelihoods are
-    accumulated in corpus order."""
-    pairs = _clean_corpus(corpus)
+    accumulated in corpus order. A pair with an empty side has no cell and
+    is left out."""
+    pairs = [(s, t) for s, t in corpus if len(s) and len(t)]
+    if not pairs:
+        raise ValueError("corpus has no non-empty sentence pairs")
     srcs, tgts = [s for s, _ in pairs], [t for _, t in pairs]
     # first-occurrence order; source rows start at 1, after NULL
     src_index = dict(zip(dict.fromkeys(chain.from_iterable(srcs)), count(1)))

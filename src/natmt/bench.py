@@ -108,16 +108,17 @@ def bench_latency(testset: Sequence[Sequence[int]],
     """Times each strategy on every sentence alone (no minibatching); the
     first sentence is decoded once untimed to warm caches. Per-sentence
     wall-clock is the median over ``repeats`` runs of ``perf_counter``.
-    Speedups are relative to the first strategy."""
+    Speedups are relative to the first strategy. Every spec is checked
+    before the first decode."""
     if not testset:
         raise ValueError("empty benchmark set")
     if repeats < 1:
         raise ValueError("need at least one timed repeat")
-    strategies = list(strategies)
+    runners = {spec: _runner(spec, teacher_model, nat_model, seed)
+               for spec in strategies}
 
     sentences: dict[str, list[SentenceStat]] = {}
-    for spec in strategies:
-        run = _runner(spec, teacher_model, nat_model, seed)
+    for spec, run in runners.items():
         run(testset[0])  # warm-up, untimed
         stats = []
         for src in testset:

@@ -1,12 +1,14 @@
 """Command-line surface tying the pieces together.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage, 2 data error, 3 numeric failure, 141 the
+reader of standard output closed it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -90,6 +92,24 @@ def _check_same_vocabs(teacher_path, teacher_vocabs, nat_path, nat_vocabs) -> No
                         "different vocabularies")
 
 
+def _load_for_decoding(args, path):
+    """(teacher, parallel model, target vocabulary, encoded lines of PATH)
+    for the commands that decode a text file: `--teacher` and `--nat` load
+    with their kinds (a missing one is None) and must share vocabularies,
+    and every line is checked against the smaller `max_len`."""
+    teacher = P.load_model(args.teacher, "teacher") if args.teacher else None
+    nat = P.load_model(args.nat, "nat") if args.nat else None
+    if teacher is None and nat is None:
+        raise UsageError(f"{args.command} needs --teacher and/or --nat")
+    if teacher and nat:
+        _check_same_vocabs(args.teacher, teacher[1:], args.nat, nat[1:])
+    _, sv, tv = nat or teacher
+    sents = read_sentences(path)
+    check_lines(path, sents, min(m[0].cfg.max_len for m in (teacher, nat) if m))
+    return (teacher and teacher[0], nat and nat[0], tv,
+            [sv.encode(s) for s in sents])
+
+
 def _save_trained(args, model, sv, tv, log, done: str) -> None:
     """Save a trained model to --out and report `done` with the last loss."""
     P.save_model(args.out, model, sv, tv)
@@ -115,18 +135,17 @@ def cmd_train_teacher(args) -> None:
 
 
 def cmd_distill(args) -> None:
+    kind, beam_width = B.parse_strategy(args.strategy)
+    if kind not in ("greedy", "beam"):
+        raise DataError(f"distill decodes with the teacher: strategy "
+                        f"{args.strategy!r} is not greedy or beam:B")
     model, sv, tv = P.load_model(args.teacher, "teacher")
-    if args.mode == "beam":
-        at_least("--beam", args.beam, 1)
-        if args.beam > B.STRATEGY_CEILING:
-            raise DataError(f"--beam must be at most {B.STRATEGY_CEILING}, "
-                            f"got {args.beam}")
     pairs_tok = load_corpus(args.corpus)
     if not pairs_tok:
         raise DataError(f"corpus {args.corpus} has no source lines")
     check_lines(f"{args.corpus}.src", [s for s, _ in pairs_tok], model.cfg.max_len)
     enc = encode_corpus(pairs_tok, sv, tv)
-    out = P.build_distill_corpus(enc, model, mode=args.mode, beam_width=args.beam)
+    out = P.build_distill_corpus(enc, model, beam_width)
     # a target of no word (an empty decode, only <unk>) fails check_corpus
     decoded = [(src_tok, tgt_tok) for (src_tok, _), (_, tgt_ids)
                in zip(pairs_tok, out.pairs) if (tgt_tok := tv.decode(tgt_ids))]
@@ -134,7 +153,7 @@ def cmd_distill(args) -> None:
         raise DataError(f"teacher {args.teacher} decodes every source of "
                         f"{args.corpus} to an empty target")
     save_corpus(args.out_prefix, decoded)
-    print(f"distilled {len(decoded)} pairs with {args.mode} decoding "
+    print(f"distilled {len(decoded)} pairs with {args.strategy} decoding "
           f"({len(pairs_tok) - len(decoded)} empty targets dropped) to {args.out_prefix}")
 
 
@@ -167,7 +186,9 @@ def cmd_align(args) -> None:
         text = "\n".join(" ".join(str(f) for f in row) for row in ferts)
         Path(args.fertilities_out).write_text(text + "\n", encoding="utf-8")
     last_phase = "m2" if args.iters_m2 else "m1"
-    print(f"aligned {len(pairs_tok)} pairs; final log-likelihood "
+    empty = sum(not tgt for _, tgt in pairs_tok)    # em_train leaves these out
+    left_out = f" ({empty} with an empty target left out of EM)" if empty else ""
+    print(f"aligned {len(pairs_tok)} pairs{left_out}; final log-likelihood "
           f"{model.ll_history[last_phase][-1]:.4f}")
 
 
@@ -214,26 +235,13 @@ def cmd_finetune(args) -> None:
 
 def cmd_translate(args) -> None:
     at_least("--seed", args.seed, 0)
-    model, sv, tv = P.load_model(args.model)
-    sents = read_sentences(args.input)
-    models = {model.kind: model}
-    if args.strategy == "npd" and model.kind == "nat":
-        if not args.teacher:
-            raise UsageError("npd strategy requires --teacher")
-        teacher_model, tsv, ttv = P.load_model(args.teacher, "teacher")
-        _check_same_vocabs(args.teacher, (tsv, ttv), args.model, (sv, tv))
-        models["teacher"] = teacher_model
-    spec = {"beam": f"beam:{args.beam}",
-            "npd": f"npd:{args.samples}"}.get(args.strategy, args.strategy)
-    decode = B.decoder(spec, models.get("teacher"), models.get("nat"), args.seed)
-    check_lines(args.input, sents, min(m.cfg.max_len for m in models.values()))
-    outputs = [tv.decode(decode(sv.encode(sent)).output) for sent in sents]
-    text = "\n".join(" ".join(toks) for toks in outputs)
+    teacher, nat, tv, srcs = _load_for_decoding(args, args.input)
+    decode = B.decoder(args.strategy, teacher, nat, args.seed)
+    text = "".join(" ".join(tv.decode(decode(src).output)) + "\n" for src in srcs)
     if args.output:
-        Path(args.output).write_text(text + "\n" if text else "",
-                                     encoding="utf-8")
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def cmd_score(args) -> None:
@@ -261,24 +269,14 @@ def cmd_bleu(args) -> None:
 def cmd_bench(args) -> None:
     at_least("--repeats", args.repeats, 1)
     at_least("--seed", args.seed, 0)
-    teacher = P.load_model(args.teacher, "teacher") if args.teacher else None
-    nat = P.load_model(args.nat, "nat") if args.nat else None
-    if teacher is None and nat is None:
-        raise UsageError("bench needs --teacher and/or --nat")
-    if teacher and nat:
-        _check_same_vocabs(args.teacher, teacher[1:3], args.nat, nat[1:3])
-    sv = (nat or teacher)[1]
-    sents = read_sentences(args.testset)
-    if not sents:
+    teacher, nat, _, testset = _load_for_decoding(args, args.testset)
+    if not testset:
         raise DataError(f"{args.testset}: empty testset")
-    check_lines(args.testset, sents,
-                min(m[0].cfg.max_len for m in (teacher, nat) if m))
-    testset = [sv.encode(s) for s in sents]
     strategies = [s for s in args.strategies.split(",") if s]
     if not strategies:
         raise UsageError("bench: --strategies names no strategy")
-    report = B.bench_latency(testset, teacher and teacher[0], nat and nat[0],
-                             strategies, repeats=args.repeats, seed=args.seed)
+    report = B.bench_latency(testset, teacher, nat, strategies,
+                             repeats=args.repeats, seed=args.seed)
     if args.out:
         B.write_latency_tsv(report, args.out)
     for spec in strategies:
@@ -347,8 +345,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--teacher", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out-prefix", dest="out_prefix", required=True)
-    sp.add_argument("--mode", choices=("greedy", "beam"), default="greedy")
-    sp.add_argument("--beam", type=integer, default=4)
+    sp.add_argument("--strategy", default="greedy", help="greedy or beam:B")
     sp.set_defaults(func=cmd_distill)
 
     sp = sub.add_parser("align")
@@ -381,16 +378,12 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_finetune)
 
     sp = sub.add_parser("translate")
-    sp.add_argument("--model", required=True)
+    sp.add_argument("--teacher")
+    sp.add_argument("--nat")
     sp.add_argument("--input", required=True, help="source sentences, one per line")
     sp.add_argument("--output", help="write here instead of stdout")
-    sp.add_argument("--strategy", default="argmax",
-                    choices=("argmax", "average", "npd", "greedy", "beam"))
-    # the strategy spec built from these two validates them
-    sp.add_argument("--samples", default="10")
+    sp.add_argument("--strategy", default="argmax", help="a `bench` strategy spec")
     sp.add_argument("--seed", type=integer, default=0)
-    sp.add_argument("--beam", default="4")
-    sp.add_argument("--teacher", help="teacher checkpoint for npd rescoring")
     sp.set_defaults(func=cmd_translate)
 
     sp = sub.add_parser("score")
@@ -441,7 +434,13 @@ def main(argv=None) -> int:
         if not getattr(args, "func", None):
             raise UsageError("natmt: missing subcommand (see --help)")
         args.func(args)
+        sys.stdout.flush()      # a closed stdout shows here, not at exit
         return 0
+    except BrokenPipeError:     # the reader left (`| head`): nothing to report
+        # Python's recipe: stdout goes to devnull, so the final flush at exit
+        # does not raise again; 141 is a shell's status for a SIGPIPE death
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1

@@ -78,19 +78,17 @@ DISTILL_CHUNK = 32   # sources per batched greedy decode
 
 def build_distill_corpus(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
                          teacher_model: AR.TeacherModel,
-                         mode: str = "greedy", beam_width: int = 4
-                         ) -> DistilledCorpus:
+                         beam_width: int | None = None) -> DistilledCorpus:
     """Re-target the corpus with the frozen teacher's own decodes.
 
-    Greedy decoding sorts the sources by length and decodes them in chunks
-    of `DISTILL_CHUNK` with `greedy_decode_batch`; beam decoding goes one
-    sentence at a time. Either way each target equals the sentence's own
+    With no `beam_width`, greedy decoding sorts the sources by length and
+    decodes them in chunks of `DISTILL_CHUNK` with `greedy_decode_batch`;
+    with one, beam decoding of that width goes one sentence at a time.
+    Either way each target equals the sentence's own
     `greedy_decode`/`beam_decode`, as it came out (empty included), and
     pairs keep the corpus order. Every source is checked before anything is
     decoded.
     """
-    if mode not in ("greedy", "beam"):
-        raise ValueError(f"unknown distillation mode {mode!r}")
     srcs = [list(src) for src, _ in pairs]
     limit = teacher_model.cfg.max_len
     for i, src in enumerate(srcs):
@@ -99,7 +97,7 @@ def build_distill_corpus(pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
         if len(src) > limit:
             raise DataError(f"source sentence of length {len(src)} exceeds "
                             f"max_len {limit} at corpus index {i}")
-    if mode == "greedy":
+    if beam_width is None:
         hyps: list[list[int]] = [[] for _ in srcs]
         order = sorted(range(len(srcs)), key=lambda i: len(srcs[i]))
         for start in range(0, len(order), DISTILL_CHUNK):

@@ -2,7 +2,6 @@
 multimodal bundles are built once per session and reused."""
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -137,10 +136,8 @@ def multimodal_bundle():
                                warmup=200, max_steps=1200)
     exported = AR.export_encoder(teacher)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the aligner warns if it skips an empty pair
-        raw_aligner = AL.em_train(train)
-        raw_ferts = AL.corpus_fertilities(train, raw_aligner, cfg.max_fertility)
+    raw_aligner = AL.em_train(train)
+    raw_ferts = AL.corpus_fertilities(train, raw_aligner, cfg.max_fertility)
     nat_raw = train_nat_to(enc_train, raw_ferts, cfg, seed=42,
                            init_from=exported, batch_size=32, warmup=200,
                            max_steps=900)
@@ -148,11 +145,8 @@ def multimodal_bundle():
     distilled = P.build_distill_corpus(enc_train, teacher)
     dist_tok = [(src_tok, tv.decode(tgt_ids))
                 for (src_tok, _), (_, tgt_ids) in zip(train, distilled.pairs)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        dist_aligner = AL.em_train(dist_tok)
-        dist_ferts = AL.corpus_fertilities(dist_tok, dist_aligner,
-                                           cfg.max_fertility)
+    dist_aligner = AL.em_train(dist_tok)
+    dist_ferts = AL.corpus_fertilities(dist_tok, dist_aligner, cfg.max_fertility)
     enc_dist = [(s, tv.encode(t)) for (s, _), (_, t) in
                 zip(enc_train, dist_tok)]
     nat_dist = train_nat_to(enc_dist, dist_ferts, cfg, seed=43,

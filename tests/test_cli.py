@@ -253,7 +253,7 @@ def test_translate_with_unfit_checkpoint_exits_2_naming_file(tmp_path, capsys,
     save_checkpoint(path, ckpt.kind, ckpt.config, list(ckpt.params.items()),
                     ckpt.src_vocab, ckpt.tgt_vocab)
     (tmp_path / "in.txt").write_text("a b\n")
-    code, _, err = run(capsys, "translate", "--model", str(path),
+    code, _, err = run(capsys, "translate", "--nat", str(path),
                        "--input", str(tmp_path / "in.txt"))
     assert code == 2
     assert str(path) in err and named in err
@@ -270,7 +270,7 @@ def test_translate_with_broken_checkpoint_exits_2_naming_file(tmp_path, capsys, 
     path = tmp_path / "m.nat"
     path.write_bytes(raw)
     (tmp_path / "in.txt").write_text("a b\n")
-    code, _, err = run(capsys, "translate", "--model", str(path),
+    code, _, err = run(capsys, "translate", "--nat", str(path),
                        "--input", str(tmp_path / "in.txt"))
     assert code == 2
     assert str(path) in err
@@ -311,7 +311,7 @@ def test_translate_with_malformed_manifest_exits_2_naming_file(tmp_path, capsys,
     path.write_bytes(raw[:4] + struct.pack("<II", 3, len(manifest)) + manifest
                      + raw[12 + mlen:])
     (tmp_path / "in.txt").write_text("a b\n")
-    code, _, err = run(capsys, "translate", "--model", str(path),
+    code, _, err = run(capsys, "translate", "--nat", str(path),
                        "--input", str(tmp_path / "in.txt"))
     assert code == 2
     assert str(path) in err
@@ -334,7 +334,7 @@ def test_checkpoint_with_fewer_tokens_than_its_config_exits_2_naming_file(
     P.save_model(path, model, Vocab(["a", "b"]), Vocab(["x", "y"]))
     for ext in ("src", "tgt"):
         (tmp_path / f"c.{ext}").write_text("a b\n")
-    argv = {"translate": ["--model", str(path), "--input", str(tmp_path / "c.src"),
+    argv = {"translate": [f"--{kind}", str(path), "--input", str(tmp_path / "c.src"),
                           "--strategy", "argmax" if kind == "nat" else "greedy"],
             "distill": ["--teacher", str(path), "--corpus", str(tmp_path / "c"),
                         "--out-prefix", str(tmp_path / "d")]}[command]
@@ -521,78 +521,83 @@ def test_set_without_equals_sign_is_usage(tmp_path, capsys):
 def test_translate_writes_one_line_per_input(workdir, capsys):
     d = workdir["dir"]
     out = d / "hyp.txt"
-    code, _, _ = run(capsys, "translate", "--model", workdir["nat"],
+    code, _, _ = run(capsys, "translate", "--nat", workdir["nat"],
                      "--input", workdir["corpus"] + ".src",
                      "--output", str(out), "--strategy", "argmax")
     assert code == 0
     assert len(out.read_text().splitlines()) == 20
 
 
+@pytest.mark.parametrize("lines", [0, 1])
+def test_translate_writes_one_line_per_input_even_when_empty(workdir, tmp_path, capsys,
+                                                             monkeypatch, lines):
+    # an empty file gives no line, and a decode of no word an empty line
+    monkeypatch.setattr(N, "decode_argmax", lambda src, model: N.DecodeResult([], None))
+    word = load_corpus(workdir["corpus"])[0][0][0]
+    (tmp_path / "in.src").write_text(f"{word}\n" * lines)
+    argv = ["translate", "--nat", workdir["nat"], "--input", str(tmp_path / "in.src")]
+    assert run(capsys, *argv) == (0, "\n" * lines, "")
+    assert run(capsys, *argv, "--output", str(tmp_path / "o.hyp"))[0] == 0
+    assert (tmp_path / "o.hyp").read_text() == "\n" * lines
+
+
 def test_translate_npd_one_sample_equals_argmax(workdir, capsys):
     d = workdir["dir"]
     a, b = d / "am.txt", d / "npd1.txt"
-    assert run(capsys, "translate", "--model", workdir["nat"], "--input",
+    assert run(capsys, "translate", "--nat", workdir["nat"], "--input",
                workdir["corpus"] + ".src", "--output", str(a),
                "--strategy", "argmax")[0] == 0
-    assert run(capsys, "translate", "--model", workdir["nat"], "--input",
+    assert run(capsys, "translate", "--nat", workdir["nat"], "--input",
                workdir["corpus"] + ".src", "--output", str(b),
-               "--strategy", "npd", "--samples", "1",
-               "--teacher", workdir["teacher"])[0] == 0
+               "--strategy", "npd:1", "--teacher", workdir["teacher"])[0] == 0
     assert a.read_text() == b.read_text()
 
 
-def test_translate_npd_without_teacher_is_usage(workdir, capsys):
-    code, _, err = run(capsys, "translate", "--model", workdir["nat"],
-                       "--input", workdir["corpus"] + ".src",
-                       "--strategy", "npd")
-    assert code == 1
-    assert "--teacher" in err
+def test_translate_with_neither_model_is_usage(workdir, capsys):
+    code, out, err = run(capsys, "translate", "--input", workdir["corpus"] + ".src")
+    assert (code, out) == (1, "")
+    assert "translate needs --teacher and/or --nat" in err
 
 
 def test_translate_strategy_kind_mismatch_exits_2(workdir, capsys):
-    code, _, err = run(capsys, "translate", "--model", workdir["teacher"],
+    code, _, err = run(capsys, "translate", "--teacher", workdir["teacher"],
                        "--input", workdir["corpus"] + ".src",
                        "--strategy", "argmax")
     assert code == 2 and "parallel" in err
-    code, _, err = run(capsys, "translate", "--model", workdir["nat"],
+    code, _, err = run(capsys, "translate", "--nat", workdir["nat"],
                        "--input", workdir["corpus"] + ".src",
                        "--strategy", "greedy")
     assert code == 2 and "teacher" in err
 
 
 def test_translate_teacher_greedy_and_beam(workdir, capsys):
-    code, out, _ = run(capsys, "translate", "--model", workdir["teacher"],
+    code, out, _ = run(capsys, "translate", "--teacher", workdir["teacher"],
                        "--input", workdir["corpus"] + ".src",
                        "--strategy", "greedy")
     assert code == 0
     assert len(out.splitlines()) == 20
-    assert run(capsys, "translate", "--model", workdir["teacher"], "--input",
-               workdir["corpus"] + ".src", "--strategy", "beam",
-               "--beam", "2")[0] == 0
+    assert run(capsys, "translate", "--teacher", workdir["teacher"], "--input",
+               workdir["corpus"] + ".src", "--strategy", "beam:2")[0] == 0
 
 
-@pytest.mark.parametrize("strategy, flags, spec", [
-    ("beam", ["--beam", "2"], "beam:2"),
-    ("npd", ["--samples", "3", "--seed", "4"], "npd:3")])
-def test_translate_flags_decode_as_their_spec(workdir, capsys, monkeypatch,
-                                              strategy, flags, spec):
+@pytest.mark.parametrize("spec", ["greedy", "beam:2", "argmax", "average", "npd:3"])
+def test_translate_writes_the_decoder_output_of_its_spec(workdir, capsys,
+                                                         monkeypatch, spec):
     # on these models beam widths 2 and 4 decode alike, so record the width
     widths, beam = [], AR.beam_decode
     monkeypatch.setattr(AR, "beam_decode", lambda src, model, b:
                         widths.append(b) or beam(src, model, b=b))
-    kind = "teacher" if strategy == "beam" else "nat"
-    code, out, _ = run(capsys, "translate", "--model", workdir[kind],
-                       "--input", workdir["corpus"] + ".src",
-                       "--strategy", strategy, "--teacher", workdir["teacher"],
-                       *flags)
+    code, out, _ = run(capsys, "translate", "--teacher", workdir["teacher"],
+                       "--nat", workdir["nat"], "--input", workdir["corpus"] + ".src",
+                       "--strategy", spec, "--seed", "4")
     assert code == 0
+    assert set(widths) == ({2} if spec == "beam:2" else set())
     teacher_model, sv, tv = P.load_model(workdir["teacher"])
     nat_model = P.load_model(workdir["nat"])[0]
     decode = B.decoder(spec, teacher_model, nat_model, seed=4)
     want = [" ".join(tv.decode(decode(sv.encode(src)).output))
             for src, _ in load_corpus(workdir["corpus"])]
     assert out.splitlines() == want
-    assert set(widths) == ({2} if strategy == "beam" else set())
 
 
 @pytest.mark.parametrize("value", ["1_0", "+4", " 4", "\u0664"],
@@ -601,15 +606,81 @@ def test_translate_flags_decode_as_their_spec(workdir, capsys, monkeypatch,
                                             ("npd", "--samples")])
 def test_translate_count_flags_obey_the_strategy_spec_rule(workdir, capsys,
                                                            strategy, flag, value):
-    # the same refusal as `bench --strategies beam:1_0`
-    kind = "teacher" if strategy == "beam" else "nat"
-    code, out, err = run(capsys, "translate", "--model", workdir[kind],
-                         "--input", workdir["corpus"] + ".src",
-                         "--strategy", strategy, "--teacher", workdir["teacher"],
-                         flag, value)
+    # the count that `flag` carried is now the spec's own argument, which
+    # reaches the same refusal as `bench --strategies beam:1_0`; the flag is gone
+    models = ["--teacher", workdir["teacher"], "--nat", workdir["nat"],
+              "--input", workdir["corpus"] + ".src"]
+    code, out, err = run(capsys, "translate", *models,
+                         "--strategy", f"{strategy}:{value}")
     assert (code, out) == (2, "")
     assert f"data error: bad strategy argument in {f'{strategy}:{value}'!r}" in err
     assert "Traceback" not in err
+    code, out, err = run(capsys, "translate", *models, "--strategy", strategy,
+                         flag, "4")
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {flag} 4" in err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("decoded before every check ran")
+
+
+DECODERS = [(AR, "greedy_decode"), (AR, "greedy_decode_batch"), (AR, "beam_decode"),
+            (N, "decode_argmax"), (N, "decode_average"), (N, "decode_npd")]
+
+
+@pytest.mark.parametrize("command, models, spec, message", [
+    ("translate", "teacher,nat", "beam:0", "strategy argument must be positive in 'beam:0'"),
+    ("translate", "teacher,nat", "beam:1025",
+     "strategy argument must be at most 1024 in 'beam:1025'"),
+    ("translate", "teacher,nat", "npd:1_0", "bad strategy argument in 'npd:1_0'"),
+    ("translate", "nat", "npd", "strategy 'npd' needs a teacher model"),
+    ("translate", "teacher", "average", "strategy 'average' needs a parallel model"),
+    ("distill", "teacher", "beam:0", "strategy argument must be positive in 'beam:0'"),
+    ("distill", "teacher", "beam:1025",
+     "strategy argument must be at most 1024 in 'beam:1025'"),
+    ("distill", "teacher", "npd:1_0", "bad strategy argument in 'npd:1_0'"),
+    ("distill", "teacher", "beam:\u0664", "bad strategy argument in 'beam:\u0664'"),
+    ("distill", "teacher", "argmax", "distill decodes with the teacher: strategy "
+                                     "'argmax' is not greedy or beam:B"),
+    ("distill", "teacher", "npd:3", "distill decodes with the teacher: strategy "
+                                    "'npd:3' is not greedy or beam:B"),
+], ids=["translate-beam_0", "translate-beam_1025", "translate-npd_underscore",
+        "translate-npd_without_teacher", "translate-average_without_nat",
+        "distill-beam_0", "distill-beam_1025", "distill-npd_underscore",
+        "distill-beam_arabic_indic", "distill-argmax", "distill-npd"])
+def test_translate_and_distill_refuse_a_spec_before_decoding(
+        workdir, tmp_path, capsys, monkeypatch, command, models, spec, message):
+    for mod, name in DECODERS:
+        monkeypatch.setattr(mod, name, _never)
+    argv = [a for kind in models.split(",") for a in (f"--{kind}", workdir[kind])]
+    argv += {"translate": ["--input", workdir["corpus"] + ".src",
+                           "--output", str(tmp_path / "o.hyp")],
+             "distill": ["--corpus", workdir["corpus"],
+                         "--out-prefix", str(tmp_path / "o")]}[command]
+    code, out, err = run(capsys, command, *argv, "--strategy", spec)
+    assert (code, out) == (2, "")
+    assert f"data error: {message}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_distill_beam_strategy_decodes_with_its_width(workdir, tmp_path, capsys,
+                                                      monkeypatch):
+    widths, beam = [], AR.beam_decode
+    monkeypatch.setattr(AR, "beam_decode", lambda src, model, b:
+                        widths.append(b) or beam(src, model, b=b))
+    monkeypatch.setattr(AR, "greedy_decode_batch", _never)
+    out_prefix = str(tmp_path / "beam")
+    code, out, _ = run(capsys, "distill", "--teacher", workdir["teacher"],
+                       "--corpus", workdir["corpus"], "--out-prefix", out_prefix,
+                       "--strategy", "beam:2")
+    assert code == 0
+    assert set(widths) == {2} and len(widths) == 20
+    assert "with beam:2 decoding" in out
+    teacher_model, sv, tv = P.load_model(workdir["teacher"])
+    assert [t for _, t in load_corpus(out_prefix)] == [
+        tv.decode(beam(sv.encode(src), teacher_model, b=2))
+        for src, _ in load_corpus(workdir["corpus"])]
 
 
 def _with_reordered_vocab(workdir, side):
@@ -629,7 +700,7 @@ def test_teacher_and_parallel_vocab_mismatch_exits_2(workdir, capsys, command,
     nat = _with_reordered_vocab(workdir, side)
     teacher, corpus = workdir["teacher"], workdir["corpus"]
     out = str(workdir["dir"] / f"mismatch_{command}_{side}.out")
-    argv = {"translate": ["--model", nat, "--input", corpus + ".src",
+    argv = {"translate": ["--nat", nat, "--input", corpus + ".src",
                           "--output", out, "--strategy", "npd"],
             "bench": ["--nat", nat, "--testset", corpus + ".src",
                       "--strategies", "greedy,npd:3", "--repeats", "1",
@@ -650,19 +721,15 @@ TRANSLATE_CASES = [("teacher", "greedy"), ("teacher", "beam"), ("nat", "argmax")
 def _translate_bad_line(workdir, capsys, monkeypatch, kind, strategy, bad):
     """Translate [good, good, bad, good] with every decoder patched to fail,
     so a run that decodes before checking the whole file cannot pass."""
-    def never(*args, **kwargs):
-        raise AssertionError("decoded before every line was checked")
-
-    for mod, name in ((AR, "greedy_decode"), (AR, "beam_decode"),
-                      (N, "decode_argmax")):
-        monkeypatch.setattr(mod, name, never)
+    for mod, name in DECODERS:
+        monkeypatch.setattr(mod, name, _never)
     good = " ".join(load_corpus(workdir["corpus"])[0][0])
     path = workdir["dir"] / f"bad_{kind}_{strategy}.src"
     path.write_text("\n".join([good, good, bad, good]) + "\n")
     out = workdir["dir"] / f"bad_{kind}_{strategy}.hyp"
-    code, _, err = run(capsys, "translate", "--model", workdir[kind],
+    code, _, err = run(capsys, "translate", f"--{kind}", workdir[kind],
                        "--input", str(path), "--output", str(out),
-                       "--strategy", strategy, "--beam", "2")
+                       "--strategy", strategy)
     assert code == 2
     assert not out.exists()
     return str(path), err
@@ -702,7 +769,7 @@ def test_translate_reserved_token_exits_2_naming_file_line(workdir, capsys,
 def test_translate_accepts_unknown_word_token(workdir, capsys):
     path = workdir["dir"] / "unk.src"
     path.write_text("<unk> " + " ".join(load_corpus(workdir["corpus"])[0][0]) + "\n")
-    code, out, _ = run(capsys, "translate", "--model", workdir["nat"],
+    code, out, _ = run(capsys, "translate", "--nat", workdir["nat"],
                        "--input", str(path), "--strategy", "argmax")
     assert code == 0 and len(out.splitlines()) == 1
 
@@ -988,6 +1055,27 @@ def test_all_rows_misaligned_exits_2_in_a_child_process(workdir, tmp_path, comma
     assert not out.exists()
 
 
+def test_closed_stdout_ends_quietly_in_a_child_process(workdir, tmp_path):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails; the output (about 1000 lines) outgrows stdout's buffer,
+    # so the failure shows inside `print`
+    src = tmp_path / "many.src"
+    src.write_text(Path(workdir["corpus"] + ".src").read_text() * 50)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(natmt.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "natmt.cli", "translate", "--nat", workdir["nat"],
+             "--input", str(src)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 @pytest.mark.parametrize("m1, m2, phase", [("3", "0", "m1"), ("0", "2", "m2")])
 def test_align_with_one_em_phase_reports_its_log_likelihood(
         workdir, capsys, m1, m2, phase):
@@ -997,6 +1085,21 @@ def test_align_with_one_em_phase_reports_its_log_likelihood(
     model = AL.em_train(load_corpus(workdir["corpus"]), int(m1), int(m2))
     assert out == (f"aligned 20 pairs; final log-likelihood "
                    f"{model.ll_history[phase][-1]:.4f}\n")
+
+
+def test_align_counts_the_pairs_it_leaves_out_of_em(tmp_path, capsys):
+    # a pair with an empty target has no cell for EM to count
+    (tmp_path / "e.src").write_text("a b\nc\n")
+    (tmp_path / "e.tgt").write_text("x y\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "align", "--corpus", str(tmp_path / "e"),
+                             "--fertilities-out", str(tmp_path / "e.fert"))
+    assert (code, err) == (0, "")
+    model = AL.em_train([(["a", "b"], ["x", "y"])])
+    assert out == ("aligned 2 pairs (1 with an empty target left out of EM); "
+                   f"final log-likelihood {model.ll_history['m2'][-1]:.4f}\n")
+    assert (tmp_path / "e.fert").read_text().splitlines()[1] == "0"
 
 
 def test_align_without_outputs_runs_no_viterbi(workdir, capsys, monkeypatch):
@@ -1131,6 +1234,18 @@ def test_bench_bad_strategies(workdir, capsys, strategies, code, message):
     assert message in err and "Traceback" not in err
 
 
+def test_bench_checks_every_spec_before_it_times_any(workdir, capsys, monkeypatch):
+    decodes = []
+    greedy = AR.greedy_decode
+    monkeypatch.setattr(AR, "greedy_decode", lambda *a: decodes.append(1) or greedy(*a))
+    code, out, err = run(capsys, "bench", "--teacher", workdir["teacher"],
+                         "--testset", workdir["corpus"] + ".src",
+                         "--strategies", "greedy,argmax", "--repeats", "3")
+    assert (code, out) == (2, "")
+    assert "data error: strategy 'argmax' needs a parallel model" in err
+    assert decodes == []
+
+
 def test_bench_with_neither_model_is_usage(workdir, capsys):
     code, out, err = run(capsys, "bench", "--testset", workdir["corpus"] + ".src")
     assert (code, out) == (1, "")
@@ -1199,7 +1314,7 @@ def test_translate_caps_fertility_total_at_max_len(tmp_path, capsys, strategy):
     P.save_model(path, model, vocab, vocab)
     line = tmp_path / "in.src"
     line.write_text(" ".join(words[i % 12] for i in range(40)) + "\n")
-    code, out, _ = run(capsys, "translate", "--model", str(path),
+    code, out, _ = run(capsys, "translate", "--nat", str(path),
                        "--input", str(line), "--strategy", strategy)
     assert code == 0
     assert len(out.split()) == 64
@@ -1210,13 +1325,13 @@ def test_translate_caps_fertility_total_at_max_len(tmp_path, capsys, strategy):
      "--repeats must be at least 1, got 0"),
     ("bench", ["--testset", "SRC", "--strategies", "greedy,npd:3", "--nat", "NAT",
                "--seed", "-1"], "--seed must be at least 0, got -1"),
-    ("distill", ["--corpus", "CORPUS", "--out-prefix", "OUT", "--mode", "beam",
-                 "--beam", "0"], "--beam must be at least 1, got 0"),
-    # and the one flag with a ceiling as well as a floor
-    ("distill", ["--corpus", "CORPUS", "--out-prefix", "OUT", "--mode", "beam",
-                 "--beam", "1025"], "--beam must be at most 1024, got 1025"),
-    ("translate", ["--model", "NAT", "--input", "SRC", "--strategy", "npd",
-                   "--samples", "3", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    # a beam width is a spec argument, whose rule has a ceiling as well
+    ("distill", ["--corpus", "CORPUS", "--out-prefix", "OUT", "--strategy",
+                 "beam:0"], "strategy argument must be positive in 'beam:0'"),
+    ("distill", ["--corpus", "CORPUS", "--out-prefix", "OUT", "--strategy",
+                 "beam:1025"], "strategy argument must be at most 1024 in 'beam:1025'"),
+    ("translate", ["--nat", "NAT", "--input", "SRC", "--strategy", "npd:3",
+                   "--seed", "-1"], "--seed must be at least 0, got -1"),
 ], ids=["bench_repeats_0", "bench_seed_negative", "distill_beam_0",
         "distill_beam_1025", "translate_seed_negative"])
 def test_flag_below_its_floor_exits_2_naming_it(workdir, capsys, command, argv,
@@ -1286,7 +1401,7 @@ def test_non_utf8_input_exits_2_naming_file_line(workdir, tmp_path, capsys, comm
     bad.write_bytes(b"a b\nc \xaf d\n")
     (tmp_path / "bad.tgt").write_text("x\ny\n")
     argv = {"align": ["--corpus", str(tmp_path / "bad")],
-            "translate": ["--model", workdir["nat"], "--input", str(bad)],
+            "translate": ["--nat", workdir["nat"], "--input", str(bad)],
             "bleu": [workdir["corpus"] + ".src", str(bad)]}[command]
     code, _, err = run(capsys, command, *argv)
     assert code == 2
@@ -1358,15 +1473,13 @@ def test_no_flag_parses_with_int():
     (["gen-synth", "--kind", "copy", "--size", "5", "--min-len", "+2",
       "--out-prefix", "O"], "--min-len"),
     (["align", "--corpus", "C", "--iters-m1", "٣"], "--iters-m1"),
-    (["distill", "--teacher", "T", "--corpus", "C", "--out-prefix", "O",
-      "--beam", "٤"], "--beam"),
-    (["translate", "--model", "M", "--input", "I", "--seed", "+1"], "--seed"),
+    (["translate", "--nat", "M", "--input", "I", "--seed", "+1"], "--seed"),
     (["bench", "--teacher", "T", "--testset", "S", "--repeats", "1_0"],
      "--repeats"),
 ], ids=["steps_underscore", "warmup_arabic_indic", "seed_plus", "min_freq_space",
         "batch_size_plus", "gen_synth_size_underscore", "gen_synth_min_len_plus",
-        "align_iters_arabic_indic", "distill_beam_arabic_indic",
-        "translate_seed_plus", "bench_repeats_underscore"])
+        "align_iters_arabic_indic", "translate_seed_plus",
+        "bench_repeats_underscore"])
 def test_integer_flags_refuse_what_the_integer_rule_refuses(tmp_path, capsys,
                                                            argv, flag):
     # refused as `--steps abc` is, before any file is read or written
@@ -1552,9 +1665,9 @@ def test_finetune_refuses_a_model_key_that_differs_from_the_checkpoint(
 def test_translate_samples_above_the_ceiling_exit_2(workdir, capsys):
     # numpy refuses at once to allocate this many npd draws
     n = 10**12
-    code, out, err = run(capsys, "translate", "--model", workdir["nat"],
-                         "--input", workdir["corpus"] + ".src", "--strategy", "npd",
-                         "--samples", str(n), "--teacher", workdir["teacher"])
+    code, out, err = run(capsys, "translate", "--nat", workdir["nat"],
+                         "--input", workdir["corpus"] + ".src", "--strategy",
+                         f"npd:{n}", "--teacher", workdir["teacher"])
     assert (code, out) == (2, "")
     assert f"data error: strategy argument must be at most 1024 in 'npd:{n}'" in err
     assert "Traceback" not in err

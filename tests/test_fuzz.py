@@ -138,15 +138,14 @@ def _argv(files, kind, path):
                     "--max-fertility", str(MAX_FERTILITY)],
             "tgt": ["align", "--corpus", d / "m", "--fertilities-out", d / "out.fert",
                     "--max-fertility", str(MAX_FERTILITY)],
-            "input": ["translate", "--model", d / "nat.nat", "--input", input_path,
-                      "--strategy", "npd", "--samples", "3",
-                      "--teacher", d / "teacher.nat"],
+            "input": ["translate", "--nat", d / "nat.nat", "--input", input_path,
+                      "--strategy", "npd:3", "--teacher", d / "teacher.nat"],
             "fert": ["train-nat", "--corpus", d / "good", "--fertilities", path,
                      "--out", d / "out.nat", "--steps", "1", "--warmup", "1",
                      "--max-fertility", str(MAX_FERTILITY)],
             "teacher": ["score", "--teacher", path, "--source", d / "good.src",
                         "--candidates", d / "good.tgt"],
-            "nat": ["translate", "--model", path, "--input", input_path,
+            "nat": ["translate", "--nat", path, "--input", input_path,
                     "--strategy", "argmax"],
             }[kind]
 
@@ -171,7 +170,7 @@ def test_natmt_on_a_mangled_file_exits_cleanly(files, kind, edits):
 
 def test_translate_reading_a_checkpoint_as_input_names_it(files, capsys):
     d = files["dir"]
-    code = main(["translate", "--model", str(d / "nat.nat"),
+    code = main(["translate", "--nat", str(d / "nat.nat"),
                  "--input", str(d / "nat.nat")])
     assert code == 2
     err = capsys.readouterr().err

@@ -72,12 +72,14 @@ def test_distill_replaces_targets_with_teacher_decodes(teacher):
     assert again.pairs == out.pairs
 
 
-def test_distill_beam_mode_and_bad_mode(teacher):
-    pairs = [([4, 5, 6], [7, 8])]
-    out = P.build_distill_corpus(pairs, teacher, mode="beam", beam_width=2)
-    assert out.pairs[0][1] == AR.beam_decode([4, 5, 6], teacher, b=2)
-    with pytest.raises(ValueError, match="mode"):
-        P.build_distill_corpus(pairs, teacher, mode="sampled")
+def test_distill_with_a_beam_width_decodes_by_beam_search(teacher, monkeypatch):
+    def never(*args):
+        raise AssertionError("the greedy path ran under a beam width")
+
+    monkeypatch.setattr(AR, "greedy_decode_batch", never)
+    pairs = [([4, 5, 6], [7, 8]), ([5, 4], [9])]
+    out = P.build_distill_corpus(pairs, teacher, beam_width=2)
+    assert out.pairs == [(s, AR.beam_decode(s, teacher, b=2)) for s, _ in pairs]
 
 
 def test_distill_keeps_an_empty_decode_as_it_is():
@@ -97,7 +99,7 @@ def test_distill_rejects_bad_sources_before_decoding(teacher):
         P.build_distill_corpus([([4, 5], [7]), ([], [7])], teacher)
     with pytest.raises(DataError, match="exceeds max_len 32 at corpus index 2"):
         P.build_distill_corpus([([4, 5], [7]), ([6], [7]), (too_long, [7])],
-                               teacher, mode="beam")
+                               teacher, beam_width=4)
     assert teacher.decoder_passes == 0
 
 

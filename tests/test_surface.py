@@ -9,14 +9,21 @@ delete or a test reference to move into the test that uses it.
 Every parameter with a default must be passed by some call of its function
 in that code: a default no caller overrides is a knob that does nothing.
 
-Program code silences no warning: a warning that its own caller must silence
-is a result sent through a second channel.
+Program code raises and silences no warning: a warning that its own caller
+must silence is a result sent through a second channel.
+
+The README names every flag of every subcommand, and every `natmt` command
+line it shows parses.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+import shlex
 from pathlib import Path
+
+from natmt.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "natmt"
@@ -147,3 +154,35 @@ def test_program_code_silences_no_warning():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in SILENCERS]
     assert found == []
+
+
+def test_program_code_raises_no_warning():
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in CALLERS if path.parent.name != "tests"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "warn"]
+    assert found == []
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_names_every_flag():
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    unnamed = [f"{name} {flag}" for name, sp in sub.choices.items()
+               for action in sp._actions for flag in action.option_strings
+               if flag.startswith("--") and flag != "--help"
+               and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", README)]
+    assert unnamed == []
+
+
+def test_every_readme_command_line_parses():
+    # a removed flag left in an example fails here with the parser's message
+    blocks = re.findall(r"```sh\n(.*?)```", README, re.S)
+    lines = [line for block in blocks
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("natmt ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
