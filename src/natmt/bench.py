@@ -108,12 +108,15 @@ def bench_latency(testset: Sequence[Sequence[int]],
     """Times each strategy on every sentence alone (no minibatching); the
     first sentence is decoded once untimed to warm caches. Per-sentence
     wall-clock is the median over ``repeats`` runs of ``perf_counter``.
-    Speedups are relative to the first strategy. Every spec is checked
-    before the first decode."""
+    Speedups are relative to the first strategy. Every spec, and that none
+    repeats, is checked before the first decode."""
     if not testset:
         raise ValueError("empty benchmark set")
     if repeats < 1:
         raise ValueError("need at least one timed repeat")
+    repeated = [s for i, s in enumerate(strategies) if s in strategies[:i]]
+    if repeated:    # the report keys its timings by spec
+        raise DataError(f"strategy {repeated[0]!r} is named more than once")
     runners = {spec: _runner(spec, teacher_model, nat_model, seed)
                for spec in strategies}
 

@@ -204,8 +204,9 @@ def cmd_train_nat(args) -> None:
                  ("d_model", "d_hidden", "n_layer", "n_head", "src_vocab",
                   "tgt_vocab", "max_len")}
     else:
-        sv = Vocab.build((s for s, _ in pairs_tok), args.min_freq)
-        tv = Vocab.build((t for _, t in pairs_tok), args.min_freq)
+        min_freq = 1 if args.min_freq is None else args.min_freq
+        sv = Vocab.build((s for s, _ in pairs_tok), min_freq)
+        tv = Vocab.build((t for _, t in pairs_tok), min_freq)
         fixed = {"src_vocab": len(sv), "tgt_vocab": len(tv)}
     mcfg, tcfg = split_config(gather_config(args), **fixed)
     check_corpus(args.corpus, pairs_tok, mcfg.max_len, parallel=True)
@@ -362,9 +363,12 @@ def build_parser() -> _Parser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--fertilities", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--init-encoder", dest="init_encoder",
-                    help="teacher checkpoint whose encoder seeds the student")
-    sp.add_argument("--min-freq", dest="min_freq", type=integer, default=1)
+    # the teacher's vocabularies come with its encoder; no default for
+    # --min-freq, so that the group also refuses `--min-freq 1`
+    vocab = sp.add_mutually_exclusive_group()
+    vocab.add_argument("--init-encoder", dest="init_encoder",
+                       help="teacher checkpoint whose encoder seeds the student")
+    vocab.add_argument("--min-freq", dest="min_freq", type=integer, help="default 1")
     _add_config_flags(sp)
     sp.set_defaults(func=cmd_train_nat)
 

@@ -142,8 +142,6 @@ def check_lines(path, sents, max_len: int | None = None, *, target: bool = False
             raise DataError(f"{path}:{ln}: {noun} of {len(sent)} tokens exceeds "
                             f"max_len {max_len}{less}")
         marker = next((tok for tok in sent if tok in MARKERS), None)
-        if marker == RESERVED[PAD] and noun == "candidate":
-            raise DataError(f"{path}:{ln}: candidate holds the padding token")
         if marker:
             raise DataError(f"{path}:{ln}: {noun} holds the reserved token {marker}")
 

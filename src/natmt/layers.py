@@ -189,10 +189,8 @@ class TokenRows:
 
     def split_heads(self, rows: np.ndarray, n_head: int) -> np.ndarray:
         """The rows [N, k] in the zero-filled block, as per-head [B, H, t,
-        k/H] arrays, the layout of `tensor.linear_split_heads_fwd`."""
-        rows = self._block(rows)
-        k = rows.shape[-1]
-        return rows.reshape(-1, self.t, n_head, k // n_head).transpose(0, 2, 1, 3)
+        k/H] arrays (`tensor.split_heads`)."""
+        return T.split_heads(self._block(rows), self.t, n_head)
 
     def logits(self, proj: Linear, rows: np.ndarray) -> Tensor:
         """The projection `proj` of the real rows [N, d], run over the whole
@@ -270,17 +268,15 @@ class MultiHeadAttention(Module):
         self.scale = cfg.attn_scale
         self.last_weights: np.ndarray | None = None
 
-    def heads(self, proj: Linear, x, rows: TokenRows | None = None):
+    def heads(self, proj: Linear, x, rows: TokenRows | None):
         """The per-head projection [B, H, t, d_head] by `proj`, one of wq, wk
-        and wv, of `x`: a Tensor [B, t, d] records the op; an array [B, t, d]
-        runs its kernel, as do the real rows [N, d] of the block `rows`
-        (zero at its padded positions)."""
+        and wv, of `x`: a Tensor [B, t, d] records the op; the real rows [N,
+        d] of the block `rows` run its kernels (zero at the padded
+        positions)."""
         if isinstance(x, Tensor):
             return T.linear_split_heads(x, proj.weight, proj.bias, self.n_head)
-        w, b = proj.weight.data, proj.bias.data
-        if rows is None:
-            return T.linear_split_heads_fwd(x, w, b, self.n_head)
-        return rows.split_heads(T.linear_fwd(x, w, b), self.n_head)
+        return rows.split_heads(T.linear_fwd(x, proj.weight.data, proj.bias.data),
+                                self.n_head)
 
     def attend(self, x, k, v, bias: np.ndarray | None,
                rows: TokenRows | None = None):

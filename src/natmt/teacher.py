@@ -74,9 +74,12 @@ class DecoderCache:
                  src_len: np.ndarray):
         self.length = 0
         self.cross_bias = attention_bias(None, src_len, 1, memory.shape[1])
-        if not T.grad_enabled():
-            memory = memory.data
-        self.layers = [(KVCache(), KVCache(a.heads(a.wk, memory), a.heads(a.wv, memory)))
+        rows = None
+        if not T.grad_enabled():    # every memory row, padded ones too
+            rows = TokenRows(None, memory.shape[1], model.cfg)
+            memory = rows.gather(memory.data)
+        self.layers = [(KVCache(), KVCache(a.heads(a.wk, memory, rows),
+                                           a.heads(a.wv, memory, rows)))
                        for a in (layer.cross_attn for layer in model.layers)]
 
     def select(self, rows) -> None:
@@ -247,22 +250,25 @@ def greedy_decode(src_ids: Sequence[int], model: TeacherModel,
 
 
 def beam_core(step_fn, b: int, max_len: int) -> list[int]:
-    """Beam search over a step function mapping bos-prefixed token lists to
-    next-token log-prob rows. Hypotheses are compared by raw summed log-prob
-    (no length normalization); the end-marker's log-prob is part of the score.
+    """Beam search over a step function mapping bos-prefixed token lists,
+    and the index in the last call's list of the prefix each extends (None
+    at the first call), to next-token log-prob rows. Hypotheses are compared
+    by raw summed log-prob (no length normalization); the end-marker's
+    log-prob is part of the score.
     """
     if b < 1:
         raise ValueError("beam width must be >= 1")
     if max_len == 0:
         return []
     unfinished: list[tuple[float, list[int]]] = [(0.0, [])]
+    parents: list[int] | None = None
     finished: list[tuple[float, list[int]]] = []
     capped: list[tuple[float, list[int]]] = []
     while unfinished:
         best_open = max(s for s, _ in unfinished)
         if finished and max(s for s, _ in finished) >= best_open:
             break  # log-probs only decrease; no open hypothesis can win
-        logp = step_fn([[BOS] + toks for _, toks in unfinished])
+        logp = step_fn([[BOS] + toks for _, toks in unfinished], parents)
         expansions: list[tuple[float, int, int]] = []  # score, beam idx, token
         for i, (score, _) in enumerate(unfinished):
             row = logp[i]
@@ -272,6 +278,7 @@ def beam_core(step_fn, b: int, max_len: int) -> list[int]:
                 expansions.append((score + float(row[tok]), i, int(tok)))
         expansions.sort(key=lambda e: (-e[0], e[2], e[1]))
         nxt: list[tuple[float, list[int]]] = []
+        parents = []
         for score, i, tok in expansions:
             if tok == EOS:
                 finished.append((score, unfinished[i][1]))
@@ -281,6 +288,7 @@ def beam_core(step_fn, b: int, max_len: int) -> list[int]:
                     capped.append((score, hyp))
                 else:
                     nxt.append((score, hyp))
+                    parents.append(i)
             if len(nxt) == b:
                 break
         unfinished = nxt
@@ -297,14 +305,11 @@ def beam_decode(src_ids: Sequence[int], model: TeacherModel, b: int,
     with T.no_grad():
         memory = model.encode(src, src_len)
         cache = DecoderCache(model, memory, src_len)
-        rows: dict[tuple[int, ...], int] = {}  # last step's prefixes -> cache row
 
-        def step(prefixes):
-            # each hypothesis extends one of the last step's prefixes by a token
-            if rows:
-                cache.select([rows[tuple(p[:-1])] for p in prefixes])
-            rows.clear()
-            rows.update((tuple(p), i) for i, p in enumerate(prefixes))
+        def step(prefixes, parents):
+            # row i of the cache holds the last step's prefix parents[i]
+            if parents is not None:
+                cache.select(parents)
             return _step_logprobs(model, prefixes, cache)
 
         return beam_core(step, b, max_len)

@@ -21,13 +21,12 @@ backward, and takes the chain's inputs in the chain's order, so values,
 gradients and the order in which backward sums them are bit-identical to the
 chain.
 
-The forward arithmetic of each fused op is an array kernel of its own
-(``linear_fwd``, ``linear_split_heads_fwd``, ``merge_heads_linear_fwd``,
+The fused ops run their forward arithmetic on array kernels (``linear_fwd``,
 ``ffn_fwd``, ``attention_softmax_fwd``, ``layer_norm_fwd``,
-``scaled_embedding_fwd``). The op calls it and records the graph; every
-decoder pass that records no gradients (scoring, decoding, cached steps)
-calls the kernels on plain arrays instead, so both paths run the same numpy
-arithmetic on every real token row.
+``scaled_embedding_fwd``) and record the graph; ``split_heads`` is the one
+head layout. Every decoder pass that records no gradients (scoring,
+decoding, cached steps) calls the kernels on plain arrays instead, so both
+paths run the same numpy arithmetic on every real token row.
 """
 
 from __future__ import annotations
@@ -249,13 +248,10 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def linear_split_heads_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                           n_head: int) -> np.ndarray:
-    """The forward kernel of `linear_split_heads`: [B, T, d] in, [B, H, T,
-    d/H] out."""
-    bsz, t, d_in = x.shape
-    out = _affine(x.reshape(-1, d_in), w, b)
-    return out.reshape(bsz, t, n_head, w.shape[1] // n_head).transpose(0, 2, 1, 3)
+def split_heads(x: np.ndarray, t: int, n_head: int) -> np.ndarray:
+    """The head layout: rows [..., k] of [B, t] positions become [B, H, t,
+    k/H] per-head arrays."""
+    return x.reshape(-1, t, n_head, x.shape[-1] // n_head).transpose(0, 2, 1, 3)
 
 
 def linear_split_heads(x: Tensor, w: Tensor, b: Tensor, n_head: int) -> Tensor:
@@ -265,7 +261,7 @@ def linear_split_heads(x: Tensor, w: Tensor, b: Tensor, n_head: int) -> Tensor:
     sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
     if len(sx) != 3 or sx[-1] != sw[0] or sb != sw[1:]:
         raise ValueError(f"linear_split_heads shape mismatch: {sx} @ {sw} + {sb}")
-    heads = linear_split_heads_fwd(x.data, w.data, b.data, n_head)
+    heads = split_heads(linear_fwd(x.data, w.data, b.data), sx[1], n_head)
 
     def vjp(g):
         g2 = g.transpose(0, 2, 1, 3).reshape(-1, sw[1])
@@ -277,15 +273,6 @@ def linear_split_heads(x: Tensor, w: Tensor, b: Tensor, n_head: int) -> Tensor:
     return _make(heads, (x, w, b), vjp)
 
 
-def merge_heads_linear_fwd(a: np.ndarray, w: np.ndarray,
-                           b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward kernel of `merge_heads_linear`: [B, H, T, dh] in, [B, T,
-    d] out, returned with the merged [B*T, H*dh] rows its gradient reads."""
-    bsz, h, t, dh = a.shape
-    flat = a.transpose(0, 2, 1, 3).reshape(bsz * t, h * dh)
-    return _affine(flat, w, b).reshape(bsz, t, w.shape[1]), flat
-
-
 def merge_heads_linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """The merge of [B, H, T, dh] heads into [B, T, H*dh] (transpose +
     reshape) then `linear`, as one op, for an output projection."""
@@ -293,7 +280,8 @@ def merge_heads_linear(a: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if len(sa) != 4 or sa[1] * sa[3] != sw[0] or sb != sw[1:]:
         raise ValueError(f"merge_heads_linear shape mismatch: {sa} @ {sw} + {sb}")
     bsz, h, t, dh = sa
-    out, flat = merge_heads_linear_fwd(a.data, w.data, b.data)
+    flat = a.data.transpose(0, 2, 1, 3).reshape(bsz * t, h * dh)
+    out = _affine(flat, w.data, b.data).reshape(bsz, t, sw[1])
 
     def vjp(g):
         g2 = g.reshape(-1, sw[1])

@@ -818,7 +818,7 @@ def test_score_bad_line_exits_2_naming_file_line(workdir, capsys, case):
             "long_source": f"{src}:2: line of 65 tokens exceeds max_len 64",
             "long_candidate": f"{cand}:2: candidate of 64 tokens exceeds "
                               "max_len 64 less the start marker",
-            "pad_candidate": f"{cand}:2: candidate holds the padding token",
+            "pad_candidate": f"{cand}:2: candidate holds the reserved token <pad>",
             "bos_source": f"{src}:2: line holds the reserved token <bos>",
             "eos_candidate": f"{cand}:2: candidate holds the reserved token <eos>"}[case]
     assert f"data error: {want}" in err
@@ -1246,6 +1246,19 @@ def test_bench_checks_every_spec_before_it_times_any(workdir, capsys, monkeypatc
     assert decodes == []
 
 
+def test_bench_refuses_a_repeated_strategy(workdir, capsys, monkeypatch):
+    # its timings are keyed by spec: a repeat would be timed once, printed twice
+    decodes = []
+    argmax = N.decode_argmax
+    monkeypatch.setattr(N, "decode_argmax", lambda *a: decodes.append(1) or argmax(*a))
+    code, out, err = run(capsys, "bench", "--nat", workdir["nat"],
+                         "--testset", workdir["corpus"] + ".src",
+                         "--strategies", "argmax,argmax", "--repeats", "1")
+    assert (code, out) == (2, "")
+    assert "data error: strategy 'argmax' is named more than once" in err
+    assert decodes == []
+
+
 def test_bench_with_neither_model_is_usage(workdir, capsys):
     code, out, err = run(capsys, "bench", "--testset", workdir["corpus"] + ".src")
     assert (code, out) == (1, "")
@@ -1640,6 +1653,36 @@ def test_train_nat_refuses_a_trunk_key_the_teacher_fixes(workdir, tmp_path, caps
                          "--set", f"d_hidden={tc.d_hidden}", *flags)
     assert (code, out) == (2, "")
     assert _fixed(key, getattr(tc, key), given) in err
+    assert not out_path.exists()
+
+
+def test_train_nat_min_freq_defaults_to_one(workdir, tmp_path, capsys):
+    sizes = []
+    for flags in ([], ["--min-freq", "1"], ["--min-freq", "1000"]):
+        out_path = tmp_path / f"n{len(sizes)}.nat"
+        assert run(capsys, "train-nat", "--corpus", workdir["distilled"],
+                   "--fertilities", workdir["ferts"], "--out", str(out_path),
+                   "--steps", "1", "--set", "d_model=16", "--set", "d_hidden=32",
+                   "--set", "n_layer=1", "--set", "n_head=2",
+                   "--set", "max_fertility=4", *flags)[0] == 0
+        _, sv, tv = P.load_model(str(out_path), "nat")
+        sizes.append((len(sv), len(tv)))
+    # every word of the corpus without the flag and at 1; the reserved tokens alone
+    assert sizes[0] == sizes[1] and min(sizes[0]) > len(RESERVED)
+    assert sizes[2] == (len(RESERVED), len(RESERVED))
+
+
+@pytest.mark.parametrize("min_freq", ["1", "2"])   # 1 is the vocabulary default
+def test_train_nat_refuses_min_freq_with_init_encoder(workdir, tmp_path, capsys,
+                                                      min_freq):
+    # the teacher's vocabularies come with its encoder: --min-freq would do nothing
+    out_path = tmp_path / "n.nat"
+    code, out, err = run(capsys, "train-nat", "--corpus", workdir["distilled"],
+                         "--fertilities", workdir["ferts"], "--out", str(out_path),
+                         "--init-encoder", workdir["teacher"], "--min-freq", min_freq,
+                         "--steps", "1")
+    assert (code, out) == (1, "")
+    assert "--min-freq" in err and "--init-encoder" in err and "not allowed" in err
     assert not out_path.exists()
 
 

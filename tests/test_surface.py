@@ -9,6 +9,9 @@ delete or a test reference to move into the test that uses it.
 Every parameter with a default must be passed by some call of its function
 in that code: a default no caller overrides is a knob that does nothing.
 
+Every array kernel of `tensor` (`*_fwd`) must be called by the no-grad
+decoder passes in `layers`, `teacher` or `nat`, not only by its graph op.
+
 Program code raises and silences no warning: a warning that its own caller
 must silence is a result sent through a second channel.
 
@@ -142,6 +145,17 @@ def test_every_defaulted_parameter_is_passed_by_a_caller():
         for qualified, called, param, position in _defaulted_parameters(module)
         if not any(_passes(call, param, position) for call in calls.get(called, []))]
     assert [p for p in unpassed if p != "cli.main(argv)"] == []
+
+
+def test_every_array_kernel_has_an_array_caller():
+    # a `tensor.*_fwd` kernel that only its own graph op calls is a second
+    # spelling of that op, not a kernel that two paths share
+    refs = set().union(*(_references(PACKAGE / f"{m}.py")
+                         for m in ("layers", "teacher", "nat")))
+    kernels = [name for name in _definitions(PACKAGE / "tensor.py", private=False)
+               if name.endswith("_fwd")]
+    assert kernels
+    assert [k for k in kernels if not any(ref == k for ref, _, _ in refs)] == []
 
 
 SILENCERS = {"catch_warnings", "simplefilter", "filterwarnings"}

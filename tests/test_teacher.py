@@ -232,7 +232,7 @@ def test_beam_finds_higher_probability_sequence():
     # B (p=.45) reaches eos at p=.95 giving the higher-probability sequence
     A, B = 4, 5
 
-    def step(prefixes):
+    def step(prefixes, parents):
         rows = []
         for p in prefixes:
             row = np.full(6, -30.0)
@@ -253,6 +253,75 @@ def test_beam_finds_higher_probability_sequence():
     assert AR.beam_core(step, b=2, max_len=4) == [B]         # search wins
     # sanity: the found sequence really is more probable
     assert 0.45 * 0.95 > 0.55 * 0.70 * 1.0
+
+
+def reference_beam_core(step_fn, b: int, max_len: int) -> list[int]:
+    """`teacher.beam_core` as it was before it passed its step function the
+    parent of each prefix, kept verbatim as the reference for its outputs."""
+    if b < 1:
+        raise ValueError("beam width must be >= 1")
+    if max_len == 0:
+        return []
+    unfinished: list[tuple[float, list[int]]] = [(0.0, [])]
+    finished: list[tuple[float, list[int]]] = []
+    capped: list[tuple[float, list[int]]] = []
+    while unfinished:
+        best_open = max(s for s, _ in unfinished)
+        if finished and max(s for s, _ in finished) >= best_open:
+            break  # log-probs only decrease; no open hypothesis can win
+        logp = step_fn([[BOS] + toks for _, toks in unfinished])
+        expansions: list[tuple[float, int, int]] = []  # score, beam idx, token
+        for i, (score, _) in enumerate(unfinished):
+            row = logp[i]
+            # top-b tokens per row suffice to fill b survivors; ties keep the
+            # lowest token id, matching the greedy tie-break
+            for tok in np.argsort(-row, kind="stable")[:b]:
+                expansions.append((score + float(row[tok]), i, int(tok)))
+        expansions.sort(key=lambda e: (-e[0], e[2], e[1]))
+        nxt: list[tuple[float, list[int]]] = []
+        for score, i, tok in expansions:
+            if tok == EOS:
+                finished.append((score, unfinished[i][1]))
+            else:
+                hyp = unfinished[i][1] + [tok]
+                if len(hyp) >= max_len:
+                    capped.append((score, hyp))
+                else:
+                    nxt.append((score, hyp))
+            if len(nxt) == b:
+                break
+        unfinished = nxt
+    pool = finished or capped
+    return max(pool, key=lambda h: h[0])[1] if pool else []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_beam_core_matches_its_reference_and_names_each_parent(seed):
+    # log-probs on a coarse grid of a few values force exact score ties
+    rng = np.random.default_rng(seed)
+    vocab = int(rng.integers(EOS + 1, 8))
+    grid = np.log(rng.choice([0.05, 0.1, 0.2, 0.4], size=int(rng.integers(1, 4))))
+    table = {}
+
+    def row(prefix):
+        return table.setdefault(tuple(prefix), rng.choice(grid, size=vocab))
+
+    last = []
+
+    def step(prefixes, parents):
+        if parents is None:
+            assert prefixes == [[BOS]]
+        else:
+            assert [p[:-1] for p in prefixes] == [last[i] for i in parents]
+        last[:] = prefixes
+        return np.stack([row(p) for p in prefixes])
+
+    for b in range(1, 6):
+        for max_len in range(1, 7):
+            want = reference_beam_core(lambda ps: np.stack([row(p) for p in ps]),
+                                       b, max_len)
+            last.clear()
+            assert AR.beam_core(step, b, max_len) == want
 
 
 def test_beam_score_at_least_greedy_when_trained():
@@ -341,7 +410,8 @@ def test_cached_beam_matches_uncached_search():
                 memory = model.encode(np.array([src]), slen)
                 for b in (2, 4):
                     want = AR.beam_core(
-                        lambda p: uncached_step_logprobs(model, memory, slen, p), b, 8)
+                        lambda p, _: uncached_step_logprobs(model, memory, slen, p),
+                        b, 8)
                     assert AR.beam_decode(src, model, b, 8) == want
 
 

@@ -621,7 +621,7 @@ def test_fused_ops_output_their_forward_kernels(b, t):
     def arr(*shape):
         return rng.normal(0, 1, shape).astype(np.float32)
 
-    x, res, heads, logits = arr(b, t, d), arr(b, t, d), arr(b, h, t, dh), arr(b, h, t, t)
+    x, res, logits = arr(b, t, d), arr(b, t, d), arr(b, h, t, t)
     w, bias, gain, shift = arr(d, d), arr(d), arr(d), arr(d)
     w1, b1, w2, b2 = arr(d, d_hidden), arr(d_hidden), arr(d_hidden, d), arr(d)
     mask = np.where(rng.random((b, 1, 1, t)) < 0.3, np.float32(-1e9), np.float32(0.0))
@@ -634,9 +634,7 @@ def test_fused_ops_output_their_forward_kernels(b, t):
     pairs = [
         (op(T.linear, x, w, bias), T.linear_fwd(x, w, bias)),
         (op(T.linear_split_heads, x, w, bias, n_head=h),
-         T.linear_split_heads_fwd(x, w, bias, h)),
-        (op(T.merge_heads_linear, heads, w, bias),
-         T.merge_heads_linear_fwd(heads, w, bias)[0]),
+         T.split_heads(T.linear_fwd(x, w, bias), t, h)),
         (op(T.ffn, x, w1, b1, w2, b2), T.ffn_fwd(x, w1, b1, w2, b2)[0]),
         (op(T.attention_softmax, logits, scale=0.4, bias=mask),
          T.attention_softmax_fwd(logits, 0.4, mask).astype(np.float32)),
